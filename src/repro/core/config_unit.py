@@ -401,7 +401,7 @@ class ConfigurationUnit:
 
         Only the DRAM-touching streams are guarded — a chained pass's
         first COMP reads and last COMP writes (matching
-        :meth:`_pass_terms`); intermediates ride the tile local
+        :meth:`_pass_mem`); intermediates ride the tile local
         memories and never cross the TSVs. Raises
         :class:`~repro.faults.ecc.UncorrectableEccError` on a detected
         double-bit word, *before* any functional effect, so the
@@ -444,35 +444,29 @@ class ConfigurationUnit:
         the undegraded one. The heat breakdown (of the *actual* run,
         degraded or not) is what the thermal model consumes; it is a
         pure decomposition of the result's energy.
+
+        The degraded run and its healthy baseline drain the same DRAM
+        streams, so the memory system is simulated once and both are
+        priced from that one :class:`MemResult`.
         """
+        mem = self._pass_mem(plan)
         if degradation is None or not degradation.active:
             result, compute_times, heat = self._pass_terms(
-                plan, len(self.layer.tiles), {})
+                plan, mem, len(self.layer.tiles), {})
             return result, compute_times, ZERO, heat
         result, compute_times, heat = self._pass_terms(
-            plan, len(degradation.serving), degradation.reroutes)
-        clean, _, _ = self._pass_terms(plan, len(self.layer.tiles), {})
+            plan, mem, len(degradation.serving), degradation.reroutes)
+        clean, _, _ = self._pass_terms(plan, mem, len(self.layer.tiles), {})
         overhead = ExecResult(max(0.0, result.time - clean.time),
                               max(0.0, result.energy - clean.energy))
         return result, compute_times, overhead, heat
 
-    def _pass_terms(self, plan: PassPlan, n_serve: int,
-                    reroutes: Mapping[int, int]
-                    ) -> Tuple[ExecResult, Dict[str, float],
-                               Dict[str, object]]:
-        """One pass's cost on ``n_serve`` tiles with ``reroutes`` vault
-        stripes carried over the mesh.
+    def _pass_mem(self, plan: PassPlan) -> MemResult:
+        """The memory-system drain of one pass on the healthy device.
 
         For a chained pass only the first COMP's input streams and the
         last COMP's output streams touch DRAM; intermediates ride the
-        tile local memories and the NoC. A rerouted vault's stripe (its
-        1/16th of the DRAM traffic) additionally crosses the mesh to
-        its serving tile: transfers to distinct serving tiles proceed
-        in parallel, stripes converging on one tile serialise on its
-        link, and the slowest group enters the pass pipeline as one
-        more concurrent stage. Fewer serving tiles also stretch the
-        DRAM time (each tile drives only its own vault's TSV bus) and
-        shrink the deployed compute lanes.
+        tile local memories and the NoC.
         """
         first, last = plan.comps[0], plan.comps[-1]
         streams: List[StreamSpec] = []
@@ -482,7 +476,24 @@ class ConfigurationUnit:
         streams.extend(s for s in
                        _comp_streams_aggregated(last, plan.count)
                        if s.is_write)
-        mem = simulate_streams(self.device, streams)
+        return simulate_streams(self.device, streams)
+
+    def _pass_terms(self, plan: PassPlan, mem: MemResult, n_serve: int,
+                    reroutes: Mapping[int, int]
+                    ) -> Tuple[ExecResult, Dict[str, float],
+                               Dict[str, object]]:
+        """One pass's cost on ``n_serve`` tiles with ``reroutes`` vault
+        stripes carried over the mesh, given its healthy drain ``mem``
+        (:meth:`_pass_mem`).
+
+        A rerouted vault's stripe (its 1/16th of the DRAM traffic)
+        additionally crosses the mesh to its serving tile: transfers to
+        distinct serving tiles proceed in parallel, stripes converging
+        on one tile serialise on its link, and the slowest group enters
+        the pass pipeline as one more concurrent stage. Fewer serving
+        tiles also stretch the DRAM time (each tile drives only its own
+        vault's TSV bus) and shrink the deployed compute lanes.
+        """
         if n_serve < self.device.units:
             stretched = mem.time * self.device.units / n_serve
             mem = MemResult(
@@ -500,6 +511,7 @@ class ConfigurationUnit:
         t_compute = max(compute_times.values()) if compute_times else 0.0
         t_noc = 0.0
         if plan.chained:
+            first = plan.comps[0]
             inter_bytes = plan.count * sum(
                 s.total_bytes for s in first.core.streams(first.params)
                 if s.is_write)

@@ -9,7 +9,7 @@ from the per-bank event counters plus static power over the drain time.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from repro.memsys.bank import BankStats
 from repro.memsys.energy import DramEnergy
 from repro.memsys.result import MemResult
 from repro.memsys.timing import DramTiming
-from repro.memsys.vault import VaultController
+from repro.memsys.vault import VaultController, VaultResult
 
 #: A device-level request: (physical address, is_write).
 Request = Tuple[int, bool]
@@ -64,29 +64,20 @@ class MemoryDevice:
         """Background power of the whole device in watts."""
         return self.total_banks * self.energy.p_static_per_bank
 
-    def run_trace(self, requests: Iterable[Request]) -> MemResult:
-        """Drain a request trace and report time/energy/bandwidth.
-
-        Each request moves ``request_bytes`` of payload. Requests are
-        distributed to units by the address mapping; each unit services
-        its share with fresh controller state (a drain models one
-        operation executing from a quiescent device).
-        """
-        reqs = list(requests)
-        addrs = np.fromiter((r[0] for r in reqs), dtype=np.int64,
-                            count=len(reqs))
-        writes = np.fromiter((r[1] for r in reqs), dtype=bool,
-                             count=len(reqs))
-        return self.run_trace_arrays(addrs, writes)
-
     def run_trace_arrays(self, addrs: np.ndarray,
                          writes: np.ndarray) -> MemResult:
-        """:meth:`run_trace` over parallel (address, is_write) arrays.
+        """Drain a trace of parallel (address, is_write) arrays and
+        report time/energy/bandwidth.
 
-        The batch decompose and per-unit split are vectorized (boolean
-        masks preserve the trace order within each unit); each unit's
-        drain then runs the controller's array fast path. Results are
-        element-for-element identical to the scalar walk
+        Each request moves ``request_bytes`` of payload. The batch
+        decompose and the per-unit split are vectorized (boolean masks
+        keep the trace order within each unit). Each unit drains its
+        share on a fresh controller (a drain models one operation
+        executing from a quiescent device), so units whose
+        (bank, row, is_write) columns are byte-identical drain to the
+        same result: each distinct column triple is drained once, keyed
+        in a dict that lives only for this call. Results are
+        element-for-element identical to the scalar reference walk
         (``tests/memsys/test_vectorized_diff.py``).
         """
         count = int(addrs.size)
@@ -94,15 +85,19 @@ class MemoryDevice:
         stats = BankStats()
         if count:
             units, banks, rows, _ = self.mapping.decompose_batch(addrs)
+            drained: Dict[Tuple[bytes, ...], VaultResult] = {}
             for unit in range(self.units):
                 mask = units == unit
                 if not mask.any():
                     continue
-                controller = VaultController(self.timing,
-                                             self.reorder_window)
-                result = controller.service_arrays(
-                    banks[mask].tolist(), rows[mask].tolist(),
-                    writes[mask].tolist())
+                columns = (banks[mask], rows[mask], writes[mask])
+                key = tuple(c.tobytes() for c in columns)
+                result = drained.get(key)
+                if result is None:
+                    controller = VaultController(self.timing,
+                                                 self.reorder_window)
+                    result = controller.service_arrays(*columns)
+                    drained[key] = result
                 finish = max(finish, result.finish_time)
                 stats.merge(result.stats)
         bytes_moved = count * self.request_bytes

@@ -9,25 +9,26 @@ simulator) use to recover row-buffer locality from interleaved streams.
 The drain loop here is the flattened twin of :meth:`Bank.access`: bank
 state lives in local lists and the per-access arithmetic is inlined, so
 a 64K-request window drains without any per-request attribute or method
-dispatch. Every float operation happens in exactly the order (and with
-exactly the operands) of the reference bank FSM — the timing recurrence
+dispatch. Each input column becomes a Python list once (numpy
+``tolist``), with no per-element conversion. Most requests are row hits
+at the head of the queue, so the head is tested first and the rest of
+the reorder window is scanned only when the head misses. Every float
+operation happens in exactly the order (and with exactly the operands)
+of the reference bank FSM — the timing recurrence
 ``finish = max(col + t_cas, bus_free) + t_burst`` is a genuine serial
 dependence and must not be reassociated, which is why it stays a lean
 loop instead of a numpy kernel (see DESIGN.md). Bit-identity against
-the reference :class:`Bank` path is pinned by
-``tests/memsys/test_vectorized_diff.py``.
+the reference :class:`Bank` FSM drain, which lives in the tests, is
+pinned by ``tests/memsys/test_vectorized_diff.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 from repro.memsys.bank import Bank, BankStats
 from repro.memsys.timing import DramTiming
-
-#: One request local to a vault/channel: (bank, row, is_write).
-LocalRequest = Tuple[int, int, bool]
 
 
 @dataclass
@@ -36,6 +37,12 @@ class VaultResult:
 
     finish_time: float
     stats: BankStats
+
+
+def _as_list(column: Sequence) -> list:
+    """A fresh Python list of ``column``: numpy's ``tolist`` (native
+    ints/bools in one pass) or a copy of a sequence."""
+    return column.tolist() if hasattr(column, "tolist") else list(column)
 
 
 class VaultController:
@@ -49,27 +56,19 @@ class VaultController:
         self.banks = [Bank(timing) for _ in range(timing.banks)]
         self._bus_free_at = 0.0
 
-    def service(self, requests: Sequence[LocalRequest],
-                start: float = 0.0) -> VaultResult:
-        """Drain ``requests`` starting no earlier than ``start``.
-
-        Returns the completion time of the last data burst plus merged
-        bank statistics.
-        """
-        return self.service_arrays([r[0] for r in requests],
-                                   [r[1] for r in requests],
-                                   [r[2] for r in requests], start)
-
     def service_arrays(self, req_banks: Sequence[int],
                        req_rows: Sequence[int],
                        req_writes: Sequence[bool],
                        start: float = 0.0) -> VaultResult:
-        """:meth:`service` over parallel (bank, row, is_write) columns.
+        """Drain parallel (bank, row, is_write) columns starting no
+        earlier than ``start``.
 
-        The fast path for array-fed traces; accepts lists or numpy
-        arrays. State is loaded from (and stored back to) the reference
-        :class:`Bank` objects, so interleaving ``service`` and
-        ``service_arrays`` calls on one controller is safe.
+        Accepts numpy arrays or lists; each column is converted to a
+        Python list exactly once (``tolist``). Bank state is loaded from
+        (and stored back to) the :class:`Bank` objects, so successive
+        calls on one controller carry open rows, timing constraints and
+        the bus across calls. Returns the completion time of the last
+        data burst plus merged bank statistics.
         """
         (t_rcd, t_cas, t_rp, t_ras, t_wr, t_ccd,
          t_burst) = self.timing.drain_constants
@@ -82,9 +81,9 @@ class VaultController:
         n_miss = [0] * len(bank_objs)
         n_reads = [0] * len(bank_objs)
         n_writes = [0] * len(bank_objs)
-        pending_b = [int(b) for b in req_banks]
-        pending_r = [int(r) for r in req_rows]
-        pending_w = [bool(w) for w in req_writes]
+        pending_b = _as_list(req_banks)
+        pending_r = _as_list(req_rows)
+        pending_w = _as_list(req_writes)
         bus = self._bus_free_at
         now = start if start > bus else bus
         finish = now
@@ -92,24 +91,28 @@ class VaultController:
         n = len(pending_b)
         window = self.window
         while head < n:
-            limit = head + window
-            if limit > n:
-                limit = n
-            pick = head
-            for i in range(head, limit):
-                if open_row[pending_b[i]] == pending_r[i]:
-                    pick = i
-                    break
-            bank = pending_b[pick]
-            row = pending_r[pick]
-            is_write = pending_w[pick]
-            if pick != head:
-                pending_b[pick] = pending_b[head]
-                pending_r[pick] = pending_r[head]
-                pending_w[pick] = pending_w[head]
+            bank = pending_b[head]
+            row = pending_r[head]
+            is_write = pending_w[head]
+            hit = open_row[bank] == row
+            if not hit:
+                # FR-FCFS: the oldest row hit in the window goes first and
+                # the displaced head takes its slot; no hit -> the head
+                limit = head + window
+                if limit > n:
+                    limit = n
+                i = head + 1
+                while i < limit:
+                    if open_row[pending_b[i]] == pending_r[i]:
+                        hit = True
+                        bank, pending_b[i] = pending_b[i], bank
+                        row, pending_r[i] = pending_r[i], row
+                        is_write, pending_w[i] = pending_w[i], is_write
+                        break
+                    i += 1
             head += 1
             # inlined Bank.access (same operations, same order)
-            if open_row[bank] == row:
+            if hit:
                 n_hits[bank] += 1
                 rc = ready_col[bank]
                 col_at = now if now > rc else rc

@@ -9,6 +9,7 @@ cost.
 import numpy as np
 import pytest
 
+import repro.core.config_unit as config_unit
 from repro.accel import AxpyParams
 from repro.core import MealibSystem, ParamStore
 from repro.faults import FaultInjector
@@ -194,3 +195,29 @@ class TestWarmRetry:
             assert entry.time == pytest.approx(
                 backoff + warm.time + inv.doorbell_cost().time)
             assert entry.time < cold_retry
+
+
+class TestSingleMemorySimulation:
+    """A degraded pass and its healthy baseline drain identical streams,
+    so one execute of a one-PASS descriptor simulates memory once."""
+
+    @pytest.mark.parametrize("dead_tile", [None, 0])
+    def test_one_simulation_per_pass(self, dead_tile, monkeypatch):
+        system = make_system(faults=FaultInjector(seed=0))
+        if dead_tile is not None:
+            system.layer.mark_tile_failed(dead_tile)
+        plan, _, _ = make_axpy_plan(system)
+        calls = []
+        real = config_unit.simulate_streams
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(config_unit, "simulate_streams", counting)
+        system.runtime.acc_execute(plan, functional=False)
+        assert len(calls) == 1
+        degraded = system.runtime.counters.degraded_executes
+        assert degraded == (0 if dead_tile is None else 1)
+        reroute = system.ledger.total("reroute")
+        assert (reroute.time > 0) == (dead_tile is not None)

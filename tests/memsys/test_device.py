@@ -4,6 +4,7 @@ import pytest
 
 from repro.memsys import (DdrMemory, StackedDram, haswell_memory,
                           msas_memory)
+from tests.memsys.helpers import run_trace
 
 
 def seq_trace(n_bytes, burst, base=0, write=False):
@@ -24,32 +25,32 @@ def test_msas_memory_is_102_4():
 
 def test_sequential_reads_near_peak_stack():
     dev = StackedDram()
-    res = dev.run_trace(seq_trace(1 << 19, dev.request_bytes))
+    res = run_trace(dev, seq_trace(1 << 19, dev.request_bytes))
     assert res.bandwidth > 0.85 * dev.peak_bandwidth
 
 
 def test_sequential_reads_near_peak_ddr():
     dev = haswell_memory()
-    res = dev.run_trace(seq_trace(1 << 20, dev.request_bytes))
+    res = run_trace(dev, seq_trace(1 << 20, dev.request_bytes))
     assert res.bandwidth > 0.85 * dev.peak_bandwidth
 
 
 def test_bytes_accounting():
     dev = StackedDram()
     trace = seq_trace(1 << 16, dev.request_bytes)
-    res = dev.run_trace(trace)
+    res = run_trace(dev, trace)
     assert res.bytes_moved == len(trace) * dev.request_bytes
 
 
 def test_energy_positive_and_has_static_component():
     dev = StackedDram()
-    res = dev.run_trace(seq_trace(1 << 16, dev.request_bytes))
+    res = run_trace(dev, seq_trace(1 << 16, dev.request_bytes))
     assert res.energy > dev.static_power() * res.time
 
 
 def test_empty_trace():
     dev = StackedDram()
-    res = dev.run_trace([])
+    res = run_trace(dev, [])
     assert res.time == 0.0
     assert res.energy == 0.0
     assert res.bytes_moved == 0
@@ -57,30 +58,30 @@ def test_empty_trace():
 
 def test_stack_beats_ddr_on_same_pattern():
     trace = seq_trace(1 << 19, 64)
-    stack = StackedDram().run_trace([(a, w) for a, w in trace])
-    ddr = haswell_memory().run_trace(trace)
+    stack = run_trace(StackedDram(), [(a, w) for a, w in trace])
+    ddr = run_trace(haswell_memory(), trace)
     assert stack.time < ddr.time
 
 
 def test_random_pattern_slower_than_sequential():
     dev = StackedDram()
-    seq = dev.run_trace(seq_trace(1 << 18, dev.request_bytes))
+    seq = run_trace(dev, seq_trace(1 << 18, dev.request_bytes))
     step = 97 * 4096 + dev.request_bytes  # scattered, row-missing
-    rand = dev.run_trace([((i * step) % (1 << 30), False)
-                          for i in range((1 << 18) // dev.request_bytes)])
+    rand = run_trace(dev, [((i * step) % (1 << 30), False)
+                           for i in range((1 << 18) // dev.request_bytes)])
     assert rand.bandwidth < seq.bandwidth
     assert rand.stats.row_hit_rate < seq.stats.row_hit_rate
 
 
 def test_more_channels_more_bandwidth():
-    t2 = DdrMemory(channels=2).run_trace(seq_trace(1 << 20, 64))
-    t8 = DdrMemory(channels=8).run_trace(seq_trace(1 << 20, 64))
+    t2 = run_trace(DdrMemory(channels=2), seq_trace(1 << 20, 64))
+    t8 = run_trace(DdrMemory(channels=8), seq_trace(1 << 20, 64))
     assert t8.bandwidth > 2.5 * t2.bandwidth
 
 
 def test_memresult_scaled_linearity():
     dev = StackedDram()
-    res = dev.run_trace(seq_trace(1 << 16, dev.request_bytes))
+    res = run_trace(dev, seq_trace(1 << 16, dev.request_bytes))
     doubled = res.scaled(2.0)
     assert doubled.time == pytest.approx(2 * res.time)
     assert doubled.energy == pytest.approx(2 * res.energy)

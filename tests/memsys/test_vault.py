@@ -4,6 +4,7 @@ import pytest
 
 from repro.memsys.timing import HMC_VAULT
 from repro.memsys.vault import VaultController
+from tests.memsys.helpers import service
 
 
 def seq_requests(n, banks=8, per_row=64):
@@ -17,7 +18,7 @@ def seq_requests(n, banks=8, per_row=64):
 
 def test_empty_trace():
     vc = VaultController(HMC_VAULT)
-    res = vc.service([])
+    res = service(vc, [])
     assert res.finish_time == 0.0
     assert res.stats.accesses == 0
 
@@ -29,14 +30,14 @@ def test_window_must_be_positive():
 
 def test_all_requests_serviced():
     vc = VaultController(HMC_VAULT)
-    res = vc.service(seq_requests(100))
+    res = service(vc, seq_requests(100))
     assert res.stats.accesses == 100
 
 
 def test_sequential_rate_near_bus_peak():
     vc = VaultController(HMC_VAULT)
     n = 2048
-    res = vc.service(seq_requests(n))
+    res = service(vc, seq_requests(n))
     bw = n * HMC_VAULT.burst_bytes / res.finish_time
     assert bw > 0.8 * HMC_VAULT.peak_bandwidth
 
@@ -48,15 +49,15 @@ def test_reordering_recovers_row_hits():
     for i in range(256):
         pattern.append((0, i % 2, False))       # ping-pong rows on bank 0
         pattern.append((1, 0, False))           # plus a well-behaved bank
-    fifo = VaultController(HMC_VAULT, window=1).service(list(pattern))
-    frfcfs = VaultController(HMC_VAULT, window=8).service(list(pattern))
+    fifo = service(VaultController(HMC_VAULT, window=1), list(pattern))
+    frfcfs = service(VaultController(HMC_VAULT, window=8), list(pattern))
     assert frfcfs.finish_time <= fifo.finish_time
     assert frfcfs.stats.row_hit_rate >= fifo.stats.row_hit_rate
 
 
 def test_single_request_latency_reasonable():
     vc = VaultController(HMC_VAULT)
-    res = vc.service([(0, 0, False)])
+    res = service(vc, [(0, 0, False)])
     t = HMC_VAULT
     expected = t.t_rcd + t.t_cas + t.t_burst
     assert res.finish_time == pytest.approx(expected)
@@ -66,12 +67,12 @@ def test_bank_parallelism_beats_single_bank():
     n = 512
     one_bank = [(0, i // 8, False) for i in range(n)]
     many_banks = seq_requests(n)
-    r1 = VaultController(HMC_VAULT).service(one_bank)
-    r2 = VaultController(HMC_VAULT).service(many_banks)
+    r1 = service(VaultController(HMC_VAULT), one_bank)
+    r2 = service(VaultController(HMC_VAULT), many_banks)
     assert r2.finish_time <= r1.finish_time
 
 
 def test_start_time_respected():
     vc = VaultController(HMC_VAULT)
-    res = vc.service([(0, 0, False)], start=1e-3)
+    res = service(vc, [(0, 0, False)], start=1e-3)
     assert res.finish_time > 1e-3

@@ -3,22 +3,30 @@
 Every numpy'd kernel is pinned against a scalar reference implemented
 here from the retained per-element primitives (`StreamSpec.element_addr`,
 `AddressMapping.decompose`, `Bank.access`): randomized inputs, exact
-(bit-identical) equality. Floats are compared with ``==`` on purpose —
-the vectorized paths must perform the same IEEE operations in the same
-order, not merely approximate them.
+(bit-identical) equality. The reference FR-FCFS drain over the
+:class:`Bank` FSM lives only here; the library keeps one drain loop.
+Floats are compared with ``==`` on purpose — the vectorized paths must
+perform the same IEEE operations in the same order, not merely
+approximate them.
 """
 
 import numpy as np
 import pytest
 
+from repro.accel.layer import ACCELERATOR_TYPES
+from repro.eval.workloads import TABLE2
+from repro.memsys import StackedDram, haswell_memory
 from repro.memsys.address import AddressMapping
 from repro.memsys.bank import Bank, BankStats
 from repro.memsys.device import MemoryDevice
 from repro.memsys.energy import HMC_ENERGY
 from repro.memsys.timing import DDR3_1600_CHANNEL, HMC_VAULT
-from repro.memsys.trace import (GANG_ELEMS, StreamSpec, _element_addrs,
-                                _emit_stream_window, merge_streams)
+from repro.memsys.trace import (DEFAULT_WINDOW_ELEMS, GANG_ELEMS,
+                                StreamSpec, _element_addrs,
+                                _emit_stream_window, _merge_window_arrays,
+                                merge_streams)
 from repro.memsys.vault import VaultController
+from tests.memsys.helpers import run_trace, service
 
 RNG_SEED = 987654321
 
@@ -209,7 +217,7 @@ def test_vault_drain_matches_bank_fsm_reference(timing, window):
     for _ in range(10):
         reqs = random_requests(rng, timing, int(rng.integers(1, 600)))
         vc = VaultController(timing, window=window)
-        got = vc.service(reqs)
+        got = service(vc, reqs)
         finish, stats, _, _ = reference_service(timing, window, reqs)
         assert got.finish_time == finish
         assert got.stats == stats
@@ -225,7 +233,7 @@ def test_vault_drain_cumulative_across_service_calls():
     bus = 0.0
     for call in range(4):
         reqs = random_requests(rng, timing, 200)
-        got = vc.service(reqs, start=call * 1e-6)
+        got = service(vc, reqs, start=call * 1e-6)
         finish, stats, banks, bus = reference_service(
             timing, 8, reqs, banks=banks, bus=bus, start=call * 1e-6)
         assert got.finish_time == finish
@@ -242,12 +250,75 @@ def test_service_arrays_accepts_numpy_columns():
     timing = HMC_VAULT
     rng = np.random.default_rng(RNG_SEED + 6)
     reqs = random_requests(rng, timing, 300)
-    a = VaultController(timing).service(reqs)
+    a = service(VaultController(timing), reqs)
     b = VaultController(timing).service_arrays(
         np.array([r[0] for r in reqs]), np.array([r[1] for r in reqs]),
         np.array([r[2] for r in reqs]))
     assert a.finish_time == b.finish_time
     assert a.stats == b.stats
+
+
+# -- lean drain edge cases -----------------------------------------------------
+
+
+def drain_columns(reqs, form):
+    """``reqs`` as (bank, row, is_write) columns in one input form."""
+    banks = [r[0] for r in reqs]
+    rows = [r[1] for r in reqs]
+    writes = [r[2] for r in reqs]
+    if form == "list":
+        return banks, rows, writes
+    dtype = np.int64 if form == "int64" else np.int32
+    return (np.array(banks, dtype=dtype), np.array(rows, dtype=dtype),
+            np.array(writes, dtype=bool))
+
+
+@pytest.mark.parametrize("form", ["int64", "int32", "list"])
+@pytest.mark.parametrize("window", [1, 2, 8, 16, 10_000])
+@pytest.mark.parametrize("timing", [HMC_VAULT, DDR3_1600_CHANNEL])
+def test_lean_drain_windows_and_column_forms(timing, window, form):
+    # few rows per bank, so head hits, window-scan hits and misses all
+    # occur; the largest window is longer than every trace
+    rng = np.random.default_rng(RNG_SEED + 8)
+    for _ in range(4):
+        reqs = [(int(rng.integers(timing.banks)), int(rng.integers(4)),
+                 bool(rng.integers(2)))
+                for _ in range(int(rng.integers(1, 400)))]
+        got = VaultController(timing, window=window).service_arrays(
+            *drain_columns(reqs, form))
+        finish, stats, _, _ = reference_service(timing, window, reqs)
+        assert got.finish_time == finish
+        assert got.stats == stats
+
+
+def test_lean_drain_head_hits_rows_opened_by_earlier_call():
+    """A later call with ``start > 0`` sees the rows an earlier call left
+    open: its leading requests hit at the head of the queue, and timing
+    continues from the carried bank and bus state."""
+    timing = HMC_VAULT
+    rng = np.random.default_rng(RNG_SEED + 9)
+    vc = VaultController(timing, window=8)
+    first = random_requests(rng, timing, 300)
+    vc.service_arrays(*drain_columns(first, "int64"))
+    _, _, banks, bus = reference_service(timing, 8, first)
+    opened = [(b, bank.open_row) for b, bank in enumerate(banks)
+              if bank.open_row >= 0]
+    assert opened
+    second = [(b, row, bool(rng.integers(2)))
+              for b, row in opened for _ in range(3)]
+    second += random_requests(rng, timing, 100)
+    hits_before = sum(bank.stats.row_hits for bank in banks)
+    start = bus + 5e-7
+    got = vc.service_arrays(*drain_columns(second, "int64"), start=start)
+    finish, stats, banks, _ = reference_service(
+        timing, 8, second, banks=banks, bus=bus, start=start)
+    assert got.finish_time == finish
+    assert got.stats == stats
+    assert stats.row_hits - hits_before >= 3 * len(opened)
+    for b_new, b_ref in zip(vc.banks, banks):
+        assert (b_new.open_row, b_new._ready_act, b_new._ready_col,
+                b_new._ready_pre) == (b_ref.open_row, b_ref._ready_act,
+                                      b_ref._ready_col, b_ref._ready_pre)
 
 
 # -- whole-device drain --------------------------------------------------------
@@ -286,7 +357,7 @@ def test_device_run_trace_matches_scalar_reference():
         n = int(rng.integers(1, 3000))
         reqs = [(int(rng.integers(0, 1 << 30)) & ~31,
                  bool(rng.integers(2))) for _ in range(n)]
-        got = device.run_trace(reqs)
+        got = run_trace(device, reqs)
         finish, energy, bytes_moved, stats = reference_run_trace(
             device, reqs)
         assert got.time == finish
@@ -298,6 +369,56 @@ def test_device_run_trace_matches_scalar_reference():
 def test_device_run_trace_empty():
     device = MemoryDevice(HMC_VAULT, HMC_ENERGY, units=4,
                           interleave_bytes=256)
-    got = device.run_trace([])
+    got = run_trace(device, [])
     assert got.time == 0.0 and got.energy == 0.0
     assert got.bytes_moved == 0
+
+
+# -- per-call drain dedup ------------------------------------------------------
+
+CORES = {core.name: core for core in (t() for t in ACCELERATOR_TYPES)}
+
+
+def table2_window(op, scale, device):
+    """The merged request window ``simulate_streams`` drains for one
+    Table 2 op."""
+    streams = [s for s in CORES[op].streams(TABLE2[op].params(scale))
+               if s.n_elems > 0]
+    total = sum(s.n_elems for s in streams)
+    fraction = min(1.0, DEFAULT_WINDOW_ELEMS / total)
+    n_samples = [max(1, int(round(s.n_elems * fraction))) for s in streams]
+    return _merge_window_arrays(streams, n_samples, device.request_bytes)
+
+
+@pytest.mark.parametrize("make_device, deduped", [
+    (StackedDram, {"FFT", "GEMV"}),
+    (haswell_memory, {"FFT"}),
+], ids=["stack", "ddr"])
+@pytest.mark.parametrize("scale", [0.004, 0.02])
+def test_device_drain_dedup_matches_reference(make_device, deduped, scale,
+                                              monkeypatch):
+    """Units whose request sequences repeat drain once per call, with
+    results bit-identical to draining every unit."""
+    device = make_device()
+    drains = []
+    real = VaultController.service_arrays
+
+    def counting(self, *args, **kwargs):
+        drains.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(VaultController, "service_arrays", counting)
+    for op in TABLE2:
+        addrs, writes = table2_window(op, scale, device)
+        drains.clear()
+        got = device.run_trace_arrays(addrs, writes)
+        finish, energy, bytes_moved, stats = reference_run_trace(
+            device, list(zip(addrs.tolist(), writes.tolist())))
+        assert got.time == finish
+        assert got.energy == energy
+        assert got.bytes_moved == bytes_moved
+        assert got.stats == stats
+        busy = np.unique(device.mapping.decompose_batch(addrs)[0]).size
+        assert len(drains) <= busy
+        if op in deduped:
+            assert len(drains) < busy, op
