@@ -27,6 +27,17 @@ so callers can hand it arbitrary step durations. All state is plain
 float64 numpy — deterministic, so thermal-on golden baselines pin
 exactly.
 
+The Euler loop works in buffers allocated once per call and stops at an
+exact fixed point. A substep is a function of the state ``(temps,
+t_logic)`` and of constants fixed for the call, so once one substep
+maps the state to itself bit for bit, every remaining substep would
+too. The loop computes the same floats as the plain loop kept in
+``tests/thermal/helpers.py``: every sum adds its terms in the same
+order; a conductance term ``g·(amb − T)`` is subtracted as
+``g·(T − amb)``, which is the same float because round-to-nearest is
+sign-symmetric; and the lateral product, the leakage ``exp2`` and the
+logic node's pairwise sum use the same numpy kernels.
+
 The default capacities are scaled to the simulator's sampled-window
 timescale (microsecond-class accelerated steps), giving vault time
 constants of tens of microseconds: steady states are reached within a
@@ -38,7 +49,8 @@ governor and the Arrhenius fault coupling consume; see DESIGN.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
@@ -111,6 +123,14 @@ class ThermalConfig:
     arrhenius_cap: float = 8.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in (value.values() if isinstance(value, Mapping)
+                      else (value,)):
+                if not math.isfinite(v):
+                    raise ValueError(f"{f.name} must be finite, got {v}")
+        if self.ambient <= 0.0:
+            raise ValueError(f"ambient must be > 0 K, got {self.ambient}")
         for name in ("c_vault", "c_logic", "g_sink", "g_logic_sink",
                      "leak_doubling", "dt", "arrhenius_doubling"):
             if getattr(self, name) <= 0.0:
@@ -179,14 +199,6 @@ class ThermalModel:
 
     # -- temperature-dependent terms -----------------------------------------
 
-    def leakage(self, temps: np.ndarray) -> np.ndarray:
-        """Per-vault leakage power at the given temperatures, W."""
-        cfg = self.config
-        if cfg.p_leak_ref <= 0.0:
-            return np.zeros_like(temps)
-        return cfg.p_leak_ref * np.exp2(
-            (temps - cfg.ambient) / cfg.leak_doubling)
-
     def arrhenius_factor(self, vault: int) -> float:
         """Latent-flip rate multiplier of one vault: doubles every
         ``arrhenius_doubling`` kelvin above ambient, floored at 1 (the
@@ -211,43 +223,81 @@ class ThermalModel:
         node, in watts, over the whole interval (the step's attributed
         joules divided by its wall time); ``logic_power`` likewise for
         the logic-layer node. Leakage is added internally from the
-        instantaneous temperatures.
+        instantaneous temperatures. Durations and powers must be finite
+        and non-negative.
         """
-        if duration < 0.0:
-            raise ValueError("duration must be non-negative")
+        if not 0.0 <= duration < math.inf:
+            raise ValueError("duration must be finite and non-negative, "
+                             f"got {duration}")
         if duration == 0.0:
             return
         cfg = self.config
-        power = np.zeros(self.vaults, dtype=np.float64)
+        n = self.vaults
+        power = np.zeros(n, dtype=np.float64)
         if len(vault_power):
-            if len(vault_power) != self.vaults:
+            if len(vault_power) != n:
                 raise ValueError(
-                    f"expected {self.vaults} vault powers, got "
-                    f"{len(vault_power)}")
+                    f"expected {n} vault powers, got {len(vault_power)}")
             power[:] = vault_power
-        if np.any(power < 0.0) or logic_power < 0.0:
-            raise ValueError("power inputs must be non-negative")
+        if not (np.all(power >= 0.0) and np.all(power < math.inf)
+                and 0.0 <= logic_power < math.inf):
+            raise ValueError("power inputs must be finite and non-negative")
         dt = min(cfg.dt, self._dt_stable)
         steps = max(1, int(np.ceil(duration / dt)))
         dt = duration / steps
         amb = cfg.ambient
-        temps = self.temps
+        g_logic, g_logic_sink = cfg.g_logic, cfg.g_logic_sink
+        k_logic = dt / cfg.c_logic
+        leaky = cfg.p_leak_ref > 0.0
+        # vector operands as float64 0-d arrays: the same products as
+        # with Python floats, without a scalar conversion per ufunc call
+        amb_v, g_sink_v, g_lat_v, g_logic_v, p_leak_v, doubling_v, k_v = (
+            np.array(x, dtype=np.float64)
+            for x in (amb, cfg.g_sink, cfg.g_lat, g_logic, cfg.p_leak_ref,
+                      cfg.leak_doubling, dt / cfg.c_vault))
+        adj, degree = self._adj, self._degree
+        # a fresh state array: callers may hold (and write) self.temps
+        temps = np.array(self.temps, dtype=np.float64)
+        nxt, d, dl, lat, flux, tmp = (np.empty(n, dtype=np.float64)
+                                      for _ in range(6))
         t_logic = self.t_logic
         for _ in range(steps):
-            lat = cfg.g_lat * (self._adj @ temps - self._degree * temps)
-            flux = (power + self.leakage(temps)
-                    + cfg.g_sink * (amb - temps)
-                    + cfg.g_logic * (t_logic - temps)
-                    + lat)
+            np.subtract(temps, amb_v, out=d)
+            np.subtract(temps, t_logic, out=dl)
+            np.matmul(adj, temps, out=lat)
+            np.multiply(degree, temps, out=tmp)
+            np.subtract(lat, tmp, out=lat)
+            np.multiply(lat, g_lat_v, out=lat)
+            # flux = power + leakage - g_sink*d - g_logic*dl + lat: the
+            # physics' sum order, each conductance term's sign flipped
+            np.multiply(d, g_sink_v, out=tmp)
+            if leaky:
+                np.divide(d, doubling_v, out=flux)
+                np.exp2(flux, out=flux)
+                np.multiply(flux, p_leak_v, out=flux)
+                np.add(power, flux, out=flux)
+                np.subtract(flux, tmp, out=flux)
+            else:
+                np.subtract(power, tmp, out=flux)
+            np.multiply(dl, g_logic_v, out=tmp)
+            np.subtract(flux, tmp, out=flux)
+            np.add(flux, lat, out=flux)
+            # np.add.reduce is the pairwise reduction np.sum dispatches to
             logic_flux = (logic_power
-                          + cfg.g_logic * float(np.sum(temps - t_logic))
-                          + cfg.g_logic_sink * (amb - t_logic))
-            temps = temps + flux * (dt / cfg.c_vault)
-            t_logic = t_logic + logic_flux * (dt / cfg.c_logic)
+                          + g_logic * float(np.add.reduce(dl, axis=None))
+                          - g_logic_sink * (t_logic - amb))
+            np.multiply(flux, k_v, out=flux)
+            np.add(temps, flux, out=nxt)
             # the heatsink is an infinite reservoir at ambient: the
             # stack cannot cool below it
-            np.maximum(temps, amb, out=temps)
-            t_logic = max(t_logic, amb)
+            np.maximum(nxt, amb_v, out=nxt)
+            t_next = max(t_logic + logic_flux * k_logic, amb)
+            # the step map depends on the state alone, so a bitwise
+            # fixed point repeats for every remaining substep
+            if t_next == t_logic and (nxt == temps).all():
+                break
+            temps, nxt = nxt, temps
+            t_logic = t_next
         self.temps = temps
         self.t_logic = t_logic
         self.elapsed += duration

@@ -27,6 +27,10 @@ def make_model(**overrides):
     dict(throttle_factor=1.5), dict(hysteresis=-1.0),
     dict(critical=340.0, envelope=350.0), dict(arrhenius_cap=0.5),
     dict(leak_doubling=0.0), dict(arrhenius_doubling=0.0),
+    dict(dt=float("nan")), dict(ambient=float("nan")),
+    dict(envelope=float("nan")), dict(c_vault=float("inf")),
+    dict(ambient=-5.0), dict(ambient=0.0),
+    dict(vault_envelopes={3: float("nan")}),
 ])
 def test_config_rejects_invalid_knobs(bad):
     with pytest.raises(ValueError):
@@ -55,6 +59,18 @@ def test_model_rejects_bad_grid_and_bad_power():
         model.advance(1e-6, vault_power=[-1.0] * 16)
     with pytest.raises(ValueError):
         model.advance(1e-6, logic_power=-1.0)
+    # non-finite inputs are typed errors, never a stray OverflowError
+    # or a silent NaN state the governor cannot throttle on
+    for duration in (float("inf"), float("nan"), float("-inf")):
+        with pytest.raises(ValueError):
+            model.advance(duration)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            model.advance(1e-6, vault_power=[bad] + [0.0] * 15)
+        with pytest.raises(ValueError):
+            model.advance(1e-6, logic_power=bad)
+    assert model.elapsed == 0.0
+    assert np.all(model.temps == AMBIENT_K)
 
 
 # -- monotone cool-down -------------------------------------------------------
