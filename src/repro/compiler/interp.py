@@ -43,7 +43,7 @@ from repro.host.cpu import CpuModel
 from repro.host.platforms import haswell
 from repro.metrics import ExecResult, ZERO
 from repro.mkl import blas, fftw
-from repro.mkl.resample import interpolate_1d
+from repro.mkl.resample import interpolate_rows
 from repro.mkl.sparse import CsrMatrix, scsrgemv
 from repro.mkl.transpose import simatcopy, somatcopy
 
@@ -93,6 +93,16 @@ def _as_csr(m: int, data: ArrayRef, ia: ArrayRef, ja: ArrayRef
                      data=data.take(nnz), shape=(m, m))
 
 
+def _rows(ref: ArrayRef, rows: int, cols: int) -> np.ndarray:
+    """The ``rows x cols`` matrix stored contiguously at ``ref``."""
+    if rows < 0 or cols < 0:
+        raise InterpError(f"negative extent {rows}x{cols}")
+    flat = ref.take(rows * cols)
+    if len(flat) != rows * cols:
+        raise InterpError(f"buffer too short for {rows}x{cols} elements")
+    return flat.reshape(rows, cols)
+
+
 def _call_function(env: CompileEnv, name: str, args: List) -> None:
     """Execute one library call functionally. ``args`` are evaluated:
     scalars as numbers, pointers as ArrayRefs, plans as PlanSpec."""
@@ -116,15 +126,10 @@ def _call_function(env: CompileEnv, name: str, args: List) -> None:
         scsrgemv(_as_csr(m, a, ia, ja), x.tail(), y.tail())
     elif name == "dfsInterpolate1D":
         blocks, n_in, knots, series, n_out, sites, out = args
-        kn = knots.take(n_in).astype(np.float64)
-        for b in range(blocks):
-            src = series.array[series.offset + b * n_in:
-                               series.offset + (b + 1) * n_in]
-            st = sites.array[sites.offset + b * n_out:
-                             sites.offset + (b + 1) * n_out]
-            out.array[out.offset + b * n_out:
-                      out.offset + (b + 1) * n_out] = interpolate_1d(
-                kn, src, st.astype(np.float64))
+        src = _rows(series, blocks, n_in)
+        dst = _rows(out, blocks, n_out)
+        dst[:] = interpolate_rows(knots.take(n_in), src,
+                                  _rows(sites, blocks, n_out))
     elif name == "mkl_simatcopy":
         rows, cols, alpha, ab = args
         simatcopy(rows, cols, alpha, ab.tail())

@@ -11,6 +11,7 @@ the paper's unified-address-space requirement.
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -68,6 +69,8 @@ class PhysicalMemory:
         del self._regions[idx]
 
     def _locate(self, addr: int, n: int) -> Tuple[np.ndarray, int]:
+        if n < 0:
+            raise PhysMemError(f"negative access size {n}")
         idx = bisect.bisect_right(self._starts, addr) - 1
         if idx < 0:
             raise PhysMemError(f"unbacked physical address {addr:#x}")
@@ -101,10 +104,14 @@ class PhysicalMemory:
 
         This is how both the simulated CPU (through a virtual mapping that
         resolves to the same region) and the accelerators (directly) touch
-        buffer contents — there is a single copy of the data.
+        buffer contents — there is a single copy of the data. The
+        element count is an exact integer product (``math.prod``); a
+        negative dimension raises :class:`PhysMemError`.
         """
         dtype = np.dtype(dtype)
-        count = int(np.prod(shape)) if shape else 1
+        if shape and min(shape) < 0:
+            raise PhysMemError(f"negative dimension in shape {shape}")
+        count = math.prod(shape)
         raw = self.view(addr, count * dtype.itemsize)
         return raw.view(dtype).reshape(shape)
 

@@ -17,7 +17,8 @@ from repro.mkl.profiles import (OpProfile, axpy_profile, cdotc_profile,
                                 reshp_profile, resmp_profile, spmv_profile)
 from repro.mkl.resample import (CubicSpline1D, ResampleError,
                                 fit_cubic_spline, interpolate_1d,
-                                resample_flops, thomas_solve)
+                                interpolate_rows, resample_flops,
+                                thomas_solve)
 from repro.mkl.sparse import (CsrMatrix, SparseError,
                               random_geometric_graph, scsrgemv, spmv_flops)
 from repro.mkl.transpose import simatcopy, somatcopy
@@ -32,7 +33,7 @@ __all__ = [
     "ctrsm_profile", "dot_profile", "fft2d_profile", "fft_profile",
     "gemv_profile", "reshp_profile", "resmp_profile", "spmv_profile",
     "CubicSpline1D", "ResampleError", "fit_cubic_spline", "interpolate_1d",
-    "resample_flops", "thomas_solve", "CsrMatrix", "SparseError",
+    "interpolate_rows", "resample_flops", "thomas_solve", "CsrMatrix", "SparseError",
     "random_geometric_graph", "scsrgemv", "spmv_flops", "simatcopy",
     "somatcopy",
 ]

@@ -84,3 +84,24 @@ def test_ndarray_2d(mem):
 def test_regions_listing(mem):
     mem.add_region(0x8000, 0x1000)
     assert mem.regions() == [(0x1000, 0x2000), (0x8000, 0x1000)]
+
+
+@pytest.mark.parametrize("shape", [(-1,), (2, -3), (-2, -3)])
+def test_ndarray_negative_dimension_raises(mem, shape):
+    with pytest.raises(PhysMemError):
+        mem.ndarray(0x1000, np.float32, shape)
+
+
+def test_negative_byte_count_raises(mem):
+    with pytest.raises(PhysMemError):
+        mem.view(0x1000, -8)
+    with pytest.raises(PhysMemError):
+        mem.read(0x1000, -8)
+
+
+def test_zero_sized_views_are_legal(mem):
+    assert mem.view(0x1000, 0).size == 0
+    assert mem.read(0x1000, 0) == b""
+    assert mem.ndarray(0x1000, np.float32, (0,)).shape == (0,)
+    assert mem.ndarray(0x1000, np.float32, (3, 0)).shape == (3, 0)
+    assert mem.ndarray(0x1000, np.float32, ()).shape == ()

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mkl import (ResampleError, fit_cubic_spline, interpolate_1d,
-                       resample_flops, simatcopy, somatcopy, thomas_solve)
+                       interpolate_rows, resample_flops, simatcopy,
+                       somatcopy, thomas_solve)
 
 
 class TestThomas:
@@ -29,6 +30,10 @@ class TestThomas:
     def test_length_mismatch(self):
         with pytest.raises(ResampleError):
             thomas_solve(np.zeros(2), np.ones(3), np.zeros(3), np.ones(3))
+
+    def test_empty_bands(self):
+        with pytest.raises(ResampleError):
+            thomas_solve(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0))
 
 
 class TestSpline:
@@ -82,6 +87,33 @@ class TestSpline:
     def test_non_increasing_knots(self):
         with pytest.raises(ResampleError):
             fit_cubic_spline(np.array([0.0, 0.0, 1.0]), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_knots(self, bad):
+        x = np.array([0.0, 1.0, 2.0, 3.0])
+        x[2] = bad
+        with pytest.raises(ResampleError):
+            fit_cubic_spline(x, np.zeros(4))
+        with pytest.raises(ResampleError):
+            interpolate_1d(x, np.zeros(4), np.array([0.5]))
+
+    def test_linear_mode_validates_knots(self):
+        with pytest.raises(ResampleError):
+            interpolate_1d(np.array([2.0, 1.0, 0.0]), np.arange(3.0),
+                           np.array([0.5]), method="linear")
+        with pytest.raises(ResampleError):
+            interpolate_1d(np.array([0.0, np.nan, 2.0]), np.arange(3.0),
+                           np.array([0.5]), method="linear")
+        with pytest.raises(ResampleError):
+            interpolate_1d(np.arange(3.0), np.arange(4.0),
+                           np.array([0.5]), method="linear")
+
+    def test_rows_shape_mismatch(self):
+        with pytest.raises(ResampleError):
+            interpolate_rows(np.arange(4.0), np.zeros((2, 4)),
+                             np.zeros((3, 5)))
+        with pytest.raises(ResampleError):
+            interpolate_rows(np.arange(4.0), np.zeros(4), np.zeros((1, 5)))
 
     def test_unknown_method(self):
         with pytest.raises(ResampleError):
