@@ -18,6 +18,11 @@ accelerators. The pipeline is::
           ──► rule engine ──► Diagnostics (MEA001..MEA017)
           ──► rewrite-safety certificates for every offloaded step
 
+One compile computes the CFG, value ranges, effect summaries and
+statement events once, in a shared :class:`ProgramFacts` bundle
+(:mod:`.facts`) that the checker, the certifier and the rewrite engine
+all read.
+
 ``error`` findings on accelerated call sites demote the call to host
 execution (``HostCallStep``) instead of producing a wrong offload;
 lifecycle errors (use-after-free, double-free, ... — including their
@@ -44,6 +49,7 @@ from repro.compiler.analysis.deptest import (DepVerdict,
                                              cross_iteration_verdict,
                                              same_iteration_verdict)
 from repro.compiler.analysis.events import BufferEvent, stmt_events
+from repro.compiler.analysis.facts import ProgramFacts
 from repro.compiler.analysis.races import classify_races
 from repro.compiler.analysis.ranges import (Interval, ValueRanges,
                                             affine_interval)
@@ -68,7 +74,7 @@ __all__ = [
     "BasicBlock", "Cfg", "build_cfg", "LifecycleFacts", "Liveness",
     "solve_backward", "solve_forward",
     "DepVerdict", "same_iteration_verdict", "cross_iteration_verdict",
-    "BufferEvent", "stmt_events",
+    "BufferEvent", "stmt_events", "ProgramFacts",
     "classify_races", "Interval", "ValueRanges", "affine_interval",
     "AnalysisResult", "DEMOTE_CODES", "REJECT_CODES",
     "WARN_DEMOTE_CODES",

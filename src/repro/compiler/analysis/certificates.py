@@ -37,7 +37,7 @@ from repro.compiler.analysis.alias import (INPLACE_EXACT_OK,
                                            cross_iteration,
                                            same_iteration,
                                            step_accesses, step_ranges)
-from repro.compiler.analysis.cfg import build_cfg
+from repro.compiler.analysis.facts import ProgramFacts
 from repro.compiler.analysis.ranges import (Interval, ValueRanges,
                                             affine_interval)
 from repro.compiler.analysis.races import (is_recognized_reduction,
@@ -179,16 +179,21 @@ def certify_step(step: AccelCallStep, step_index: int,
 
 
 def certify_schedule(program: Program, schedule: Schedule,
-                     skip: Iterable[int] = ()
+                     skip: Iterable[int] = (),
+                     facts: Optional[ProgramFacts] = None
                      ) -> Tuple[SafetyCertificate, ...]:
     """Certificates for every offloaded step of a checked schedule.
 
     ``skip`` names the step indices the rule engine demoted; those
-    execute on the host and carry no certificate.
+    execute on the host and carry no certificate. ``facts`` is the
+    compile's shared analysis bundle; without one the call builds its
+    own.
     """
+    if facts is None:
+        facts = ProgramFacts(program, schedule.env)
+    assert facts.program is program and facts.env is schedule.env
     skipped = set(skip)
-    cfg = build_cfg(program)
-    vranges = ValueRanges(cfg, schedule.env)
+    vranges = facts.ranges
     certs: List[SafetyCertificate] = []
     for idx, step in enumerate(schedule.steps):
         if idx in skipped or not isinstance(step, AccelCallStep):

@@ -16,15 +16,11 @@ union and termination follows from the finite token universe.
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, FrozenSet, Iterable, List,
-                    Optional, Tuple)
+from typing import Callable, Dict, FrozenSet, Iterable, Tuple
 
 from repro.compiler.analysis.cfg import Cfg
-from repro.compiler.analysis.events import BufferEvent, stmt_events
-from repro.compiler.semantics import CompileEnv
-
-#: name -> FunctionSummary (kept loose to avoid an import cycle).
-Summaries = Optional[Dict[str, object]]
+from repro.compiler.analysis.events import BufferEvent
+from repro.compiler.analysis.facts import ProgramFacts
 
 Facts = FrozenSet[Tuple[str, str]]
 Transfer = Callable[[int, Facts], Facts]
@@ -93,15 +89,11 @@ class LifecycleFacts:
     buffer along some path.
     """
 
-    def __init__(self, cfg: Cfg, env: CompileEnv,
-                 summaries: Summaries = None):
-        self.cfg = cfg
-        self.env = env
-        self._events: Dict[int, List[List[BufferEvent]]] = {
-            b.bid: [stmt_events(s, env, summaries) for s in b.stmts]
-            for b in cfg.blocks}
+    def __init__(self, facts: ProgramFacts):
+        self.cfg = facts.cfg
+        self._events = facts.events
         self.block_in, self.block_out = solve_forward(
-            cfg, self._transfer)
+            self.cfg, self._transfer)
 
     @staticmethod
     def apply_event(facts: Facts, ev: BufferEvent) -> Facts:
@@ -143,15 +135,11 @@ class Liveness:
     writes, or takes the address of it. Fact tokens: ``("live", buf)``.
     """
 
-    def __init__(self, cfg: Cfg, env: CompileEnv,
-                 summaries: Summaries = None):
-        self.cfg = cfg
-        self.env = env
-        self._events: Dict[int, List[List[BufferEvent]]] = {
-            b.bid: [stmt_events(s, env, summaries) for s in b.stmts]
-            for b in cfg.blocks}
+    def __init__(self, facts: ProgramFacts):
+        self.cfg = facts.cfg
+        self._events = facts.events
         self.block_in, self.block_out = solve_backward(
-            cfg, self._transfer)
+            self.cfg, self._transfer)
 
     @staticmethod
     def _refs(events: Iterable[BufferEvent]) -> Facts:

@@ -11,7 +11,7 @@ recognizer also understands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.compiler.affine import AffineError
 from repro.compiler.cast import (Assign, Call, ExprStmt, Ident, Stmt,
@@ -102,7 +102,7 @@ def _summary_events(env: CompileEnv, call: Call,
 
 def _call_events(env: CompileEnv, call: Call,
                  loc: Optional[SourceLoc],
-                 summaries: Optional[Dict[str, object]] = None
+                 summaries: Optional[Mapping[str, object]] = None
                  ) -> List[BufferEvent]:
     events: List[BufferEvent] = []
     if summaries and call.func in summaries:
@@ -147,7 +147,7 @@ def _call_events(env: CompileEnv, call: Call,
 
 
 def stmt_events(stmt: Stmt, env: CompileEnv,
-                summaries: Optional[Dict[str, object]] = None
+                summaries: Optional[Mapping[str, object]] = None
                 ) -> List[BufferEvent]:
     """Events the statement performs, in execution order.
 

@@ -221,6 +221,10 @@ class ValueRanges:
         self.cfg = cfg
         self.env = env
         self.block_in: Dict[int, State] = {}
+        #: id(expr) -> its affine form (None: not affine). Keyed by
+        #: identity, which is safe because ``cfg`` keeps every node
+        #: alive for as long as this object exists.
+        self._affine: Dict[int, Optional[Affine]] = {}
         self._solve()
 
     # -- queries -------------------------------------------------------------
@@ -257,9 +261,16 @@ class ValueRanges:
     # -- the solver ----------------------------------------------------------
 
     def _expr_interval(self, expr: Expr, state: State) -> Interval:
-        try:
-            aff = self.env.affine_expr(expr)
-        except (AffineError, SemanticError):
+        key = id(expr)
+        if key in self._affine:
+            aff = self._affine[key]
+        else:
+            try:
+                aff = self.env.affine_expr(expr)
+            except (AffineError, SemanticError):
+                aff = None
+            self._affine[key] = aff
+        if aff is None:
             return TOP
         return affine_interval(aff, state)
 
@@ -347,6 +358,19 @@ class ValueRanges:
             out[k] = r if prev is None else prev.widen(r)
         return out
 
+    def _merged(self, blk: BasicBlock,
+                block_out: Dict[int, State]) -> State:
+        """Join of the states flowing into ``blk`` along feasible
+        edges from already-visited predecessors."""
+        incoming: List[State] = []
+        for p in blk.preds:
+            if p not in block_out:
+                continue
+            es = self._edge_state(self.cfg.block(p), blk, block_out[p])
+            if es is not None:
+                incoming.append(es)
+        return self._join_states(incoming)
+
     def _solve(self) -> None:
         cfg = self.cfg
         order = cfg.rpo()
@@ -362,15 +386,7 @@ class ValueRanges:
                 if bid == cfg.entry:
                     continue
                 blk = cfg.block(bid)
-                incoming: List[State] = []
-                for p in blk.preds:
-                    if p not in block_out:
-                        continue
-                    es = self._edge_state(cfg.block(p), blk,
-                                          block_out[p])
-                    if es is not None:
-                        incoming.append(es)
-                merged = self._join_states(incoming)
+                merged = self._merged(blk, block_out)
                 if blk.kind == "header" and rounds > _WIDEN_AFTER \
                         and bid in self.block_in:
                     merged = self._widen_state(self.block_in[bid],
@@ -389,15 +405,7 @@ class ValueRanges:
                 if bid == cfg.entry:
                     continue
                 blk = cfg.block(bid)
-                incoming = []
-                for p in blk.preds:
-                    if p not in block_out:
-                        continue
-                    es = self._edge_state(cfg.block(p), blk,
-                                          block_out[p])
-                    if es is not None:
-                        incoming.append(es)
-                merged = self._join_states(incoming)
+                merged = self._merged(blk, block_out)
                 self.block_in[bid] = merged
                 block_out[bid] = self._transfer(blk, merged)
 

@@ -59,15 +59,12 @@ from repro.compiler.analysis.alias import (INPLACE_EXACT_OK,
                                            step_accesses, step_ranges)
 from repro.compiler.analysis.certificates import (SafetyCertificate,
                                                   certify_schedule)
-from repro.compiler.analysis.cfg import Cfg, build_cfg
 from repro.compiler.analysis.dataflow import LifecycleFacts, Liveness
 from repro.compiler.analysis.deptest import DepVerdict
-from repro.compiler.analysis.events import BufferEvent, stmt_events
+from repro.compiler.analysis.events import BufferEvent
+from repro.compiler.analysis.facts import ProgramFacts
 from repro.compiler.analysis.races import classify_races, fallback_note
-from repro.compiler.analysis.ranges import (TOP, Interval, ValueRanges,
-                                            affine_interval)
-from repro.compiler.analysis.summaries import (FunctionSummary,
-                                               compute_summaries)
+from repro.compiler.analysis.ranges import TOP, ValueRanges, affine_interval
 from repro.compiler.cast import Program
 from repro.compiler.diagnostics import (Diagnostic, DiagnosticReport,
                                         Severity)
@@ -104,12 +101,10 @@ class AnalysisResult:
 
 # -- lifecycle rules (MEA001/003/004/006/012) --------------------------------
 
-def _check_lifecycle(cfg: Cfg, schedule: Schedule,
-                     report: DiagnosticReport,
-                     summaries: Optional[Dict[str, FunctionSummary]]
-                     = None) -> None:
-    env = schedule.env
-    lifecycle = LifecycleFacts(cfg, env, summaries)
+def _check_lifecycle(facts: ProgramFacts,
+                     report: DiagnosticReport) -> None:
+    env = facts.env
+    lifecycle = LifecycleFacts(facts)
     seen: Set[Tuple] = set()
 
     def emit(code: str, message: str, ev: BufferEvent) -> None:
@@ -127,24 +122,24 @@ def _check_lifecycle(cfg: Cfg, schedule: Schedule,
                               message=message, loc=ev.loc,
                               buffers=(ev.name,), chain=ev.chain))
 
-    def visit(ev: BufferEvent, facts) -> None:
+    def visit(ev: BufferEvent, reaching) -> None:
         if ev.kind in ("read", "write", "ref"):
             info = env.buffers.get(ev.name)
             if info is None or not info.heap:
                 return                  # declared arrays are always live
-            if ("free", ev.name) in facts:
+            if ("free", ev.name) in reaching:
                 emit("MEA003",
                      f"buffer {ev.name!r} is used after free()", ev)
-            elif ("alloc", ev.name) not in facts:
+            elif ("alloc", ev.name) not in reaching:
                 emit("MEA001",
                      f"buffer {ev.name!r} is used before malloc() "
                      "initialises it", ev)
         elif ev.kind == "free":
-            if ("free", ev.name) in facts:
+            if ("free", ev.name) in reaching:
                 emit("MEA004",
                      f"buffer {ev.name!r} is freed twice", ev)
         elif ev.kind == "plan_use":
-            if ("plan_dead", ev.name) in facts:
+            if ("plan_dead", ev.name) in reaching:
                 emit("MEA006",
                      f"plan {ev.name!r} is executed after "
                      "fftwf_destroy_plan()", ev)
@@ -152,11 +147,9 @@ def _check_lifecycle(cfg: Cfg, schedule: Schedule,
     lifecycle.walk(visit)
 
 
-def _check_dead_buffers(cfg: Cfg, schedule: Schedule,
-                        report: DiagnosticReport,
-                        summaries: Optional[Dict[str, FunctionSummary]]
-                        = None) -> None:
-    liveness = Liveness(cfg, schedule.env, summaries)
+def _check_dead_buffers(facts: ProgramFacts,
+                        report: DiagnosticReport) -> None:
+    liveness = Liveness(facts)
     for bid, idx, ev in liveness.alloc_sites():
         if not liveness.live_after_alloc(bid, idx, ev.name):
             report.add(Diagnostic(
@@ -165,9 +158,7 @@ def _check_dead_buffers(cfg: Cfg, schedule: Schedule,
                         "consumed", loc=ev.loc, buffers=(ev.name,)))
 
 
-def _escaped_buffers(cfg: Cfg, schedule: Schedule,
-                     summaries: Dict[str, FunctionSummary]
-                     ) -> Dict[str, Tuple[str, ...]]:
+def _escaped_buffers(facts: ProgramFacts) -> Dict[str, Tuple[str, ...]]:
     """Buffers whose address escapes *inside* a user-defined function.
 
     The caller cannot see the capture locally (a plan created in the
@@ -176,9 +167,9 @@ def _escaped_buffers(cfg: Cfg, schedule: Schedule,
     summary reports the escape and the step demotes (MEA011).
     """
     escaped: Dict[str, Tuple[str, ...]] = {}
-    for block in cfg.blocks:
-        for stmt in block.stmts:
-            for ev in stmt_events(stmt, schedule.env, summaries):
+    for per_stmt in facts.events.values():
+        for ev_list in per_stmt:
+            for ev in ev_list:
                 if ev.kind == "escape" and ev.chain \
                         and ev.name not in escaped:
                     escaped[ev.name] = ev.chain
@@ -327,16 +318,22 @@ def _check_step_bounds(step: AccelCallStep, step_index: int,
 
 # -- entry points ------------------------------------------------------------
 
-def check_program(program: Program,
-                  schedule: Schedule) -> DiagnosticReport:
-    """Run every safety rule; returns the full (sorted) report."""
+def check_program(program: Program, schedule: Schedule,
+                  facts: Optional[ProgramFacts] = None
+                  ) -> DiagnosticReport:
+    """Run every safety rule; returns the full (sorted) report.
+
+    ``facts`` is the compile's shared analysis bundle; without one the
+    check builds its own.
+    """
+    if facts is None:
+        facts = ProgramFacts(program, schedule.env)
+    assert facts.program is program and facts.env is schedule.env
     report = DiagnosticReport()
-    cfg = build_cfg(program)
-    summaries = compute_summaries(program, schedule.env)
-    vranges = ValueRanges(cfg, schedule.env)
-    _check_lifecycle(cfg, schedule, report, summaries)
-    _check_dead_buffers(cfg, schedule, report, summaries)
-    escaped = _escaped_buffers(cfg, schedule, summaries)
+    vranges = facts.ranges
+    _check_lifecycle(facts, report)
+    _check_dead_buffers(facts, report)
+    escaped = _escaped_buffers(facts)
     for idx, step in enumerate(schedule.steps):
         if not isinstance(step, AccelCallStep):
             continue
@@ -379,13 +376,14 @@ def analyze_source(source: str, rewrite: bool = False
 
     program = parse_source(source)
     schedule = recognize(program)
-    report = check_program(program, schedule)
+    facts = ProgramFacts(program, schedule.env)
+    report = check_program(program, schedule, facts)
     certificates: Tuple[SafetyCertificate, ...] = ()
     rewrites: Tuple = ()
     if not rejection_errors(report):
         lowered, demoted = apply_demotions(schedule, report)
         certificates = certify_schedule(program, lowered,
-                                        skip=demoted)
+                                        skip=demoted, facts=facts)
         if rewrite:
             from repro.compiler.rewrite import rewrite_schedule
             by_index = {c.step_index: c for c in certificates}
@@ -394,7 +392,7 @@ def analyze_source(source: str, rewrite: bool = False
                      else s
                      for i, s in enumerate(lowered.steps)]
             certified = Schedule(env=lowered.env, steps=steps)
-            result = rewrite_schedule(program, certified)
+            result = rewrite_schedule(program, certified, facts=facts)
             rewrites = result.decisions
             certificates = result.certificates
             report.extend(d.diagnostic() for d in result.decisions)

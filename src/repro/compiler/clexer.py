@@ -8,8 +8,7 @@ stream so the parser can mark the following loop.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, NamedTuple, Tuple, Union, cast
 
 from repro.compiler.cast import CParseError
 
@@ -17,15 +16,24 @@ from repro.compiler.cast import CParseError
 _OPERATORS = ("<<=", ">>=", "++", "--", "+=", "-=", "*=", "/=", "<=",
               ">=", "==", "!=", "&&", "||")
 
-_PUNCT = set("()[]{};,&*+-/%<>=!")
+_PUNCT = "()[]{};,&*+-/%<>=!"
 
-_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUM_RE = re.compile(r"(\d+\.\d*([eE][+-]?\d+)?[fF]?|\.\d+[fF]?|"
-                     r"\d+([eE][+-]?\d+)?[fFuUlL]*|0[xX][0-9a-fA-F]+)")
+#: Hex first, so ``0x10`` is one number rather than ``0`` then ``x10``.
+_NUMBER = (r"0[xX][0-9a-fA-F]+|\d+\.\d*(?:[eE][+-]?\d+)?[fF]?|\.\d+[fF]?|"
+           r"\d+(?:[eE][+-]?\d+)?[fFuUlL]*")
+
+#: One alternation per token class, tried in this order at each
+#: position; ``bad`` catches any character no other class accepts.
+_TOKEN_RE = re.compile(
+    rf"(?P<ws>\s+)|(?P<id>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>{_NUMBER})"
+    rf"|(?P<op>{'|'.join(map(re.escape, _OPERATORS))}"
+    rf"|[{re.escape(_PUNCT)}])|(?P<bad>.)")
+
+_BLOCK_COMMENT_RE = re.compile(r"/\*.*?\*/", re.S)
+_LINE_COMMENT_RE = re.compile(r"//[^\n]*")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str          # 'id' | 'num' | 'op' | 'pragma'
     text: str
     line: int
@@ -33,18 +41,17 @@ class Token:
 
 
 def _strip_comments(source: str) -> str:
-    source = re.sub(r"/\*.*?\*/", lambda m: "\n" * m.group(0).count("\n"),
-                    source, flags=re.S)
-    return re.sub(r"//[^\n]*", "", source)
+    source = _BLOCK_COMMENT_RE.sub(
+        lambda m: "\n" * m.group(0).count("\n"), source)
+    return _LINE_COMMENT_RE.sub("", source)
 
 
 def tokenize(source: str) -> Tuple[List[Token], List[Tuple[str, str]]]:
     """Return (tokens, defines). Defines are raw (name, value) strings."""
     tokens: List[Token] = []
     defines: List[Tuple[str, str]] = []
-    for lineno, raw_line in enumerate(_strip_comments(source).splitlines(),
-                                      start=1):
-        line = raw_line
+    for lineno, line in enumerate(_strip_comments(source).splitlines(),
+                                  start=1):
         stripped = line.strip()
         if stripped.startswith("#define"):
             parts = stripped.split(None, 2)
@@ -59,44 +66,25 @@ def tokenize(source: str) -> Tuple[List[Token], List[Tuple[str, str]]]:
                 col = len(line) - len(line.lstrip()) + 1
                 tokens.append(Token("pragma", stripped, lineno, col))
             continue
-        pos = 0
-        while pos < len(line):
-            ch = line[pos]
-            if ch.isspace():
-                pos += 1
+        for match in _TOKEN_RE.finditer(line):
+            kind = cast(str, match.lastgroup)   # every branch is named
+            if kind == "ws":
                 continue
-            col = pos + 1
-            id_match = _ID_RE.match(line, pos)
-            if id_match:
-                tokens.append(Token("id", id_match.group(0), lineno, col))
-                pos = id_match.end()
-                continue
-            num_match = _NUM_RE.match(line, pos)
-            if num_match:
-                tokens.append(Token("num", num_match.group(0), lineno,
-                                    col))
-                pos = num_match.end()
-                continue
-            for op in _OPERATORS:
-                if line.startswith(op, pos):
-                    tokens.append(Token("op", op, lineno, col))
-                    pos += len(op)
-                    break
-            else:
-                if ch in _PUNCT:
-                    tokens.append(Token("op", ch, lineno, col))
-                    pos += 1
-                else:
-                    raise CParseError(
-                        f"line {lineno}: unexpected character {ch!r}")
+            if kind == "bad":
+                raise CParseError(
+                    f"line {lineno}: unexpected character "
+                    f"{match.group()!r}")
+            tokens.append(Token(kind, match.group(), lineno,
+                                match.start() + 1))
     return tokens, defines
 
 
 def parse_number(text: str) -> Union[int, float]:
     """Convert a numeric literal token to int or float."""
+    if text.startswith(("0x", "0X")):
+        # f/F are hex digits here, not a float suffix
+        return int(text.rstrip("uUlL"), 16)
     cleaned = text.rstrip("fFuUlL")
-    if cleaned.startswith(("0x", "0X")):
-        return int(cleaned, 16)
-    if any(c in cleaned for c in ".eE") and not cleaned.startswith("0x"):
+    if any(c in cleaned for c in ".eE"):
         return float(cleaned)
     return int(cleaned)

@@ -275,6 +275,13 @@ class Recognizer:
     def _buffer(self, name: str) -> BufferInfo:
         return self.env.buffers[name]
 
+    def _args(self, call: Call, count: int) -> Tuple[Expr, ...]:
+        """The call's arguments, which must number exactly ``count``."""
+        if len(call.args) != count:
+            raise self._error(f"{call.func} takes {count} arguments, "
+                              f"got {len(call.args)}", loc=call.loc)
+        return call.args
+
     # -- top-level walk -------------------------------------------------------
 
     def run(self) -> Schedule:
@@ -352,7 +359,12 @@ class Recognizer:
             if not isinstance(stmt.target, Ident):
                 raise self._error("malloc must assign a pointer "
                                       "variable")
-            buf = self._buffer(stmt.target.name)
+            buf = self.env.buffers.get(stmt.target.name)
+            if buf is None:
+                raise self._error(f"malloc assigns undeclared pointer "
+                                  f"{stmt.target.name!r}")
+            if not value.args:
+                raise self._error("malloc takes a byte count")
             size = self._int_const(value.args[0])
             buf.count = size // buf.elem_size
             self.schedule.steps.append(
@@ -411,6 +423,8 @@ class Recognizer:
         if name == "free":
             if loop_vars:
                 raise self._error("free inside a loop nest")
+            if not call.args:
+                raise self._error("free takes the buffer base pointer")
             target = call.args[0]
             if isinstance(target, Ident):
                 buffer = target.name
@@ -465,7 +479,7 @@ class Recognizer:
 
     def _build_cblas_saxpy(self, call: Call, loop_vars: Tuple[str, ...],
                             trips: Tuple[int, ...]) -> AccelCallStep:
-        n, alpha, x, incx, y, incy = call.args
+        n, alpha, x, incx, y, incy = self._args(call, 6)
         if self._int_const(incx) != 1 or self._int_const(incy) != 1:
             raise self._error("accelerated saxpy requires unit "
                                   "strides")
@@ -481,7 +495,7 @@ class Recognizer:
 
     def _dot_step(self, call: Call, loop_vars: Tuple[str, ...],
                    trips: Tuple[int, ...], dtype: int) -> AccelCallStep:
-        n, x, incx, y, incy, out = call.args
+        n, x, incx, y, incy, out = self._args(call, 6)
         xbuf, xoff = self._addr(x)
         ybuf, yoff = self._addr(y)
         obuf, ooff = self._addr(out)
@@ -506,7 +520,7 @@ class Recognizer:
     def _build_cblas_sgemv(self, call: Call, loop_vars: Tuple[str, ...],
                             trips: Tuple[int, ...]) -> AccelCallStep:
         (order, trans, m, n, alpha, a, lda, x, incx, beta, y,
-         incy) = call.args
+         incy) = self._args(call, 12)
         if self._int_const(order) != 101 or self._int_const(trans) != 111:
             raise self._error("accelerated sgemv supports row-major "
                                   "no-transpose only")
@@ -531,7 +545,7 @@ class Recognizer:
 
     def _build_mkl_scsrgemv(self, call: Call, loop_vars: Tuple[str, ...],
                              trips: Tuple[int, ...]) -> AccelCallStep:
-        m, a, ia, ja, x, y = call.args
+        m, a, ia, ja, x, y = self._args(call, 6)
         rows = self._int_const(m)
         abuf, _ = self._addr(a)
         ibuf, ioff = self._addr(ia)
@@ -552,7 +566,8 @@ class Recognizer:
 
     def _build_dfsInterpolate1D(self, call: Call, loop_vars: Tuple[str, ...],
                                  trips: Tuple[int, ...]) -> AccelCallStep:
-        blocks, n_in, knots, series, n_out, sites, out = call.args
+        blocks, n_in, knots, series, n_out, sites, out = self._args(call,
+                                                                   7)
         kbuf, koff = self._addr(knots)
         ibuf, ioff = self._addr(series)
         sbuf, soff = self._addr(sites)
@@ -569,7 +584,7 @@ class Recognizer:
 
     def _build_mkl_simatcopy(self, call: Call, loop_vars: Tuple[str, ...],
                               trips: Tuple[int, ...]) -> AccelCallStep:
-        rows, cols, alpha, ab = call.args
+        rows, cols, alpha, ab = self._args(call, 4)
         if float(self._const(alpha)) != 1.0:
             raise self._error("accelerated simatcopy requires "
                                   "alpha == 1")
@@ -585,7 +600,7 @@ class Recognizer:
 
     def _build_mkl_somatcopy(self, call: Call, loop_vars: Tuple[str, ...],
                               trips: Tuple[int, ...]) -> AccelCallStep:
-        rows, cols, alpha, a, b = call.args
+        rows, cols, alpha, a, b = self._args(call, 5)
         if float(self._const(alpha)) != 1.0:
             raise self._error("accelerated somatcopy requires "
                                   "alpha == 1")
@@ -602,7 +617,7 @@ class Recognizer:
 
     def _build_fftwf_execute(self, call: Call, loop_vars: Tuple[str, ...],
                               trips: Tuple[int, ...]) -> AccelCallStep:
-        arg = call.args[0]
+        arg = call.args[0] if call.args else None
         if not isinstance(arg, Ident) or arg.name not in self.env.plans:
             raise self._error("fftwf_execute takes a prepared plan")
         plan = self.env.plans[arg.name]

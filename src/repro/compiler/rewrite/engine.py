@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple, Union, cast
 
 from repro.compiler.analysis.certificates import (CertFact,
                                                   SafetyCertificate)
-from repro.compiler.analysis.cfg import build_cfg
+from repro.compiler.analysis.facts import ProgramFacts
 from repro.compiler.analysis.ranges import ValueRanges
 from repro.compiler.cast import Program
 from repro.compiler.recognizer import AccelCallStep, Schedule
@@ -296,17 +296,21 @@ def _split_pass(steps: List[object], origin: List[int],
 
 
 def rewrite_schedule(program: Program, schedule: Schedule,
-                     config: Optional[RewriteConfig] = None
+                     config: Optional[RewriteConfig] = None,
+                     facts: Optional[ProgramFacts] = None
                      ) -> RewriteResult:
     """Rewrite a certified schedule; every change proven and logged.
 
     ``schedule`` must carry certificates on its offloaded steps (the
     ``translate(analyze=True)`` / ``analyze_source`` output); steps
-    without one are never rewritten.
+    without one are never rewritten. ``facts`` is the compile's shared
+    analysis bundle; without one the call builds its own.
     """
+    if facts is None:
+        facts = ProgramFacts(program, schedule.env)
+    assert facts.program is program and facts.env is schedule.env
     cfg = config or RewriteConfig()
-    graph = build_cfg(program)
-    vranges = ValueRanges(graph, schedule.env)
+    vranges = facts.ranges
     steps: List[object] = list(schedule.steps)
     origin = list(range(len(steps)))
     decisions: List[RewriteDecision] = []

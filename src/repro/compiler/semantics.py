@@ -10,6 +10,7 @@ environment by one sweep over the AST.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
@@ -135,6 +136,9 @@ class CompileEnv:
         if isinstance(expr, BinOp):
             left = self.eval_const(expr.left)
             right = self.eval_const(expr.right)
+            if expr.op in ("/", "%") and right == 0:
+                raise SemanticError("division by zero in constant "
+                                    "expression")
             ops: Dict[str, Callable[[Number, Number], Number]] = {
                 "+": lambda a, b: a + b,
                 "-": lambda a, b: a - b,
@@ -154,10 +158,11 @@ class CompileEnv:
     def affine_expr(self, expr: Expr) -> Affine:
         """Affine (in loop variables) value of an index expression."""
         if isinstance(expr, Num):
-            return Affine.constant(int(expr.value))
+            return Affine.constant(_affine_int(expr.value))
         if isinstance(expr, Ident):
             if expr.name in self.constants:
-                return Affine.constant(self.constants[expr.name])
+                return Affine.constant(
+                    _affine_int(self.constants[expr.name]))
             return Affine.var(expr.name)       # a loop variable
         if isinstance(expr, Sizeof):
             return Affine.constant(TYPE_KEYWORDS[expr.ctype])
@@ -172,6 +177,8 @@ class CompileEnv:
                 return left.mul(right)
             if expr.op in ("/", "%") and right.is_constant \
                     and left.is_constant:
+                if not right.const:
+                    raise AffineError("division by zero")
                 value = (left.const // right.const if expr.op == "/"
                          else left.const % right.const)
                 return Affine.constant(value)
@@ -229,6 +236,22 @@ class CompileEnv:
             raise SemanticError(f"unknown buffer {name!r}")
 
 
+def _affine_int(value: Number) -> int:
+    """``int(value)``; inf and NaN have no integer (affine) form."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise AffineError(f"non-finite constant {value!r}")
+    return int(value)
+
+
+def _const_int(env: CompileEnv, expr: Expr) -> int:
+    """A declaration's integer constant (a dimension or an ``int``
+    initialiser); inf and NaN are not integers."""
+    value = env.eval_const(expr)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SemanticError(f"non-finite constant {value!r}")
+    return int(value)
+
+
 def _decl_iodims(env: CompileEnv, decl: VarDecl) -> None:
     if not isinstance(decl.init, InitList):
         raise SemanticError(f"fftw_iodim {decl.name!r} needs an "
@@ -242,8 +265,7 @@ def _decl_iodims(env: CompileEnv, decl: VarDecl) -> None:
         if not isinstance(item, InitList) or len(item.items) != 3:
             raise SemanticError("fftw_iodim initialiser entries must be "
                                 "{n, is, os}", loc=decl.loc)
-        n, istride, ostride = (int(env.eval_const(e))
-                               for e in item.items)
+        n, istride, ostride = (_const_int(env, e) for e in item.items)
         entries.append(IoDimSpec(n=n, istride=istride, ostride=ostride))
     env.iodims[decl.name] = entries
 
@@ -277,7 +299,7 @@ def _register_decl(env: CompileEnv, decl: VarDecl) -> None:
     if decl.ctype == "fftwf_plan":
         return                          # bound at plan-call time
     if decl.dims:
-        shape = tuple(int(env.eval_const(d)) for d in decl.dims)
+        shape = tuple(_const_int(env, d) for d in decl.dims)
         count = 1
         for d in shape:
             count *= d
@@ -293,6 +315,6 @@ def _register_decl(env: CompileEnv, decl: VarDecl) -> None:
         return
     if decl.ctype in ("int", "long", "size_t") and decl.init is not None:
         try:
-            env.constants[decl.name] = int(env.eval_const(decl.init))
+            env.constants[decl.name] = _const_int(env, decl.init)
         except SemanticError:
             pass                        # runtime int, not a constant

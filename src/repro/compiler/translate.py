@@ -18,6 +18,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple, Union, cast
 
+from repro.compiler.analysis.facts import ProgramFacts
 from repro.compiler.cast import Program
 from repro.compiler.cparser import parse_source
 from repro.compiler.diagnostics import DiagnosticReport
@@ -97,13 +98,16 @@ def translate(source: Union[str, Program],
     demoted: List[int] = []
     certificates: Tuple = ()
     rewrites: Tuple = ()
+    # one analysis bundle for the whole compile: check, certify and
+    # rewrite share its CFG, value ranges and statement events
+    facts = ProgramFacts(program, schedule.env)
     if analyze:
         from repro.compiler.analysis.certificates import \
             certify_schedule
         from repro.compiler.analysis.rules import (apply_demotions,
                                                    check_program,
                                                    rejection_errors)
-        report = check_program(program, schedule)
+        report = check_program(program, schedule, facts)
         rejects = rejection_errors(report)
         if rejects:
             first = rejects[0]
@@ -112,7 +116,7 @@ def translate(source: Union[str, Program],
                                    buffers=first.buffers)
         lowered, demoted = apply_demotions(schedule, report)
         certificates = certify_schedule(program, lowered,
-                                        skip=demoted)
+                                        skip=demoted, facts=facts)
         by_index = {c.step_index: c for c in certificates}
         steps = [dataclasses.replace(s, certificate=by_index[i])
                  if isinstance(s, AccelCallStep) and i in by_index
@@ -122,7 +126,7 @@ def translate(source: Union[str, Program],
     if rewrite:
         from repro.compiler.rewrite import rewrite_schedule
         result = rewrite_schedule(program, lowered,
-                                  config=rewrite_config)
+                                  config=rewrite_config, facts=facts)
         lowered = result.schedule
         rewrites = result.decisions
         certificates = result.certificates

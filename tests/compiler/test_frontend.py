@@ -126,6 +126,28 @@ class TestSemantics:
         assert (dims[0].n, dims[0].istride, dims[0].ostride) == (4, 1, 1)
         assert (dims[1].n, dims[1].istride, dims[1].ostride) == (8, 4, 4)
 
+    @pytest.mark.parametrize("source, message", [
+        ("#define N 4\nfloat x[N/0];", "division by zero"),
+        ("#define N 4\nfloat x[N % 0];", "division by zero"),
+        ("float x[1e400];", "non-finite constant inf"),
+        ("fftw_iodim d[1] = {{1e400, 1, 1}};", "non-finite constant"),
+    ])
+    def test_bad_declaration_constants(self, source, message):
+        with pytest.raises(SemanticError, match=message):
+            build_env(parse_source(source))
+
+    @pytest.mark.parametrize("index, message", [
+        ("4/0", "division by zero"), ("4 % 0", "division by zero"),
+        ("1e400", "non-finite constant"), ("BIG", "non-finite constant"),
+    ])
+    def test_bad_index_constants_are_not_affine(self, index, message):
+        prog = parse_source(f"#define BIG 1e400\nfloat a[8];\n"
+                            f"free(&a[{index}]);\n")
+        env = build_env(prog)
+        call = walk_calls(prog.stmts)[0]
+        with pytest.raises(AffineError, match=message):
+            env.buffer_address(call.args[0])
+
 
 class TestAffine:
     def test_arith(self):

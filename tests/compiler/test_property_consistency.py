@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import run_original, run_translated, translate
+from tests.compiler.helpers import (cdotc_nest_source,
+                                    corner_turn_source,
+                                    saxpy_nest_source)
 
 
 @settings(max_examples=10, deadline=None)
@@ -14,16 +17,7 @@ from repro.compiler import run_original, run_translated, translate
        alpha=st.floats(min_value=-3, max_value=3, allow_nan=False),
        seed=st.integers(min_value=0, max_value=1000))
 def test_saxpy_nest_consistency(rows, n, alpha, seed):
-    src = f"""
-#define ROWS {rows}
-#define N {n}
-float x[ROWS][N];
-float y[ROWS][N];
-int i;
-#pragma omp parallel for
-for (i = 0; i < ROWS; i++)
-  cblas_saxpy(N, {alpha!r}, &x[i][0], 1, &y[i][0], 1);
-"""
+    src = saxpy_nest_source(rows, n, alpha)
     rng = np.random.default_rng(seed)
     inputs = {"x": rng.standard_normal((rows, n)).astype(np.float32),
               "y": rng.standard_normal((rows, n)).astype(np.float32)}
@@ -42,20 +36,7 @@ for (i = 0; i < ROWS; i++)
        t=st.sampled_from([4, 8, 16]),
        seed=st.integers(min_value=0, max_value=100))
 def test_cdotc_nest_consistency(a, b, t, seed):
-    src = f"""
-#define A {a}
-#define B {b}
-#define T {t}
-complex w[A][B][T];
-complex s[A][B][T];
-complex out[A][B];
-int i;
-int j;
-#pragma omp parallel for
-for (i = 0; i < A; i++)
-  for (j = 0; j < B; j++)
-    cblas_cdotc_sub(T, &w[i][j][0], 1, &s[i][j][0], 1, &out[i][j]);
-"""
+    src = cdotc_nest_source(a, b, t)
     rng = np.random.default_rng(seed)
     w = (rng.standard_normal((a, b, t))
          + 1j * rng.standard_normal((a, b, t))).astype(np.complex64)
@@ -75,19 +56,7 @@ for (i = 0; i < A; i++)
 @given(rows=st.sampled_from([4, 8]), cols=st.sampled_from([4, 16, 32]),
        seed=st.integers(min_value=0, max_value=50))
 def test_corner_turn_consistency(rows, cols, seed):
-    src = f"""
-#define R {rows}
-#define C {cols}
-complex *src_buf;
-complex *dst_buf;
-fftwf_plan p;
-fftw_iodim hm[2] = {{{{R, C, 1}}, {{C, 1, R}}}};
-src_buf = malloc(sizeof(complex) * R * C);
-dst_buf = malloc(sizeof(complex) * R * C);
-p = fftwf_plan_guru_dft(0, NULL, 2, hm, src_buf, dst_buf,
-                        FFTW_FORWARD, FFTW_WISDOM_ONLY);
-fftwf_execute(p);
-"""
+    src = corner_turn_source(rows, cols)
     rng = np.random.default_rng(seed)
     data = (rng.standard_normal((rows, cols))
             + 1j * rng.standard_normal((rows, cols))).astype(np.complex64)

@@ -163,3 +163,36 @@ for (l = 0; l < L; l++) {
     for blk in inner:
         assert vr.var_at(blk.bid, "l") == Interval.bounded(0, 3)
         assert vr.var_at(blk.bid, "bb") == Interval.bounded(0, 2)
+
+
+
+def test_loop_dependent_expressions_follow_every_state():
+    # `i + 1` and the inner bound `k` are nodes the solver evaluates
+    # under every state it visits: their intervals must follow the
+    # fixpoint, not the first state seen (i == 0)
+    program = parse_source("""
+#define N 8
+float x[N];
+float y[N];
+int i;
+int j;
+for (i = 0; i < N; i++) {
+  int k = i + 1;
+  for (j = 0; j < k; j++) {
+    cblas_saxpy(1, 1.0, &x[j], 1, &y[i], 1);
+  }
+}
+""")
+    cfg = build_cfg(program)
+    from repro.compiler.semantics import build_env
+    vr = ValueRanges(cfg, build_env(program))
+    inner = [blk for blk in cfg.blocks
+             if blk.kind == "block" and "j" in blk.loop_vars]
+    assert inner
+    for blk in inner:
+        assert vr.var_at(blk.bid, "i") == Interval.bounded(0, 7)
+        assert vr.var_at(blk.bid, "k") == Interval.bounded(1, 8)
+        assert vr.var_at(blk.bid, "j") == Interval.bounded(0, 7)
+    (inner_header,) = [bid for bid, loop in loop_headers(cfg)
+                       if loop.var == "j"]
+    assert vr.trip_interval(inner_header) == Interval.bounded(1, 8)

@@ -199,3 +199,32 @@ mkl_scsrgemv(M, &vals[0], &rowptr[0], &colidx[0], &x[0], &y[0]);
     (step,) = schedule.accel_steps()
     assert step.accel == "SPMV"
     assert step.proto.scalars["nnz"] == 960
+
+
+@pytest.mark.parametrize("call, func", [
+    ("cblas_saxpy(N, 2.0, x, 1, y);", "cblas_saxpy"),
+    ("cblas_sdot_sub(N, x, 1, y, 1, &out[0], 7);", "cblas_sdot_sub"),
+    ("dfsInterpolate1D(1, N, x, y, N, x);", "dfsInterpolate1D"),
+    ("mkl_somatcopy(4, 4, 1.0, x);", "mkl_somatcopy"),
+])
+def test_wrong_argument_count_is_a_recognizer_error(call, func):
+    src = f"#define N 16\nfloat x[N];\nfloat y[N];\nfloat out[1];\n{call}\n"
+    with pytest.raises(RecognizerError, match=rf"^line 5.*{func} takes"):
+        recognize(parse_source(src))
+
+
+def test_malloc_of_undeclared_pointer_is_a_recognizer_error():
+    src = "float *x;\nz = malloc(sizeof(float) * 4);\n"
+    with pytest.raises(RecognizerError,
+                       match=r"^line 2.*malloc .*'z'"):
+        recognize(parse_source(src))
+
+
+@pytest.mark.parametrize("src, message", [
+    ("float *x;\nx = malloc();\n", "malloc takes a byte count"),
+    ("float *x;\nx = malloc(16);\nfree();\n", "free takes the buffer"),
+    ("fftwf_execute();\n", "fftwf_execute takes a prepared plan"),
+])
+def test_missing_argument_is_a_recognizer_error(src, message):
+    with pytest.raises(RecognizerError, match=message):
+        recognize(parse_source(src))

@@ -18,6 +18,7 @@ from repro.compiler import FusedStep, run_translated, translate
 from repro.compiler.interp import _DTYPES
 from repro.compiler.passes import DescriptorStep
 from repro.core.system import MealibSystem
+from tests.compiler.helpers import chain_source
 
 CORPUS_DIR = Path(__file__).resolve().parents[2] / "examples" / "legacy"
 
@@ -117,32 +118,6 @@ def test_corpus_rewrites_off_matches_default_translation(name):
 
 
 # -- randomized chain battery -------------------------------------------------
-
-def chain_source(chunks, alpha, match, with_mid):
-    """A producer loop feeding a transpose loop, optionally with an
-    independent loop in between (hoist) and optionally broken by a
-    broadcast read (illegal)."""
-    mid = ("for (i = 0; i < CHUNKS; ++i)\n"
-           f"  cblas_saxpy(CHUNK, {alpha + 1.0:.3f}, &u[i][0], 1, "
-           "&v[i][0], 1);\n") if with_mid else ""
-    idx = "i" if match else "0"
-    return f"""
-#define R 16
-#define C 16
-#define CHUNK 256
-#define CHUNKS {chunks}
-float gain[CHUNKS][CHUNK];
-float acc[CHUNKS][CHUNK];
-float img[CHUNKS][CHUNK];
-float u[CHUNKS][CHUNK];
-float v[CHUNKS][CHUNK];
-int i;
-for (i = 0; i < CHUNKS; ++i)
-  cblas_saxpy(CHUNK, {alpha:.3f}, &gain[i][0], 1, &acc[i][0], 1);
-{mid}for (i = 0; i < CHUNKS; ++i)
-  mkl_somatcopy(R, C, 1.0, &acc[{idx}][0], &img[i][0]);
-"""
-
 
 @pytest.mark.parametrize("seed", range(8))
 def test_randomized_chains_validate(seed):
