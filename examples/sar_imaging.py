@@ -1,8 +1,10 @@
 """SAR image formation with accelerator chaining (Fig 12a's scenario).
 
-The compiler fuses the range interpolation (RESMP) and azimuth FFT into
-a single PASS whose intermediate stays in tile local memory; this script
-shows the chain and quantifies the gain over separate invocations.
+The compiler's verified rewrite engine fuses the range interpolation
+(RESMP) and azimuth FFT into a single PASS whose intermediate stays in
+tile local memory, and proves the fusion legal; this script shows the
+chain with the facts its certificate names and quantifies the gain
+over separate invocations.
 
 Run:  python examples/sar_imaging.py
 """
@@ -11,7 +13,7 @@ import numpy as np
 
 from repro.apps import SarConfig, run_sar_baseline, run_sar_mealib
 from repro.apps.sar import sar_source
-from repro.compiler import ChainStep, DescriptorStep, translate
+from repro.compiler import DescriptorStep, FusedStep, translate
 from repro.eval.figures import fig12
 
 
@@ -21,10 +23,16 @@ def main() -> None:
     descriptors = [i for i in translated.items
                    if isinstance(i, DescriptorStep)]
     chain = descriptors[0].items[0]
-    assert isinstance(chain, ChainStep)
+    assert isinstance(chain, FusedStep) and not chain.looped
     print(f"SAR {cfg.side}x{cfg.side}: compiler chained "
           + " -> ".join(s.accel for s in chain.steps)
-          + " into one PASS")
+          + " into one PASS, keeping "
+          + ", ".join(chain.intermediates) + " tile-local")
+    fuse_facts = [f for f in chain.certificate.facts
+                  if f.kind.startswith("fuse-")]
+    assert fuse_facts and all(f.prover for f in fuse_facts)
+    for fact in fuse_facts:
+        print(f"  proved {fact.kind} by {fact.prover}")
 
     baseline = run_sar_baseline(cfg)
     mealib = run_sar_mealib(cfg)

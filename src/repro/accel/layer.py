@@ -19,7 +19,7 @@ from repro.accel.noc import MeshNoc, NocUnreachableError
 from repro.accel.reshp import ReshpAccelerator
 from repro.accel.resmp import ResmpAccelerator
 from repro.accel.spmv import SpmvAccelerator
-from repro.accel.synthesis import AREA_TSV_ARRAY, LAYER_AREA_BUDGET_MM2
+from repro.accel.synthesis import AREA_TSV_ARRAY
 from repro.accel.tile import Tile, make_tiles
 
 ACCELERATOR_TYPES = (
@@ -35,11 +35,6 @@ class ComponentBudget:
     component: str
     power_w: Optional[float]
     area_mm2: Optional[float]
-
-    def area_fraction(self) -> Optional[float]:
-        if self.area_mm2 is None:
-            return None
-        return self.area_mm2 / LAYER_AREA_BUDGET_MM2
 
 
 class AcceleratorLayer:
@@ -199,9 +194,6 @@ class AcceleratorLayer:
         area = sum(core.area_mm2() for core in self.accelerators.values()
                    if core.name != "RESHP")
         return area + self.noc.area_mm2 + AREA_TSV_ARRAY
-
-    def area_budget_ok(self) -> bool:
-        return self.layer_area_mm2() <= LAYER_AREA_BUDGET_MM2
 
     def peak_layer_power(self, dram_power_by_accel: Dict[str, float]
                          ) -> float:

@@ -10,8 +10,8 @@ from repro.compiler.diagnostics import (Diagnostic, DiagnosticReport,
 from repro.compiler.errors import AnalysisRejected, CompilerError
 from repro.compiler.interp import (ArrayRef, InterpError, RunOutcome,
                                    run_original, run_translated)
-from repro.compiler.passes import (ChainStep, DescriptorStep, chain_pass,
-                                   group_descriptors, optimize)
+from repro.compiler.passes import (DescriptorStep, group_descriptors,
+                                   optimize)
 from repro.compiler.recognizer import (AccelCallStep, AllocStep, FreeStep,
                                        HostCallStep, ParamsProto,
                                        PlanDestroyStep, RecognizerError,
@@ -31,10 +31,10 @@ __all__ = [
     "substitute_expr", "Diagnostic", "DiagnosticReport", "Severity",
     "SourceLoc", "AnalysisRejected", "CompilerError", "ArrayRef",
     "InterpError", "RunOutcome", "run_original", "run_translated",
-    "ChainStep", "DescriptorStep", "chain_pass", "group_descriptors",
-    "optimize", "AccelCallStep", "AllocStep", "FreeStep",
-    "HostCallStep", "ParamsProto", "PlanDestroyStep",
-    "RecognizerError", "Schedule", "recognize", "BufferInfo",
+    "DescriptorStep", "group_descriptors", "optimize", "AccelCallStep",
+    "AllocStep", "FreeStep", "HostCallStep", "ParamsProto",
+    "PlanDestroyStep", "RecognizerError", "Schedule", "recognize",
+    "BufferInfo",
     "CompileEnv", "PlanSpec", "SemanticError", "build_env",
     "HOST_CALL_OVERHEAD_S", "TranslatedProgram", "step_profile",
     "translate", "FusedStep", "RewriteConfig", "RewriteDecision",

@@ -185,28 +185,3 @@ def cross_iteration(w: FieldAccess, f: FieldAccess,
     return cross_iteration_verdict(w.offset, w.extent,
                                    f.offset, f.extent,
                                    loop_ranges, invariant or {})
-
-
-def _trip_ranges(trips_by_var: Dict[str, int]) -> Dict[str, Interval]:
-    return {v: Interval.bounded(0, t - 1)
-            for v, t in trips_by_var.items()}
-
-
-def same_iteration_relation(a: FieldAccess, b: FieldAccess,
-                            trips_by_var: Dict[str, int]) -> str:
-    """Relation of two fields within one invocation.
-
-    Returns ``"disjoint"``, ``"exact"`` (identical interval),
-    ``"overlap"``, or ``"unknown"``.
-    """
-    return same_iteration(a, b, _trip_ranges(trips_by_var)).relation
-
-
-def cross_iteration_overlap(w: FieldAccess, f: FieldAccess,
-                            trips_by_var: Dict[str, int]) -> str:
-    """Can ``w`` in one iteration touch ``f`` in a *different* one?
-
-    Returns ``"disjoint"``, ``"overlap"``, or ``"unknown"``. Callers
-    must treat ``unknown`` conservatively (assume a dependence).
-    """
-    return cross_iteration(w, f, _trip_ranges(trips_by_var)).relation

@@ -201,12 +201,6 @@ def affine_interval(aff: Affine,
     return total
 
 
-def ranges_from_trips(trips_by_var: Mapping[str, int]) -> Dict[str, Interval]:
-    """The iteration box of a collapsed loop nest: each var in [0, T-1]."""
-    return {v: Interval.bounded(0, t - 1)
-            for v, t in trips_by_var.items()}
-
-
 class ValueRanges:
     """Per-block variable ranges derived by forward interval dataflow.
 
@@ -228,9 +222,6 @@ class ValueRanges:
         self._solve()
 
     # -- queries -------------------------------------------------------------
-
-    def at_entry(self, bid: int) -> State:
-        return dict(self.block_in.get(bid, {}))
 
     def var_at(self, bid: int, var: str) -> Interval:
         return self.block_in.get(bid, {}).get(var, TOP)
@@ -415,23 +406,3 @@ def loop_headers(cfg: Cfg) -> List[Tuple[int, For]]:
     return [(bid, blk.loop) for bid in cfg.rpo()
             for blk in (cfg.block(bid),)
             if blk.kind == "header" and blk.loop is not None]
-
-
-def step_var_ranges(loop_vars: Sequence[str], trips: Sequence[int],
-                    offset_vars: Sequence[str],
-                    vranges: Optional[ValueRanges] = None
-                    ) -> Dict[str, Interval]:
-    """Ranges for one collapsed accelerated step.
-
-    Collapsed loop variables get their exact iteration box; any other
-    variable in the address expression falls back to the CFG-derived
-    global range (TOP when the dataflow could not bound it).
-    """
-    out: Dict[str, Interval] = {
-        v: Interval.bounded(0, t - 1)
-        for v, t in zip(loop_vars, trips)}
-    for var in offset_vars:
-        if var not in out:
-            out[var] = (vranges.global_range(var) if vranges is not None
-                        else TOP)
-    return out

@@ -48,10 +48,6 @@ class _Parser:
         tok = self.peek()
         return tok is not None and tok.text == text
 
-    def at_kind(self, kind: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == kind
-
     def advance(self) -> Token:
         tok = self.peek()
         if tok is None:

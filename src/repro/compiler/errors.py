@@ -40,13 +40,6 @@ class CompilerError(Exception):
     def message(self) -> str:
         return self.diagnostic.message
 
-    def with_loc(self, loc: Optional[SourceLoc]) -> "CompilerError":
-        """A copy of this error anchored at ``loc`` (if it has none)."""
-        if self.loc is not None or loc is None:
-            return self
-        return type(self)(self.message, loc=loc, code=self.code,
-                          buffers=self.diagnostic.buffers)
-
 
 class AnalysisRejected(CompilerError):
     """The safety checker proved the program unsafe to run at all."""

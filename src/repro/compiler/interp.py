@@ -29,9 +29,8 @@ from repro.compiler.cast import (Assign, Call, Expr, ExprStmt, For,
                                  Ident, Program, Stmt, VarDecl)
 from repro.compiler.inline import inline_body
 from repro.compiler.recognizer import (AccelCallStep, AllocStep, FreeStep,
-                                       HostCallStep, PlanDestroyStep,
-                                       RecognizerError)
-from repro.compiler.passes import ChainStep, DescriptorStep
+                                       HostCallStep, PlanDestroyStep)
+from repro.compiler.passes import DescriptorStep
 from repro.compiler.rewrite.ir import FusedStep
 from repro.compiler.semantics import CompileEnv, SemanticError
 from repro.compiler.translate import (HOST_CALL_OVERHEAD_S,
@@ -392,7 +391,8 @@ def run_original(source: Union[str, Program],
                  ) -> RunOutcome:
     """Execute the legacy program as-is on the host library."""
     host = host if host is not None else haswell()
-    translated = translate(source)
+    # the baseline reads only the recognised call sites: no rewrites
+    translated = translate(source, rewrite=False)
     interp = OriginalInterpreter(translated.source_program,
                                  translated.env, inputs)
     buffers = interp.execute()
@@ -527,10 +527,7 @@ class TranslatedRunner:
             return f"COMP {step.accel} {fname}"
 
         for item in group.items:
-            if isinstance(item, ChainStep):
-                comps = " ".join(add_comp(s, False) for s in item.steps)
-                tdl_lines.append(f"PASS {{ {comps} }}")
-            elif isinstance(item, FusedStep):
+            if isinstance(item, FusedStep):
                 # a verified fusion: one multi-COMP PASS, re-armed by
                 # LOOP when the members are loop-compacted (each COMP
                 # keeps its own stride table)
@@ -584,7 +581,7 @@ def baseline_timing(source: Union[str, Program, TranslatedProgram],
     its numerics (for paper-scale problem sizes)."""
     host = host if host is not None else haswell()
     translated = source if isinstance(source, TranslatedProgram) \
-        else translate(source)
+        else translate(source, rewrite=False)
     return RunOutcome(result=_original_timing(translated, host),
                       buffers={},
                       library_calls=translated.original_call_count())

@@ -1,50 +1,26 @@
-"""Pass-1 optimisations: accelerator chaining and descriptor grouping.
+"""Lowering: descriptor grouping over the (rewritten) schedule.
 
-Two rewrites over the recognizer's schedule, straight from the paper:
+Maximal runs of accelerated steps with no intervening host work
+collapse into a single accelerator descriptor (STAP's 17 M library
+calls end up in 3 descriptors), straight from the paper.
 
-* *chaining* — an accelerated call immediately followed by another whose
-  input is the first one's output becomes one PASS (the STAP corner
-  turn + Doppler FFT, the SAR interpolation + FFT);
-* *descriptor grouping* — maximal runs of accelerated steps with no
-  intervening host work collapse into a single accelerator descriptor
-  (STAP's 17 M library calls end up in 3 descriptors).
-
-Chaining here is *syntactic* (adjacency plus a produced/consumed
-buffer); the verified rewrite layer (:mod:`repro.compiler.rewrite`)
-re-derives the same fusions with machine-checked legality proofs and
-extends them to looped steps.  When that layer ran, ``optimize`` is
-called with ``chain=False``: its :class:`FusedStep` nodes pass through
-chaining untouched and group into descriptors like chains do (a looped
-fused step keeps a descriptor of its own, exactly like a
-loop-compacted call).
+Chaining — an accelerated call followed by another whose input is the
+first one's output becoming one PASS (the STAP corner turn + Doppler
+FFT, the SAR interpolation + FFT) — is not done here: the verified
+rewrite engine (:mod:`repro.compiler.rewrite`) is the compiler's only
+chainer, and every :class:`FusedStep` it emits carries a
+machine-checked proof.  Fused steps group into descriptors like plain
+calls do; a looped one keeps a descriptor of its own, exactly like a
+loop-compacted call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.compiler.recognizer import AccelCallStep, Schedule
 from repro.compiler.rewrite.ir import FusedStep
-
-
-@dataclass(frozen=True)
-class ChainStep:
-    """Several accelerated calls fused into one PASS."""
-
-    steps: Tuple[AccelCallStep, ...]
-
-    @property
-    def in_bufs(self) -> Tuple[str, ...]:
-        return self.steps[0].in_bufs
-
-    @property
-    def out_bufs(self) -> Tuple[str, ...]:
-        return self.steps[-1].out_bufs
-
-    @property
-    def calls(self) -> int:
-        return sum(s.calls for s in self.steps)
 
 
 @dataclass(frozen=True)
@@ -54,50 +30,12 @@ class DescriptorStep:
     items: Tuple[object, ...]
 
 
-@dataclass
-class TranslatedSchedule:
-    """The grouped schedule a translated program executes."""
-
-    env: object
-    items: List[object] = field(default_factory=list)
-
-    def descriptor_count(self) -> int:
-        return sum(1 for item in self.items
-                   if isinstance(item, DescriptorStep))
-
-
-def _chainable(a: AccelCallStep, b: AccelCallStep) -> bool:
-    """b can chain onto a: same (non-)loop shape and a feeds b."""
-    if a.trips or b.trips:
-        return False            # looped steps keep their own pass
-    produced = set(a.out_bufs)
-    return bool(produced & set(b.in_bufs))
-
-
-def chain_pass(schedule: Schedule) -> List[object]:
-    """Fuse producer->consumer accelerated neighbours into ChainSteps."""
-    out: List[object] = []
-    for step in schedule.steps:
-        prev = out[-1] if out else None
-        if (isinstance(step, AccelCallStep)
-                and isinstance(prev, (AccelCallStep, ChainStep))):
-            tail = prev.steps[-1] if isinstance(prev, ChainStep) else prev
-            if _chainable(tail, step):
-                steps = (prev.steps if isinstance(prev, ChainStep)
-                         else (prev,)) + (step,)
-                out[-1] = ChainStep(steps=steps)
-                continue
-        out.append(step)
-    return out
-
-
 def group_descriptors(steps: List[object]) -> List[object]:
     """Collapse maximal accel runs into DescriptorSteps.
 
     A LOOP-compacted step always gets a descriptor of its own (matching
     the paper's one-descriptor-per-OpenMP-nest translation of STAP);
-    adjacent non-looped steps, chains, and fused passes share one
-    descriptor.
+    adjacent non-looped steps and fused passes share one descriptor.
     """
     items: List[object] = []
     run: List[object] = []
@@ -111,7 +49,7 @@ def group_descriptors(steps: List[object]) -> List[object]:
         if isinstance(step, (AccelCallStep, FusedStep)) and step.looped:
             flush()
             items.append(DescriptorStep(items=(step,)))
-        elif isinstance(step, (AccelCallStep, ChainStep, FusedStep)):
+        elif isinstance(step, (AccelCallStep, FusedStep)):
             run.append(step)
         else:
             flush()
@@ -120,13 +58,6 @@ def group_descriptors(steps: List[object]) -> List[object]:
     return items
 
 
-def optimize(schedule: Schedule, chain: bool = True
-             ) -> TranslatedSchedule:
-    """Run both rewrites; returns the grouped, translated schedule.
-
-    ``chain=False`` skips the syntactic chainer — used when the
-    verified rewrite engine already fused everything it could prove.
-    """
-    chained = chain_pass(schedule) if chain else list(schedule.steps)
-    items = group_descriptors(chained)
-    return TranslatedSchedule(env=schedule.env, items=items)
+def optimize(schedule: Schedule) -> List[object]:
+    """Lower a schedule to its grouped items (Alloc/Free/Host/Descriptor)."""
+    return group_descriptors(list(schedule.steps))

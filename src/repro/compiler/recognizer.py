@@ -190,9 +190,10 @@ class AccelCallStep:
 
 
 # Schedule steps are an open set: the recognizer emits the five step
-# kinds above, and the optimizer (repro.compiler.passes) later splices
-# its own ChainStep/DescriptorStep nodes into the same list — consumers
-# dispatch by isinstance, so the alias stays deliberately wide.
+# kinds above, the rewrite engine splices in FusedStep nodes and
+# lowering (repro.compiler.passes) wraps runs in DescriptorStep nodes —
+# consumers dispatch by isinstance, so the alias stays deliberately
+# wide.
 Step = object
 
 

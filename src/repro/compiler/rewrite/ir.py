@@ -5,9 +5,10 @@ list and produces two artefacts:
 
 * :class:`FusedStep` — several accelerated calls proven to form one
   datapath-chained PASS (``PASS { COMP a COMP b }``, or ``LOOP n {
-  PASS { ... } }`` when the members are looped).  Unlike the purely
-  syntactic :class:`~repro.compiler.passes.ChainStep`, a FusedStep may
-  carry a loop: the legality checker proved every iteration's
+  PASS { ... } }`` when the members are looped).  It is the compiler's
+  only chained form: the paper's non-looped chains (SAR interpolation
+  + FFT, STAP corner turn + FFT) and looped ones alike.  For a looped
+  FusedStep the legality checker proved every iteration's
   producer->consumer linkage exact and the fused interleaving free of
   carried dependences, so the intermediate buffer skips its DRAM
   round-trip on *every* iteration.

@@ -1,6 +1,7 @@
 """Pass 2 + lowering: from schedules to runnable translated programs.
 
-``translate`` drives the whole compiler: parse -> recognise -> chain ->
+``translate`` drives the whole compiler: parse -> recognise -> check
+and certify -> rewrite (the verified engine, the only chainer) ->
 group. The result is a :class:`TranslatedProgram` whose descriptor steps
 carry everything needed to emit TDL + parameter files once buffer
 addresses are known (pass 2's malloc/free substitution happens here too:
@@ -23,16 +24,15 @@ from repro.compiler.cast import Program
 from repro.compiler.cparser import parse_source
 from repro.compiler.diagnostics import DiagnosticReport
 from repro.compiler.errors import AnalysisRejected
-from repro.compiler.passes import (ChainStep, DescriptorStep,
-                                   TranslatedSchedule, optimize)
-from repro.compiler.recognizer import (AccelCallStep, AllocStep, FreeStep,
-                                       HostCallStep, RecognizerError,
-                                       Schedule, recognize)
+from repro.compiler.passes import DescriptorStep, optimize
+from repro.compiler.recognizer import (AccelCallStep, HostCallStep,
+                                       RecognizerError, Schedule,
+                                       recognize)
 from repro.compiler.semantics import CompileEnv
 from repro.mkl.profiles import (OpProfile, axpy_profile, cdotc_profile,
                                 cherk_profile, ctrsm_profile, dot_profile,
                                 fft_profile, gemv_profile, reshp_profile,
-                                resmp_profile, spmv_profile)
+                                resmp_profile)
 
 #: Fixed host cost per library-call invocation (dispatch, OpenMP
 #: scheduling); what makes 16M tiny cdotc calls expensive even on the
@@ -54,8 +54,8 @@ class TranslatedProgram:
     #: one rewrite-safety certificate per offloaded step (empty when
     #: the checker was skipped with ``analyze=False``)
     certificates: Tuple = ()
-    #: the rewrite engine's decision log (empty unless ``translate``
-    #: ran with ``rewrite=True``)
+    #: the rewrite engine's decision log (empty when ``translate`` ran
+    #: with ``rewrite=False``)
     rewrites: Tuple = ()
 
     def descriptor_count(self) -> int:
@@ -68,7 +68,7 @@ class TranslatedProgram:
 
 def translate(source: Union[str, Program],
               analyze: bool = True,
-              rewrite: bool = False,
+              rewrite: bool = True,
               rewrite_config=None) -> TranslatedProgram:
     """Compile C-subset source (or a parsed Program).
 
@@ -79,13 +79,16 @@ def translate(source: Union[str, Program],
     executed after destroy) raise :class:`AnalysisRejected`, and the
     full report lands on ``TranslatedProgram.diagnostics``.
 
-    With ``rewrite`` the verified rewrite engine
+    With ``rewrite`` (the default) the verified rewrite engine
     (:mod:`repro.compiler.rewrite`) runs over the certified schedule:
     fuse/reorder/split, each gated by the dependence provers and
     logged on ``TranslatedProgram.rewrites`` (MEA018/MEA019 also join
-    the diagnostics).  The syntactic chainer is then skipped — every
-    fusion in a rewritten program carries a machine-checked proof.
-    Requires ``analyze=True`` (rewrites only touch certified steps).
+    the diagnostics).  The engine is the compiler's only chainer, so
+    every fusion carries a machine-checked proof.  ``rewrite=False``
+    is the unfused identity translation: one PASS per call site, the
+    "off" side of translation validation.  Rewrites require
+    ``analyze=True`` (they only touch certified steps); pass
+    ``analyze=False, rewrite=False`` for unchecked output.
     """
     if rewrite and not analyze:
         raise ValueError("rewrite=True requires analyze=True: the "
@@ -132,9 +135,8 @@ def translate(source: Union[str, Program],
         certificates = result.certificates
         report.extend(d.diagnostic() for d in result.decisions)
         report.sort()
-    grouped = optimize(lowered, chain=not rewrite)
     return TranslatedProgram(source_program=program, env=schedule.env,
-                             schedule=schedule, items=grouped.items,
+                             schedule=schedule, items=optimize(lowered),
                              diagnostics=report,
                              demoted_steps=tuple(demoted),
                              certificates=certificates,

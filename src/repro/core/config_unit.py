@@ -147,12 +147,6 @@ class DescriptorExecution:
     #: (bit-identical to the fresh simulation it snapshotted).
     cache_hit: bool = False
 
-    def accel_share(self, name: str) -> float:
-        """Fraction of descriptor time spent in one accelerator."""
-        if self.result.time <= 0:
-            return 0.0
-        return self.by_accelerator.get(name, ZERO).time / self.result.time
-
 
 def _scaled_stream(stream: StreamSpec, count: int) -> StreamSpec:
     """A loop's iterations concatenate into one long stream: same

@@ -68,10 +68,6 @@ class MealibRuntimeError(Exception):
     on unrecoverable execution failures when host fallback is off."""
 
 
-#: Deprecated alias for :class:`MealibRuntimeError` (pre-1.1 name).
-RuntimeError_ = MealibRuntimeError
-
-
 @dataclass(frozen=True)
 class ResiliencePolicy:
     """Knobs of the hardened ``acc_execute`` path.

@@ -49,16 +49,6 @@ class OpRun:
     def gflops_per_watt(self) -> float:
         return self.flops / self.result.energy / 1e9
 
-    def perf_metric(self) -> float:
-        """GFLOPS, except RESHP which the paper reports in GB/s."""
-        return self.gbytes_per_s if self.flops == 0 else self.gflops
-
-    def efficiency_metric(self) -> float:
-        """GFLOPS/W (GB/J for RESHP)."""
-        if self.flops == 0:
-            return self.useful_bytes / self.result.energy / 1e9
-        return self.gflops_per_watt
-
 
 class IndividualOpRunner:
     """Evaluates the seven accelerated functions across all platforms."""

@@ -33,10 +33,6 @@ class MemResult:
         """Average power in watts."""
         return self.energy / self.time if self.time > 0 else 0.0
 
-    @property
-    def energy_per_byte(self) -> float:
-        return self.energy / self.bytes_moved if self.bytes_moved else 0.0
-
     def scaled(self, factor: float) -> "MemResult":
         """Linear extrapolation to a workload ``factor`` times larger.
 

@@ -150,10 +150,6 @@ class Plan:
     def flops(self) -> float:
         return fft_flops(self.fft_length, self.batch)
 
-    @property
-    def elements_moved(self) -> int:
-        return self.fft_length * self.batch
-
 
 def plan_guru_dft(rank: int, dims: Optional[Sequence[IoDim]],
                   howmany_rank: int, howmany_dims: Sequence[IoDim],

@@ -1,8 +1,11 @@
 """Shared helpers for the compiler tests.
 
-Two things live here: the seeded program generators several test
-modules draw from, and the per-character C-subset tokenizer, kept as
-the differential reference for :func:`repro.compiler.clexer.tokenize`.
+Three things live here: the seeded program generators several test
+modules draw from, the per-character C-subset tokenizer, kept as the
+differential reference for :func:`repro.compiler.clexer.tokenize`, and
+the syntactic accelerator chainer the compiler used before the
+verified rewrite engine became its only chainer, kept as the
+differential reference for the engine's fusions.
 
 The reference is the straightforward path: at each position try
 whitespace, an identifier, a number, the multi-character operators
@@ -18,8 +21,11 @@ hex last, so ``0x10`` lexed as ``0`` then ``x10``. ``hex_first=True``
 """
 
 import re
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.compiler.cast import CParseError
+from repro.compiler.recognizer import AccelCallStep, Schedule
 
 # -- reference tokenizer -----------------------------------------------------
 
@@ -171,3 +177,54 @@ for (i = 0; i < CHUNKS; ++i)
 {mid}for (i = 0; i < CHUNKS; ++i)
   mkl_somatcopy(R, C, 1.0, &acc[{idx}][0], &img[i][0]);
 """
+
+
+# -- reference syntactic chainer ----------------------------------------------
+#
+# Chaining by adjacency plus a produced/consumed buffer, exactly as the
+# compiler did it before fusion needed a proof. Every chain it forms
+# must come out of the verified rewrite engine as a non-looped
+# FusedStep with the same members.
+
+@dataclass(frozen=True)
+class ChainStep:
+    """Several accelerated calls fused into one PASS."""
+
+    steps: Tuple[AccelCallStep, ...]
+
+    @property
+    def in_bufs(self) -> Tuple[str, ...]:
+        return self.steps[0].in_bufs
+
+    @property
+    def out_bufs(self) -> Tuple[str, ...]:
+        return self.steps[-1].out_bufs
+
+    @property
+    def calls(self) -> int:
+        return sum(s.calls for s in self.steps)
+
+
+def _chainable(a: AccelCallStep, b: AccelCallStep) -> bool:
+    """b can chain onto a: same (non-)loop shape and a feeds b."""
+    if a.trips or b.trips:
+        return False            # looped steps keep their own pass
+    produced = set(a.out_bufs)
+    return bool(produced & set(b.in_bufs))
+
+
+def chain_pass(schedule: Schedule) -> List[object]:
+    """Fuse producer->consumer accelerated neighbours into ChainSteps."""
+    out: List[object] = []
+    for step in schedule.steps:
+        prev = out[-1] if out else None
+        if (isinstance(step, AccelCallStep)
+                and isinstance(prev, (AccelCallStep, ChainStep))):
+            tail = prev.steps[-1] if isinstance(prev, ChainStep) else prev
+            if _chainable(tail, step):
+                steps = (prev.steps if isinstance(prev, ChainStep)
+                         else (prev,)) + (step,)
+                out[-1] = ChainStep(steps=steps)
+                continue
+        out.append(step)
+    return out

@@ -288,7 +288,7 @@ def test_lifecycle_error_rejects_program():
 
 
 def test_analyze_false_skips_the_checker():
-    t = translate(ALIASED_SAXPY, analyze=False)
+    t = translate(ALIASED_SAXPY, analyze=False, rewrite=False)
     assert not t.demoted_steps
     assert len(t.diagnostics) == 0
 
@@ -336,8 +336,8 @@ def test_examples_are_diagnostic_free(name):
 @pytest.mark.parametrize("name", sorted(CLEAN_SOURCES))
 def test_analysis_never_changes_a_clean_schedule(name):
     source = CLEAN_SOURCES[name]
-    checked = translate(source)
-    unchecked = translate(source, analyze=False)
+    checked = translate(source, rewrite=False)
+    unchecked = translate(source, analyze=False, rewrite=False)
     assert checked.demoted_steps == ()
     assert checked.items == unchecked.items
     assert checked.schedule.steps == unchecked.schedule.steps

@@ -276,7 +276,8 @@ def test_call_graph_topo_and_recursion():
 
 def test_summaries_bind_param_targets():
     program = parse_source(CLEAN_FN)
-    schedule_env = translate(CLEAN_FN, analyze=False).env
+    schedule_env = translate(CLEAN_FN, analyze=False,
+                             rewrite=False).env
     summaries = compute_summaries(program, schedule_env)
     summary = summaries["scale_row"]
     assert summary.available

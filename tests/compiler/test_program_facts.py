@@ -71,7 +71,7 @@ def standalone(source):
     return (report.sort().to_dict(),
             [c.to_dict() for c in result.certificates],
             [d.to_dict() for d in result.decisions],
-            optimize(result.schedule, chain=False).items)
+            optimize(result.schedule))
 
 
 def shared(source):

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.compiler import (AccelCallStep, AllocStep, ChainStep,
-                            DescriptorStep, FreeStep, HostCallStep,
+from repro.compiler import (AccelCallStep, AllocStep, DescriptorStep,
+                            FreeStep, FusedStep, HostCallStep,
                             RecognizerError, recognize, parse_source,
                             translate)
 
@@ -140,8 +140,11 @@ def test_plan_chaining():
                    if isinstance(i, DescriptorStep)]
     assert len(descriptors) == 1
     (chain,) = descriptors[0].items
-    assert isinstance(chain, ChainStep)
+    assert isinstance(chain, FusedStep)
+    assert not chain.looped
     assert [s.accel for s in chain.steps] == ["RESHP", "FFT"]
+    assert chain.certificate is not None
+    assert chain.certificate.facts
 
 
 def test_rank0_plan_is_transpose():

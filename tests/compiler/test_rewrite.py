@@ -92,12 +92,14 @@ def test_fusion_applied_with_certificate():
     assert applied[0].prover
     assert "acc" in applied[0].buffers
     # fusion halves the descriptor count of the two-loop program
-    assert tp.descriptor_count() < translate(FUSABLE).descriptor_count()
+    assert tp.descriptor_count() < translate(
+        FUSABLE, rewrite=False).descriptor_count()
 
 
 def test_fusion_preserves_numerics_and_saves_energy():
     ins = chain_inputs()
-    off = run_translated(translate(FUSABLE), inputs=dict(ins))
+    off = run_translated(translate(FUSABLE, rewrite=False),
+                         inputs=dict(ins))
     on = run_translated(translate(FUSABLE, rewrite=True),
                         inputs=dict(ins))
     for name in ("acc", "img"):
@@ -127,7 +129,8 @@ def test_illegal_fusion_rejected_with_named_dependence():
     assert "MEA019" in codes and "MEA018" not in codes
 
     ins = chain_inputs(seed=11)
-    off = run_translated(translate(ILLEGAL), inputs=dict(ins))
+    off = run_translated(translate(ILLEGAL, rewrite=False),
+                         inputs=dict(ins))
     on = run_translated(tp, inputs=dict(ins))
     for name in ("acc", "img"):
         np.testing.assert_array_equal(off.buffers[name],
@@ -150,7 +153,8 @@ def test_hoist_reorders_past_independent_step_then_fuses():
     rng = np.random.default_rng(2)
     ins = {n: rng.standard_normal(256).astype(np.float32)
            for n in ("x", "y", "a", "b")}
-    off = run_translated(translate(HOIST_CHAIN), inputs=dict(ins))
+    off = run_translated(translate(HOIST_CHAIN, rewrite=False),
+                         inputs=dict(ins))
     on = run_translated(tp, inputs=dict(ins))
     for name in ("y", "b", "img"):
         np.testing.assert_array_equal(off.buffers[name],
@@ -172,7 +176,7 @@ def test_split_tiles_large_axpy_exactly():
     x = rng.standard_normal(262144).astype(np.float32)
     y = rng.standard_normal(262144).astype(np.float32)
     on = run_translated(tp, inputs={"x": x, "y": y})
-    off = run_translated(translate(LARGE_AXPY),
+    off = run_translated(translate(LARGE_AXPY, rewrite=False),
                          inputs={"x": x, "y": y})
     np.testing.assert_array_equal(on.buffers["y"], off.buffers["y"])
     np.testing.assert_allclose(on.buffers["y"], 3.0 * x + y,
@@ -196,11 +200,17 @@ def test_rewrite_requires_the_analyzer():
 
 def test_rewrites_off_is_the_identity():
     base = translate(FUSABLE)
+    on = translate(FUSABLE, rewrite=True)
     off = translate(FUSABLE, rewrite=False)
-    assert base.rewrites == () and off.rewrites == ()
-    assert base.items == off.items
+    # the default translation is the verified engine's
+    assert base.items == on.items
+    assert base.rewrites == on.rewrites != ()
     assert [d.code for d in base.diagnostics] \
-        == [d.code for d in off.diagnostics]
+        == [d.code for d in on.diagnostics]
+    # rewrites off: one PASS per call site, no decision logged
+    assert off.rewrites == ()
+    assert fused_steps(off) == []
+    assert "MEA018" not in [d.code for d in off.diagnostics]
 
 
 def test_config_disables_individual_primitives():

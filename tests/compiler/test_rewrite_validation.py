@@ -110,11 +110,19 @@ def test_corpus_rewrite_is_translation_validated(name):
 def test_corpus_rewrites_off_matches_default_translation(name):
     source = (CORPUS_DIR / name).read_text()
     base = translate(source)
+    on = translate(source, rewrite=True)
     off = translate(source, rewrite=False)
-    assert base.items == off.items
-    assert base.demoted_steps == off.demoted_steps
+    # the default translation is the verified engine's
+    assert base.items == on.items
+    assert base.rewrites == on.rewrites
     assert [d.code for d in base.diagnostics] \
-        == [d.code for d in off.diagnostics]
+        == [d.code for d in on.diagnostics]
+    # rewrites off is unfused and logs no decision
+    assert off.rewrites == ()
+    assert not any(isinstance(s, FusedStep) for item in off.items
+                   if isinstance(item, DescriptorStep)
+                   for s in item.items)
+    assert base.demoted_steps == off.demoted_steps
 
 
 # -- randomized chain battery -------------------------------------------------
@@ -149,7 +157,8 @@ def test_randomized_chains_validate(seed):
     names = ("gain", "acc", "img", "u", "v")
     inputs = {n: rng.standard_normal((chunks, 256)).astype(np.float32)
               for n in names}
-    off = run_translated(translate(source), inputs=dict(inputs))
+    off = run_translated(translate(source, rewrite=False),
+                         inputs=dict(inputs))
     on = run_translated(tp, inputs=dict(inputs))
     for n in names:
         np.testing.assert_array_equal(off.buffers[n], on.buffers[n],

@@ -6,7 +6,7 @@ import pytest
 from repro.accel import (AxpyParams, DotParams, FftParams, ResmpParams,
                          DTYPE_C64)
 from repro.accel.base import pack_strides
-from repro.core import (MealibSystem, ParamStore, RuntimeError_,
+from repro.core import (MealibSystem, MealibRuntimeError, ParamStore,
                         DescriptorError)
 from repro.metrics import ZERO
 
@@ -49,15 +49,15 @@ class TestRuntime:
         free_before = system.runtime._command_alloc.free_bytes
         system.runtime.acc_destroy(plan)
         assert system.runtime._command_alloc.free_bytes > free_before
-        with pytest.raises(RuntimeError_):
+        with pytest.raises(MealibRuntimeError):
             system.runtime.acc_execute(plan)
-        with pytest.raises(RuntimeError_):
+        with pytest.raises(MealibRuntimeError):
             system.runtime.acc_destroy(plan)
 
     def test_negative_sizes_rejected(self, system):
         store = ParamStore()
         store.add("a.para", b"\x00" * AxpyParams.SIZE)
-        with pytest.raises(RuntimeError_):
+        with pytest.raises(MealibRuntimeError):
             system.runtime.acc_plan("PASS { COMP AXPY a.para }", store,
                                     in_size=-1, out_size=0)
 
