@@ -100,7 +100,9 @@ def _run_point(system, executes):
     for _ in range(executes):
         system.runtime.acc_execute(plan, functional=False)
     counters = system.runtime.counters
-    fault, retry, reroute, fallback = system.resilience_breakdown()
+    fault, retry, reroute, fallback = (
+        system.ledger.total(c)
+        for c in ("fault", "retry", "reroute", "fallback"))
     resilience = fault.plus(retry).plus(reroute).plus(fallback)
     total = system.total()
     return {

@@ -29,8 +29,9 @@ import argparse
 import json
 import sys
 
-from repro.core import MealibSystem
+from repro.core import CATEGORIES, MealibSystem
 from repro.eval.workloads import TABLE2
+from repro.metrics import ZERO
 from repro.serving import (BatchPolicy, QosClass, ServingRuntime,
                            TenantConfig, TrafficConfig, coalesce,
                            generate_trace)
@@ -87,13 +88,12 @@ def assert_single_tenant_identity(seed, requests, scale):
         assert not r.shed
         assert r.result.time == d.time and r.result.energy == d.energy, (
             f"call {i} diverged between serving and the direct path")
-    for category in ("invocation", "accelerator", "contention", "fault",
-                     "retry", "reroute", "fallback"):
+    for category in CATEGORIES:
         assert (served.ledger.total(category)
                 == direct.ledger.total(category)), (
             f"ledger[{category}] diverged between serving and the "
             "direct path")
-    assert served.contention_total().time == 0.0
+    assert served.ledger.total("contention") == ZERO
     assert served.runtime.counters.contended_executes == 0
 
 

@@ -12,7 +12,7 @@ from repro.core.descriptor import (CMD_IDLE, CMD_START, DescriptorError,
                                    descriptor_checksum, encode,
                                    set_command, verify_integrity)
 from repro.core.invocation import InvocationModel
-from repro.core.runtime import (AccPlan, Ledger, LedgerEntry,
+from repro.core.runtime import (CATEGORIES, AccPlan, Ledger, LedgerEntry,
                                 MealibRuntime, MealibRuntimeError,
                                 ResilienceCounters, ResiliencePolicy)
 from repro.core.schedule_cache import (ScheduleCache, ScheduleCacheStats,
@@ -28,8 +28,8 @@ __all__ = [
     "EncodedDescriptor", "Instruction", "KIND_ACCEL", "KIND_ENDLOOP",
     "KIND_ENDPASS", "KIND_LOOP", "OPCODES", "decode_control",
     "decode_instructions", "descriptor_checksum", "encode", "set_command",
-    "verify_integrity", "InvocationModel", "AccPlan", "Ledger",
-    "LedgerEntry", "MealibRuntime", "MealibRuntimeError",
+    "verify_integrity", "InvocationModel", "CATEGORIES", "AccPlan",
+    "Ledger", "LedgerEntry", "MealibRuntime", "MealibRuntimeError",
     "ResilienceCounters", "ResiliencePolicy",
     "ScheduleCache", "ScheduleCacheStats", "ScheduleEntry",
     "MealibSystem", "Comp", "Loop", "ParamStore", "Pass", "TdlError",

@@ -17,6 +17,7 @@ streams, the way the hardware pipeline actually behaves).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional,
                     Tuple)
@@ -109,36 +110,20 @@ class DescriptorExecution:
 
     result: ExecResult
     by_accelerator: Dict[str, ExecResult]
-    invocations: int
-    passes: int
-    #: Extra time/energy of running degraded (mesh detours, rerouted
-    #: vault stripes, fewer lanes); ZERO on a fully healthy layer.
-    reroute_overhead: ExecResult = ZERO
-    #: Tiles that actually served the descriptor (16 when healthy).
-    tiles_used: int = 0
+    #: Excess cost per overhead ledger category, keyed exactly when
+    #: the execution ran under that category's condition (even if it
+    #: priced to ZERO), in ledger order: ``reroute`` (the layer was
+    #: degraded; the excess over the healthy cost, inside
+    #: :attr:`result`), ``throttle`` (a serving vault was under DVFS;
+    #: the lockstep pipeline's stretch priced at static power, added
+    #: to :attr:`result`) and ``contention`` (the stack was shared with
+    #: ``concurrency - 1`` co-running streams; the drain's time-share
+    #: stretch priced at static power and, like scrub, never folded
+    #: into :attr:`result` — the serving runtime charges it to request
+    #: latency). Empty on a healthy, nominal, solo execution.
+    overheads: Dict[str, ExecResult] = field(default_factory=dict)
     #: Vault stripes served by a remote tile.
     rerouted_vaults: int = 0
-    #: Extra time/energy of DVFS throttling (the envelope governor):
-    #: the lockstep pass pipeline stretched by the slowest throttled
-    #: serving vault's frequency factor, priced as static power over
-    #: the longer drain; ZERO when every serving vault is nominal.
-    throttle_overhead: ExecResult = ZERO
-    #: Serving vaults that were under DVFS during this execution.
-    throttled_vaults: int = 0
-    #: Extra time/energy of sharing the stack with concurrent
-    #: descriptor streams (the serving runtime's admission width):
-    #: each pass time-shares every vault's TSV bus with its
-    #: co-runners, so the drain stretches by the layer's contention
-    #: slowdown and the stretch is priced at static power. Like scrub,
-    #: it is *ledgered* (``contention`` category) but never folded
-    #: into :attr:`result` — the solo decomposition is bit-identical
-    #: whatever the admission width, and the serving runtime accounts
-    #: the stretch in the request's latency. ZERO when the descriptor
-    #: ran alone (``concurrency=1``).
-    contention_overhead: ExecResult = ZERO
-    #: Concurrent descriptor streams this execution shared the stack
-    #: with (1 = ran alone).
-    contending_streams: int = 1
     #: Per-vault dynamic heat of this execution, J (thermal runs only).
     vault_heat: Optional[Dict[int, float]] = None
     #: Heat deposited on the logic-layer node, J (thermal runs only).
@@ -280,11 +265,17 @@ class ConfigurationUnit:
                     f"parameter address {instr.param_addr:#x} outside "
                     "the descriptor image")
             blob = image[off:off + instr.param_size]
-        params = core.unpack_params(blob)
         strides = None
         base_size = core.params_type.SIZE
-        if instr.param_size > base_size:
-            strides = unpack_strides(core.params_type, blob[base_size:])
+        try:
+            params = core.unpack_params(blob)
+            if instr.param_size > base_size:
+                strides = unpack_strides(core.params_type,
+                                         blob[base_size:])
+        except struct.error as exc:
+            raise DescriptorError(
+                f"malformed {instr.accel_name} parameter record "
+                f"({instr.param_size} bytes): {exc}") from exc
         return CompInstance(core=core, params=params, strides=strides)
 
     def fetch(self, desc_pa: int, desc_bytes: int) -> bytes:
@@ -454,6 +445,16 @@ class ConfigurationUnit:
         overhead = ExecResult(max(0.0, result.time - clean.time),
                               max(0.0, result.energy - clean.energy))
         return result, compute_times, overhead, heat
+
+    def _static_stretch(self, duration: float,
+                        excess: float) -> ExecResult:
+        """A pass drain of ``duration`` stretched by ``excess`` times
+        itself. Dynamic joules are unchanged; the extra residency is
+        priced at the device's static power (DVFS throttle and
+        vault-bandwidth contention share this convention)."""
+        stretch = duration * excess
+        return ExecResult(time=stretch,
+                          energy=self.device.static_power() * stretch)
 
     def _pass_mem(self, plan: PassPlan) -> MemResult:
         """The memory-system drain of one pass on the healthy device.
@@ -627,8 +628,8 @@ class ConfigurationUnit:
         A dead tile (or a mesh-isolated one) no longer aborts the
         execution: its vault's data stripe is rerouted over TSV + mesh
         to the surviving tiles and the pass runs degraded, with the
-        detour's bandwidth/energy cost reported in
-        :attr:`DescriptorExecution.reroute_overhead`. Raises
+        detour's bandwidth/energy cost reported under ``reroute`` in
+        :attr:`DescriptorExecution.overheads`. Raises
         :class:`TileFailedError` only when *no* tile can serve the
         descriptor (all dead, or a vault cut off by link failures),
         :class:`CuHangError` when an injected hang eats the doorbell,
@@ -639,8 +640,8 @@ class ConfigurationUnit:
         the stack while this one runs (the serving runtime's admission
         width). Each pass's drain stretches by the layer's
         :meth:`~repro.accel.layer.AcceleratorLayer.contention_slowdown`
-        and the stretch is priced at static power into
-        :attr:`DescriptorExecution.contention_overhead` — the nominal
+        and the stretch is priced at static power under ``contention``
+        in :attr:`DescriptorExecution.overheads` — the nominal
         decomposition (accelerator shares, reroute, throttle) is never
         repriced, so ``concurrency=1`` is bit-identical to a build
         that predates the knob.
@@ -685,10 +686,10 @@ class ConfigurationUnit:
                         for plan in entry.plans:
                             self.run_functional(plan)
                     execution = entry.replay()
-                    if (self.governor is not None
-                            and execution.throttle_overhead.time > 0.0):
-                        self.governor.stats.note_throttled(
-                            execution.throttle_overhead.time, throttled)
+                    stretch = execution.overheads.get("throttle", ZERO).time
+                    if self.governor is not None and stretch > 0.0:
+                        self.governor.stats.note_throttled(stretch,
+                                                           throttled)
                     return execution
             plans = self.plans_from_image(image, desc_pa,
                                           require_start=True)
@@ -697,15 +698,20 @@ class ConfigurationUnit:
             total = ExecResult(time=fetch_time,
                                energy=fetch_time * CU_POWER)
             by_accel: Dict[str, ExecResult] = {}
-            reroute_total = ZERO
-            throttle_total = ZERO
-            contention_total = ZERO
+            rerouted = (len(degradation.reroutes)
+                        if degradation is not None else 0)
             # vault-bandwidth contention: co-running descriptor streams
             # time-share every vault's TSV bus, so each pass's drain
             # stretches by the layer's slowdown factor (1.0 when alone)
             contend = (self.layer.contention_slowdown(concurrency)
                        if concurrency > 1 else 1.0)
-            invocations = 0
+            overheads: Dict[str, ExecResult] = {}
+            if rerouted:
+                overheads["reroute"] = ZERO
+            if throttled:
+                overheads["throttle"] = ZERO
+            if concurrency > 1:
+                overheads["contention"] = ZERO
             vault_heat: Optional[Dict[int, float]] = None
             logic_heat = 0.0
             if self.governor is not None:
@@ -719,31 +725,26 @@ class ConfigurationUnit:
                     plan, degradation)
                 throttle_ov = ZERO
                 if slowdown < 1.0:
-                    # frequency-only DVFS: dynamic joules are unchanged,
-                    # the stretched drain costs extra static power
-                    stretch = pass_result.time * (1.0 / slowdown - 1.0)
-                    throttle_ov = ExecResult(
-                        time=stretch,
-                        energy=self.device.static_power() * stretch)
+                    # frequency-only DVFS: the lockstep drain runs at
+                    # the slowest serving vault's clock
+                    throttle_ov = self._static_stretch(
+                        pass_result.time, 1.0 / slowdown - 1.0)
                 contention_ov = ZERO
                 if contend > 1.0:
                     # time-shared vault bandwidth: the pass drain takes
-                    # `contend` times its solo duration; dynamic joules
-                    # are unchanged, the extra residency costs static
-                    # power (the throttle-stretch pricing convention).
-                    # Like scrub, the stretch is *ledgered* but never
-                    # added to the returned result: the solo
-                    # decomposition stays bit-identical whatever the
-                    # admission width, and the serving runtime folds
-                    # the stretch into the request's latency instead.
-                    stretch = pass_result.time * (contend - 1.0)
-                    contention_ov = ExecResult(
-                        time=stretch,
-                        energy=self.device.static_power() * stretch)
+                    # `contend` times its solo duration. The stretch is
+                    # ledgered but never added to the returned result:
+                    # the solo decomposition stays bit-identical
+                    # whatever the admission width
+                    contention_ov = self._static_stretch(
+                        pass_result.time, contend - 1.0)
                 total = total.plus(pass_result).plus(throttle_ov)
-                reroute_total = reroute_total.plus(overhead)
-                throttle_total = throttle_total.plus(throttle_ov)
-                contention_total = contention_total.plus(contention_ov)
+                pass_overheads = {"reroute": overhead,
+                                  "throttle": throttle_ov,
+                                  "contention": contention_ov}
+                for category, acc in overheads.items():
+                    overheads[category] = acc.plus(
+                        pass_overheads[category])
                 # attribute the healthy-equivalent share of the pass to
                 # its accelerators; the degradation excess is reported
                 # separately so the reroute ledger can carry it (and the
@@ -757,7 +758,6 @@ class ConfigurationUnit:
                         time=share,
                         energy=base.energy / len(plan.comps))
                     by_accel[comp.core.name] = prev.plus(frac)
-                invocations += plan.count * len(plan.comps)
                 if vault_heat is not None:
                     units = self.device.units
                     # DRAM joules interleave over every vault; tile
@@ -773,35 +773,24 @@ class ConfigurationUnit:
                     logic_heat += heat["logic"]
                     for server, e_srv in heat["reroute"].items():
                         vault_heat[server] += e_srv
-                    if throttle_ov.energy > 0.0:
-                        per_vault = throttle_ov.energy / units
-                        for v in vault_heat:
-                            vault_heat[v] += per_vault
-                    if contention_ov.energy > 0.0:
-                        # the contention stretch is DRAM static burn:
-                        # it spreads over every vault, like throttle
-                        per_vault = contention_ov.energy / units
-                        for v in vault_heat:
-                            vault_heat[v] += per_vault
+                    # the throttle and contention stretches are DRAM
+                    # static burn: they spread over every vault
+                    for stretch_ov in (throttle_ov, contention_ov):
+                        if stretch_ov.energy > 0.0:
+                            per_vault = stretch_ov.energy / units
+                            for v in vault_heat:
+                                vault_heat[v] += per_vault
                 self._release_tiles()
+            throttle_total = overheads.get("throttle", ZERO)
             if self.governor is not None and throttle_total.time > 0.0:
                 self.governor.stats.note_throttled(throttle_total.time,
                                                    throttled)
             execution = DescriptorExecution(
                 result=total, by_accelerator=by_accel,
-                invocations=invocations, passes=len(plans),
-                reroute_overhead=reroute_total,
-                tiles_used=len(serving),
-                rerouted_vaults=(len(degradation.reroutes)
-                                 if degradation is not None else 0),
-                throttle_overhead=throttle_total,
-                throttled_vaults=len(throttled),
-                contention_overhead=contention_total,
-                contending_streams=concurrency,
-                vault_heat=vault_heat,
-                logic_heat=logic_heat)
+                overheads=overheads, rerouted_vaults=rerouted,
+                vault_heat=vault_heat, logic_heat=logic_heat)
             if cache is not None:
-                cache.store(key, plans, execution, throttled)
+                cache.store(key, plans, execution)
             return execution
         finally:
             if flapped is not None:

@@ -147,35 +147,47 @@ class LedgerEntry:
     result: ExecResult
 
 
+#: The ledger categories, in breakdown order. Every entry's category is
+#: one of these; ``scrub`` and ``contention`` are ledgered but never
+#: folded into an execute's returned cost.
+CATEGORIES = (
+    "host",         # compute-bounded library calls on the host CPU
+    "invocation",   # per-execute host overhead (flush, descriptor, doorbell)
+    "accelerator",  # descriptor execution, per accelerator
+    "fault",        # detection/correction, incl. the datapath re-decode drain
+    "retry",        # descriptor re-delivery and backoff
+    "reroute",      # excess of running degraded: detours, rerouted stripes
+    "fallback",     # host execution when no tile can serve the work
+    "scrub",        # patrol passes draining latent flips (not folded)
+    "throttle",     # DVFS stretch of hot vaults, priced at static power
+    "contention",   # vault-bus time-share with co-runners (not folded)
+)
+
+#: The per-execution overhead categories a :class:`DescriptorExecution`
+#: may carry, in ledger order: category -> (ledger label, the
+#: :class:`ResilienceCounters` field counting executes that carried it).
+_OVERHEAD_LEDGER = {
+    "reroute": ("vault-stripe", "degraded_executes"),
+    "throttle": ("dvfs-stretch", "throttled_executes"),
+    "contention": ("vault-share", "contended_executes"),
+}
+
+
 @dataclass
 class Ledger:
-    """Accumulates time/energy by category for the breakdown figures.
-
-    Categories: ``host`` (compute-bounded library calls), ``invocation``
-    (per-execute host overhead), ``accelerator`` (descriptor
-    execution), plus the resilience categories ``fault`` (detection and
-    correction costs, including the datapath ECC layer's re-decode
-    drain of dirty codewords), ``retry`` (descriptor re-delivery and
-    backoff), ``reroute`` (the excess of running degraded: mesh detours
-    and rerouted vault stripes), ``fallback`` (host execution when no
-    tile can serve the work), ``scrub`` (background patrol passes
-    draining latent cell flips — maintenance overlapped with the host,
-    so it is ledgered but never added to an execute's returned cost)
-    ``throttle`` (the excess of DVFS frequency step-downs the
-    power-envelope governor imposed on hot vaults: the stretched pass
-    drain priced at static power, on top of the ``accelerator``
-    category's unchanged nominal share) and ``contention`` (the excess
-    of sharing the stack with concurrent descriptor streams under the
-    serving runtime: every co-running pass time-shares the vault TSV
-    buses, and the stretched drain is priced at static power — like
-    scrub it is ledgered but never added to an execute's returned
-    cost, so per-call results stay bit-identical to solo runs and the
-    serving layer folds the stretch into request latency instead).
+    """Accumulates time/energy by category (:data:`CATEGORIES`) for the
+    breakdown figures. ``host``, ``accelerator`` and ``invocation`` are
+    the Fig 14 split; the rest price resilience, thermal throttling and
+    serving contention, and none of them appear on a fault-free solo
+    run, so the ledger there is identical to the unhardened runtime's.
     """
 
     entries: List[LedgerEntry] = field(default_factory=list)
 
     def log(self, category: str, label: str, result: ExecResult) -> None:
+        if category not in CATEGORIES:
+            raise ValueError(f"unknown ledger category {category!r}; "
+                             f"expected one of {CATEGORIES}")
         self.entries.append(LedgerEntry(category, label, result))
 
     def total(self, category: Optional[str] = None) -> ExecResult:
@@ -365,22 +377,15 @@ class MealibRuntime:
                 total = total.plus(self._drain_correction_costs())
                 for accel_name, share in execution.by_accelerator.items():
                     self.ledger.log("accelerator", accel_name, share)
-                if execution.rerouted_vaults:
-                    self.counters.degraded_executes += 1
-                    self.counters.rerouted_stripes += (
-                        execution.rerouted_vaults)
-                    self.ledger.log("reroute", "vault-stripe",
-                                    execution.reroute_overhead)
-                if execution.throttled_vaults:
-                    self.counters.throttled_executes += 1
-                    self.ledger.log("throttle", "dvfs-stretch",
-                                    execution.throttle_overhead)
-                if execution.contending_streams > 1:
-                    self.counters.contended_executes += 1
-                    self.ledger.log("contention", "vault-share",
-                                    execution.contention_overhead)
+                counters = self.counters
+                counters.rerouted_stripes += execution.rerouted_vaults
+                for category, cost in execution.overheads.items():
+                    label, counter = _OVERHEAD_LEDGER[category]
+                    setattr(counters, counter,
+                            getattr(counters, counter) + 1)
+                    self.ledger.log(category, label, cost)
                 if execution.cache_hit:
-                    self.counters.cached_executes += 1
+                    counters.cached_executes += 1
                 self._thermal_step(execution)
                 plan.executions += 1
                 return total.plus(execution.result)

@@ -169,18 +169,3 @@ class MealibSystem:
         return (self.ledger.total("host"),
                 self.ledger.total("accelerator"),
                 self.ledger.total("invocation"))
-
-    def resilience_breakdown(self):
-        """(fault, retry, reroute, fallback) totals — the cost of
-        surviving injected faults. All zero on a fault-free run."""
-        return (self.ledger.total("fault"),
-                self.ledger.total("retry"),
-                self.ledger.total("reroute"),
-                self.ledger.total("fallback"))
-
-    def contention_total(self) -> ExecResult:
-        """Total of the ``contention`` ledger category: the excess of
-        sharing the stack with concurrent descriptor streams under the
-        serving runtime (:mod:`repro.serving`). Exactly zero on any
-        solo call stream."""
-        return self.ledger.total("contention")

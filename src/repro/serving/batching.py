@@ -30,8 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from repro.core.descriptor import OPCODES
 from repro.core.runtime import AccPlan
 from repro.core.tdl import ParamStore
+from repro.serving.qos import check_positive_int
 
 
 @dataclass(frozen=True)
@@ -55,12 +57,12 @@ class BatchPolicy:
     def __post_init__(self) -> None:
         if not self.ops:
             raise ValueError("ops must name at least one batchable op")
-        if self.max_batch < 1:
-            raise ValueError(
-                f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_bytes < 1:
-            raise ValueError(
-                f"max_bytes must be >= 1, got {self.max_bytes}")
+        unknown = [op for op in self.ops if op not in OPCODES]
+        if unknown:
+            raise ValueError(f"ops {unknown} are not accelerator ops; "
+                             f"expected names from {sorted(OPCODES)}")
+        check_positive_int("max_batch", self.max_batch)
+        check_positive_int("max_bytes", self.max_bytes)
 
     def batchable(self, op: str, working_set_bytes: int) -> bool:
         """May a call of ``op`` with this working set join a batch?"""

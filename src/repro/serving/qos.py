@@ -20,7 +20,16 @@ starves anyone.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
+
+
+def check_positive_int(name: str, value: object) -> None:
+    """Raise :class:`ValueError` unless ``value`` is an integer >= 1
+    (bools, floats and NaN are rejected)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 class QosClass(enum.IntEnum):
@@ -51,7 +60,4 @@ class TenantConfig:
     def __post_init__(self) -> None:
         if not self.tenant:
             raise ValueError("tenant id must be non-empty")
-        if self.max_queue_depth < 1:
-            raise ValueError(
-                f"max_queue_depth must be >= 1, got "
-                f"{self.max_queue_depth}")
+        check_positive_int("max_queue_depth", self.max_queue_depth)

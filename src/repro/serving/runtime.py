@@ -385,7 +385,7 @@ class ServingRuntime:
                 "goodput_rps": (stats.completed / span
                                 if span > 0 else 0.0),
             }
-        contention = self.system.contention_total()
+        contention = self.system.ledger.total("contention")
         completed = sum(s.completed for s in self.stats.values())
         return {
             "span_s": span,

@@ -3,6 +3,10 @@
 The CR checksum (CRC32 over the descriptor with the mutable command
 word and the checksum word itself zeroed) must flag *every* corrupted
 32-bit word of a sealed descriptor — detection rate 1.0, not "high".
+
+A corruption that gets past the checksum (a mutant resealed with a
+fresh CRC) must still fail *typed*: decode either yields plans or
+raises :class:`DescriptorError`, never a stray ``struct.error``.
 """
 
 import struct
@@ -11,12 +15,17 @@ import numpy as np
 import pytest
 
 from repro.accel import AxpyParams, FftParams
-from repro.core import (CMD_START, DescriptorIntegrityError, ParamStore,
+from repro.core import (CMD_START, DescriptorError,
+                        DescriptorIntegrityError, MealibSystem, ParamStore,
                         descriptor_checksum, encode, parse_tdl,
                         set_command, verify_integrity)
-from repro.core.descriptor import CHECKSUM_OFFSET, COMMAND_OFFSET
+from repro.core.descriptor import CHECKSUM_OFFSET, COMMAND_OFFSET, CR_BYTES
+from repro.eval.workloads import TABLE2
 
 TRIALS = 600
+
+#: Resealed mutants decoded per Table 2 descriptor.
+MUTANTS_PER_OP = 200
 
 
 def sealed_descriptor():
@@ -91,3 +100,30 @@ def test_truncated_descriptor_rejected():
     raw = sealed_descriptor()
     with pytest.raises(DescriptorIntegrityError):
         verify_integrity(raw[:12])
+
+
+def test_resealed_mutants_decode_or_fail_typed():
+    """1-2 bit flips past the control region, resealed so the CRC
+    passes, across the 7 Table 2 descriptors. Flips in a parameter
+    size or in a stride header hand the unpackers a record of the
+    wrong length; that must surface as :class:`DescriptorError`."""
+    cu = MealibSystem(stack_bytes=16 << 20).config_unit
+    rng = np.random.default_rng(0xDEC0DE)
+    rejected = 0
+    for op in ("DOT", "AXPY", "GEMV", "SPMV", "FFT", "RESMP", "RESHP"):
+        store = ParamStore()
+        store.add("p.para", TABLE2[op].params(0.001).pack())
+        image = encode(parse_tdl(f"PASS {{ COMP {op} p.para }}"), store,
+                       base_pa=0x1000).data
+        for _ in range(MUTANTS_PER_OP):
+            mutated = bytearray(image)
+            for _ in range(int(rng.integers(1, 3))):
+                bit = int(rng.integers(CR_BYTES * 8, len(image) * 8))
+                mutated[bit // 8] ^= 1 << (bit % 8)
+            struct.pack_into("<I", mutated, CHECKSUM_OFFSET,
+                             descriptor_checksum(mutated))
+            try:
+                cu.plans_from_image(bytes(mutated), 0x1000)
+            except DescriptorError:
+                rejected += 1
+    assert rejected > 0

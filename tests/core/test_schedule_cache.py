@@ -24,16 +24,12 @@ import numpy as np
 import pytest
 
 from repro.accel.base import pack_strides
-from repro.core import MealibSystem, ParamStore, ScheduleCache
+from repro.core import CATEGORIES, MealibSystem, ParamStore, ScheduleCache
 from repro.eval.workloads import TABLE2
 from repro.faults import FaultInjector, ScrubConfig
 from repro.thermal import AMBIENT_K, ThermalConfig
 
 OPS = ("DOT", "AXPY", "GEMV", "SPMV", "FFT", "RESMP", "RESHP")
-
-#: Ledger categories compared between cache-on and cache-off systems.
-CATEGORIES = ("invocation", "accelerator", "fault", "retry", "reroute",
-              "fallback", "scrub", "throttle")
 
 TRIALS = 300
 
@@ -301,11 +297,10 @@ def test_lru_eviction_order():
     from repro.metrics import ExecResult
     for key in ("a", "b"):
         execution_of[key] = DescriptorExecution(
-            result=ExecResult(1.0, 1.0), by_accelerator={},
-            invocations=1, passes=1)
-        cache.store(key, [], execution_of[key], [])
+            result=ExecResult(1.0, 1.0), by_accelerator={})
+        cache.store(key, [], execution_of[key])
     assert cache.lookup("a") is not None      # refresh 'a'
-    cache.store("c", [], execution_of["a"], [])
+    cache.store("c", [], execution_of["a"])
     assert len(cache) == 2
     assert cache.stats.capacity_evictions == 1
     assert cache.lookup("b") is None          # 'b' was the LRU victim
@@ -319,16 +314,22 @@ def test_replay_copies_containers():
     template = DescriptorExecution(
         result=ExecResult(1.0, 2.0), by_accelerator={"AXPY":
                                                      ExecResult(1.0, 2.0)},
-        invocations=1, passes=1, vault_heat={0: 0.5})
-    cache.store("k", [], template, [])
+        overheads={"throttle": ExecResult(0.5, 0.5)}, vault_heat={0: 0.5})
+    cache.store("k", [], template)
     template.by_accelerator["AXPY"] = ExecResult(9.0, 9.0)
+    template.overheads["throttle"] = ExecResult(9.0, 9.0)
+    template.overheads["contention"] = ExecResult(9.0, 9.0)
     template.vault_heat[0] = 9.0
     replayed = cache.lookup("k").replay()
     assert replayed.by_accelerator["AXPY"] == ExecResult(1.0, 2.0)
+    assert replayed.overheads == {"throttle": ExecResult(0.5, 0.5)}
     assert replayed.vault_heat == {0: 0.5}
     assert replayed.cache_hit is True
     replayed.vault_heat[0] = 7.0              # caller-side mutation
-    assert cache.lookup("k").replay().vault_heat == {0: 0.5}
+    replayed.overheads.clear()
+    again = cache.lookup("k").replay()
+    assert again.vault_heat == {0: 0.5}
+    assert again.overheads == {"throttle": ExecResult(0.5, 0.5)}
 
 
 def test_clear_drops_entries_but_keeps_stats():
@@ -336,8 +337,7 @@ def test_clear_drops_entries_but_keeps_stats():
     from repro.core.config_unit import DescriptorExecution
     from repro.metrics import ExecResult
     cache.store("k", [], DescriptorExecution(
-        result=ExecResult(1.0, 1.0), by_accelerator={}, invocations=1,
-        passes=1), [])
+        result=ExecResult(1.0, 1.0), by_accelerator={}))
     assert cache.lookup("k") is not None
     cache.clear()
     assert len(cache) == 0

@@ -12,7 +12,10 @@ import pytest
 import repro.core.config_unit as config_unit
 from repro.accel import AxpyParams
 from repro.core import MealibSystem, ParamStore
+from repro.core.runtime import Ledger
 from repro.faults import FaultInjector
+from repro.metrics import ZERO
+from tests.core.helpers import ledger_entries, record_executions
 
 N = 1024
 EXPECTED = np.full(N, 4.0, np.float32)          # 3*1 + 1
@@ -165,9 +168,41 @@ class TestFaultFreeParity:
         assert system.ledger.total("reroute").time == 0.0
         assert system.ledger.total("reroute").energy == 0.0
         assert system.runtime.counters.degraded_executes == 0
-        fault, retry, reroute, fallback = system.resilience_breakdown()
-        for cost in (retry, reroute, fallback):
+        for category in ("retry", "reroute", "fallback"):
+            cost = system.ledger.total(category)
             assert cost.time == 0.0 and cost.energy == 0.0
+
+
+class TestOverheadChannel:
+    """The per-execution overhead map: keyed exactly when its condition
+    held, and every value is what the ledger carries for it."""
+
+    def test_healthy_solo_execute_has_no_overheads(self, monkeypatch):
+        system = make_system(faults=FaultInjector(seed=0))
+        seen = record_executions(monkeypatch, system)
+        system.runtime.acc_execute(make_axpy_plan(system)[0])
+        assert [ex.overheads for ex in seen] == [{}]
+        assert ({e.category for e in system.ledger.entries}
+                == {"invocation", "accelerator"})
+
+    def test_reroute_overhead_is_its_ledger_entry(self, monkeypatch):
+        system = make_system(faults=FaultInjector(seed=0))
+        system.layer.mark_tile_failed(5)
+        seen = record_executions(monkeypatch, system)
+        system.runtime.acc_execute(make_axpy_plan(system)[0],
+                                   functional=False)
+        (execution,) = seen
+        assert list(execution.overheads) == ["reroute"]
+        assert execution.overheads["reroute"].time > 0.0
+        assert ledger_entries(system, "reroute") == [
+            execution.overheads["reroute"]]
+        assert system.runtime.counters.rerouted_stripes == 1
+
+    def test_ledger_rejects_unknown_category(self):
+        ledger = Ledger()
+        with pytest.raises(ValueError, match="bogus"):
+            ledger.log("bogus", "x", ZERO)
+        assert ledger.entries == []
 
 
 class TestWarmRetry:

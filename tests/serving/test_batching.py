@@ -138,6 +138,30 @@ def test_large_calls_are_never_batched():
     assert all(r.batch_size == 1 for r in serving.requests)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: TenantConfig("t", max_queue_depth=1.5),
+    lambda: TenantConfig("t", max_queue_depth=float("nan")),
+    lambda: TenantConfig("t", max_queue_depth=True),
+    lambda: TenantConfig("t", max_queue_depth=0),
+    lambda: BatchPolicy(max_batch=2.5),
+    lambda: BatchPolicy(max_batch=float("nan")),
+    lambda: BatchPolicy(max_batch=0),
+    lambda: BatchPolicy(max_bytes=float("nan")),
+    lambda: BatchPolicy(ops=("NOPE",)),
+    lambda: BatchPolicy(ops=()),
+], ids=["depth-1.5", "depth-nan", "depth-bool", "depth-0", "batch-2.5",
+        "batch-nan", "batch-0", "bytes-nan", "ops-unknown", "ops-empty"])
+def test_serving_configs_reject_bad_values(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_serving_configs_accept_integer_types():
+    assert TenantConfig("t", max_queue_depth=np.int64(3)).max_queue_depth == 3
+    policy = BatchPolicy(ops=("DOT",), max_batch=np.int32(2), max_bytes=1)
+    assert policy.batchable("DOT", 1) and not policy.batchable("AXPY", 1)
+
+
 # -- tenant-tagged stale-cache regression -------------------------------------
 
 

@@ -27,6 +27,7 @@ from repro.core import MealibSystem
 from repro.eval.workloads import TABLE2
 from repro.serving import (BatchPolicy, QosClass, ServingRuntime,
                            TenantConfig)
+from tests.core.helpers import ledger_entries, record_executions
 
 OPS = ("AXPY", "DOT", "GEMV")
 SCALE = 0.004
@@ -128,7 +129,7 @@ def test_shared_serving_matches_each_stream_alone(trial):
             assert a.result.time == b.result.time
             assert a.result.energy == b.result.energy
         # and the solo run really paid zero contention
-        assert solo.system.contention_total().time == 0.0
+        assert solo.system.ledger.total("contention").time == 0.0
 
 
 @pytest.mark.parametrize("trial", range(N_FAIRNESS))
@@ -166,3 +167,26 @@ def test_fifo_within_tenant_and_no_starvation(trial):
     assert late, "trial degenerated: no flood tail to overtake"
     assert bulk.start <= min(r.start for r in late), (
         "aged bulk request starved behind the interactive flood")
+
+
+def test_contention_overheads_are_the_ledgered_stretches(monkeypatch):
+    """Every execution dispatched in a shared round carries exactly one
+    ``contention`` overhead (cache replays included), and the ledger's
+    contention entries are those values, in dispatch order."""
+    system = _system()
+    serving = ServingRuntime(system,
+                             [TenantConfig("a"), TenantConfig("b")],
+                             max_concurrency=2, functional=False)
+    seen = record_executions(monkeypatch, system)
+    for i in range(4):
+        for tenant in ("a", "b"):
+            serving.submit(tenant, "AXPY", TABLE2["AXPY"].params(SCALE),
+                           arrival=float(i))
+    serving.run()
+    shared = [ex for ex in seen if ex.overheads]
+    assert shared and any(ex.cache_hit for ex in shared)
+    assert all(list(ex.overheads) == ["contention"] for ex in shared)
+    assert ledger_entries(system, "contention") == [
+        ex.overheads["contention"] for ex in shared]
+    assert (system.runtime.counters.contended_executes == len(shared)
+            == len(seen))

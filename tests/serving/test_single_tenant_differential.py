@@ -18,6 +18,7 @@ import pytest
 from repro.core import MealibSystem
 from repro.eval.workloads import TABLE2
 from repro.faults import FaultInjector, ScrubConfig
+from repro.metrics import ZERO
 from repro.serving import ServingRuntime, TenantConfig, coalesce
 from repro.thermal import AMBIENT_K, ThermalConfig
 
@@ -81,8 +82,7 @@ def _assert_systems_identical(direct, served):
         assert a.result.energy == b.result.energy, f"entry {i} energy"
     assert direct.runtime.counters == served.runtime.counters
     # serving a solo stream prices zero contention
-    assert served.contention_total().time == 0.0
-    assert served.contention_total().energy == 0.0
+    assert served.ledger.total("contention") == ZERO
 
 
 @pytest.mark.parametrize("config", CONFIGS)

@@ -15,8 +15,10 @@ import pytest
 
 from repro.core import MealibSystem, ParamStore
 from repro.faults import FaultInjector
+from repro.metrics import ZERO
 from repro.thermal import (AMBIENT_K, NOMINAL, OFFLINE, THROTTLED,
                            ThermalConfig)
+from tests.core.helpers import ledger_entries, record_executions
 
 
 def make_system(thermal=None, faults=None, stack=64 << 20):
@@ -92,14 +94,17 @@ def throttling_config(**overrides):
     return ThermalConfig(**kw)
 
 
-def test_throttled_execute_is_the_clean_execute_plus_the_stretch():
+def test_throttled_execute_is_the_clean_execute_plus_the_stretch(
+        monkeypatch):
     clean_sys = make_system()
     clean = run_executes(clean_sys, executes=1)[0]
     system = make_system(thermal=throttling_config())
     assert system.governor.state[3] == THROTTLED
+    seen = record_executions(monkeypatch, system)
     hot = run_executes(system, executes=1)[0]
     throttle = system.ledger.total("throttle")
     assert throttle.time > 0.0 and throttle.energy > 0.0
+    assert seen[0].overheads == {"throttle": throttle}
     assert hot.time == pytest.approx(clean.time + throttle.time)
     assert hot.energy == pytest.approx(clean.energy + throttle.energy)
     # the accelerator category keeps exactly the nominal share:
@@ -109,6 +114,50 @@ def test_throttled_execute_is_the_clean_execute_plus_the_stretch():
     assert system.runtime.counters.throttled_executes == 1
     assert system.governor.stats.time_throttled == pytest.approx(
         throttle.time)
+
+
+def test_unit_throttle_factor_still_ledgers_a_zero_stretch(monkeypatch):
+    """A throttled vault at factor 1.0 stretches nothing, but the
+    execution still ran throttled: the key is present, priced ZERO."""
+    clean = run_executes(make_system(), executes=1)[0]
+    system = make_system(thermal=throttling_config(throttle_factor=1.0))
+    assert system.governor.state[3] == THROTTLED
+    seen = record_executions(monkeypatch, system)
+    hot = run_executes(system, executes=1)[0]
+    assert seen[0].overheads == {"throttle": ZERO}
+    assert ledger_entries(system, "throttle") == [ZERO]
+    assert system.runtime.counters.throttled_executes == 1
+    assert (hot.time, hot.energy) == (clean.time, clean.energy)
+
+
+def test_every_overhead_fires_in_ledger_order(monkeypatch):
+    """Degraded, throttled and contended at once: the map and the
+    ledger both run reroute -> throttle -> contention, value for
+    value, and contention stays out of the returned cost."""
+    def degraded_hot_system():
+        system = make_system(thermal=throttling_config())
+        system.layer.mark_tile_failed(5)
+        return system, axpy_plan(system)
+
+    solo_sys, solo_plan = degraded_hot_system()
+    solo = solo_sys.runtime.acc_execute(solo_plan, functional=False)
+    system, plan = degraded_hot_system()
+    seen = record_executions(monkeypatch, system)
+    n0 = len(system.ledger.entries)
+    result = system.runtime.acc_execute(plan, functional=False,
+                                        concurrency=2)
+    (execution,) = seen
+    assert list(execution.overheads) == ["reroute", "throttle",
+                                         "contention"]
+    overhead_entries = [(e.category, e.result)
+                        for e in system.ledger.entries[n0:]
+                        if e.category in execution.overheads]
+    assert overhead_entries == list(execution.overheads.items())
+    assert all(cost.time > 0.0 for cost in execution.overheads.values())
+    counters = system.runtime.counters
+    assert (counters.degraded_executes, counters.throttled_executes,
+            counters.contended_executes) == (1, 1, 1)
+    assert (result.time, result.energy) == (solo.time, solo.energy)
 
 
 def test_forced_emergency_degrades_through_the_reroute_path():
