@@ -14,7 +14,7 @@ importantly — proves it is *free* in model terms:
   bit-identical between the two systems; the
   bench *asserts* this before it reports any number;
 * **hit rate** — from the cache's own counters (``executes - 1`` hits
-  out of ``executes`` lookups when nothing invalidates).
+  out of ``executes`` lookups on a healthy, unthrottled system).
 
 Emits schema-stable JSON (``BENCH_simspeed.json``) for dashboards:
 

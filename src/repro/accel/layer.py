@@ -8,7 +8,7 @@ dispatches on and the area/power accounting behind Table 5.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.accel.axpy import AxpyAccelerator
 from repro.accel.base import AcceleratorCore, DEFAULT_FREQ_HZ, DEFAULT_TILES
@@ -51,10 +51,6 @@ class AcceleratorLayer:
         # the minimal-distance candidates; None (the default) keeps the
         # purely topological choice — the golden-baseline guarantee.
         self.thermal: Optional[object] = None
-        # Fired whenever a tile's health actually transitions (fail or
-        # repair). The schedule cache hangs its health-epoch
-        # invalidation off this hook.
-        self.on_health_change: Optional[Callable[[], None]] = None
         for accel_type in ACCELERATOR_TYPES:
             core = accel_type(tiles=tiles, freq_hz=freq_hz)
             self.accelerators[core.name] = core
@@ -63,19 +59,11 @@ class AcceleratorLayer:
 
     def mark_tile_failed(self, vault: int) -> None:
         """Hard-fail the tile bonded to ``vault``."""
-        tile = self.tiles[vault]
-        changed = not tile.failed
-        tile.mark_failed()
-        if changed and self.on_health_change is not None:
-            self.on_health_change()
+        self.tiles[vault].mark_failed()
 
     def repair_tile(self, vault: int) -> None:
         """Return a failed tile to service (thermal recovery)."""
-        tile = self.tiles[vault]
-        changed = tile.failed
-        tile.repair()
-        if changed and self.on_health_change is not None:
-            self.on_health_change()
+        self.tiles[vault].repair()
 
     def failed_tiles(self) -> List[int]:
         """Vault indices whose tiles are marked failed, ascending."""

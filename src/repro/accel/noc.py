@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 import numpy as np
 
@@ -57,32 +57,15 @@ class LinkHealth:
     """
 
     _failed: Set[Link] = field(default_factory=set)
-    #: Fired whenever the failed-link set actually changes (a link
-    #: failing or coming back). The schedule cache hangs its
-    #: health-epoch invalidation off this hook.
-    on_change: Optional[Callable[[], None]] = field(
-        default=None, compare=False, repr=False)
-
-    def _fire(self) -> None:
-        if self.on_change is not None:
-            self.on_change()
 
     def fail(self, a: int, b: int) -> None:
-        link = _link(a, b)
-        if link not in self._failed:
-            self._failed.add(link)
-            self._fire()
+        self._failed.add(_link(a, b))
 
     def restore(self, a: int, b: int) -> None:
-        link = _link(a, b)
-        if link in self._failed:
-            self._failed.discard(link)
-            self._fire()
+        self._failed.discard(_link(a, b))
 
     def restore_all(self) -> None:
-        if self._failed:
-            self._failed.clear()
-            self._fire()
+        self._failed.clear()
 
     def is_healthy(self, a: int, b: int) -> bool:
         return _link(a, b) not in self._failed

@@ -29,8 +29,7 @@ from repro.accel.layer import AcceleratorLayer
 from repro.accel.noc import MeshNoc
 from repro.accel.synthesis import noc_power
 from repro.accel.tile import PORT_CHAIN, PORT_DRAM, TileFailedError
-from repro.core.descriptor import (CMD_START, CR_BYTES, INSTR_BYTES,
-                                   DescriptorError, Instruction,
+from repro.core.descriptor import (CMD_START, DescriptorError, Instruction,
                                    KIND_ACCEL, KIND_ENDLOOP, KIND_ENDPASS,
                                    KIND_LOOP, decode_control,
                                    decode_instructions, verify_integrity)
@@ -251,20 +250,16 @@ class ConfigurationUnit:
 
     # -- decode ---------------------------------------------------------------
 
-    def _read_comp(self, instr: Instruction,
-                   image: Optional[bytes] = None,
-                   base_pa: int = 0) -> CompInstance:
+    def _read_comp(self, instr: Instruction, image: bytes,
+                   base_pa: int) -> CompInstance:
         core = self.layer.accelerator(instr.accel_name)
-        if image is None:
-            blob = self.space.pa_read(instr.param_addr, instr.param_size)
-        else:
-            # params come out of an already-fetched descriptor image
-            off = instr.param_addr - base_pa
-            if off < 0 or off + instr.param_size > len(image):
-                raise DescriptorError(
-                    f"parameter address {instr.param_addr:#x} outside "
-                    "the descriptor image")
-            blob = image[off:off + instr.param_size]
+        # params come out of an already-fetched descriptor image
+        off = instr.param_addr - base_pa
+        if off < 0 or off + instr.param_size > len(image):
+            raise DescriptorError(
+                f"parameter address {instr.param_addr:#x} outside "
+                "the descriptor image")
+        blob = image[off:off + instr.param_size]
         strides = None
         base_size = core.params_type.SIZE
         try:
@@ -291,21 +286,6 @@ class ConfigurationUnit:
         verify_integrity(raw)
         return raw
 
-    def decode(self, desc_pa: int) -> List[PassPlan]:
-        """Parse a descriptor from DRAM into pass plans.
-
-        Raises :class:`DescriptorError` unless the CR holds START — the
-        hardware only reacts to the doorbell.
-        """
-        header = self.space.pa_read(desc_pa, CR_BYTES)
-        command, n_instr = decode_control(header)
-        if command != CMD_START:
-            raise DescriptorError("descriptor command region is not START")
-        raw = self.space.pa_read(desc_pa,
-                                 CR_BYTES + n_instr * INSTR_BYTES)
-        instructions = decode_instructions(raw, n_instr)
-        return self._build_plans(instructions)
-
     def plans_from_image(self, image: bytes, base_pa: int,
                          require_start: bool = False) -> List[PassPlan]:
         """Decode a complete descriptor image (integrity-checked).
@@ -319,11 +299,10 @@ class ConfigurationUnit:
         if require_start and command != CMD_START:
             raise DescriptorError("descriptor command region is not START")
         instructions = decode_instructions(image, n_instr)
-        return self._build_plans(instructions, image=image, base_pa=base_pa)
+        return self._build_plans(instructions, image, base_pa)
 
     def _build_plans(self, instructions: List[Instruction],
-                     image: Optional[bytes] = None,
-                     base_pa: int = 0) -> List[PassPlan]:
+                     image: bytes, base_pa: int) -> List[PassPlan]:
         plans: List[PassPlan] = []
         loop_count = 1
         in_loop = False
@@ -669,11 +648,14 @@ class ConfigurationUnit:
             cache = self.schedule_cache
             key = None
             if cache is not None:
-                key = (desc_pa, desc_bytes, image, tuple(serving),
+                # the whole model input: an entry cannot go stale
+                # (``desc_bytes`` is ``len(image)``; the failed-link
+                # set steers the reroute hop counts)
+                key = (desc_pa, image, tuple(serving),
                        (tuple(sorted(degradation.reroutes.items()))
                         if degradation is not None else ()),
-                       slowdown, tuple(throttled),
-                       self.governor is not None, concurrency)
+                       self.noc.failed_links, slowdown, tuple(throttled),
+                       concurrency)
                 entry = cache.lookup(key)
                 if entry is not None:
                     # replay: every *live* side effect still runs —

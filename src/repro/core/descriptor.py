@@ -216,5 +216,5 @@ def set_command(data: bytearray, command: int) -> None:
     """Write the command word in place (the doorbell the CR monitors).
 
     The integrity checksum deliberately excludes this word, so ringing
-    the doorbell does not invalidate a sealed descriptor."""
+    the doorbell leaves a sealed descriptor valid."""
     struct.pack_into("<I", data, COMMAND_OFFSET, command)

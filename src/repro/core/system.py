@@ -8,7 +8,7 @@ invocation cost model, and the runtime the translated programs call.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from repro.accel.layer import AcceleratorLayer
 from repro.core.config_unit import ConfigurationUnit
@@ -50,15 +50,14 @@ class MealibSystem:
     ``faults`` and ``thermal`` left ``None`` the system is exactly the
     unhardened baseline.
 
-    ``schedule_cache`` arms the descriptor-keyed schedule cache
-    (:class:`~repro.core.schedule_cache.ScheduleCache`): repeated
-    descriptors replay their decode + timing/energy decomposition
-    bit-identically instead of re-simulating the memory system. Pass
-    ``True`` for a default cache, a :class:`ScheduleCache` instance to
-    control capacity (or share one), or ``None``/``False`` (the
-    default) for the fully simulated, cache-free build. All
-    invalidation hooks — link/tile health, governor state, patrol-scrub
-    repairs, injected faults — are wired automatically.
+    ``schedule_cache=True`` gives the system its own descriptor-keyed
+    schedule cache (:class:`~repro.core.schedule_cache.ScheduleCache`):
+    repeated descriptors replay their decode + timing/energy
+    decomposition bit-identically instead of re-simulating the memory
+    system. The key is the whole model input, so no entry can go
+    stale; the cache is never shared, because the key does not name
+    the device or layer it was computed on. ``False`` (the
+    default) is the fully simulated, cache-free build.
 
     Many independent client streams can be multiplexed onto one system
     by the multi-tenant serving runtime
@@ -79,7 +78,11 @@ class MealibSystem:
                  policy: Optional[ResiliencePolicy] = None,
                  scrub: Optional[ScrubConfig] = None,
                  thermal: Optional[ThermalConfig] = None,
-                 schedule_cache: Union[None, bool, ScheduleCache] = None):
+                 schedule_cache: bool = False):
+        if not isinstance(schedule_cache, bool):
+            raise TypeError(
+                "schedule_cache must be a bool, got "
+                f"{type(schedule_cache).__name__}")
         if scrub is not None and faults is None:
             raise ValueError(
                 "scrub= without faults= would arm a patrol scrubber "
@@ -114,25 +117,8 @@ class MealibSystem:
                 scrub if scrub is not None else ScrubConfig(),
                 mapping=(self.device.mapping if self.thermal is not None
                          else None))
-        if schedule_cache is True:
-            self.schedule_cache: Optional[ScheduleCache] = ScheduleCache()
-        elif isinstance(schedule_cache, ScheduleCache):
-            self.schedule_cache = schedule_cache
-        else:                       # None / False: fully simulated
-            self.schedule_cache = None
-        if self.schedule_cache is not None:
-            cache = self.schedule_cache
-            # every hazard source that can change a replayed result (or
-            # the world it was computed in) bumps an epoch: stale
-            # entries are caught at lookup, never silently replayed
-            self.layer.noc.health.on_change = cache.invalidate_health
-            self.layer.on_health_change = cache.invalidate_health
-            if self.governor is not None:
-                self.governor.on_state_change = cache.invalidate_thermal
-            if self.scrubber is not None:
-                self.scrubber.on_repair = cache.invalidate_scrub
-            if faults is not None:
-                faults.on_latent_change = cache.invalidate_fault
+        self.schedule_cache: Optional[ScheduleCache] = (
+            ScheduleCache() if schedule_cache else None)
         self.config_unit = ConfigurationUnit(
             self.layer, self.space, self.device, faults=faults,
             datapath=self.datapath, governor=self.governor,

@@ -159,11 +159,6 @@ class FaultInjector:
         #: vault index -> accepted latent flips (thermal-coupled runs;
         #: populated only when deposits are given a ``vault_of`` mapping)
         self.latent_deposits_by_vault: Dict[int, int] = {}
-        #: Fired whenever *new* latent flips land (deposits or planted
-        #: test flips) — the schedule cache's fault invalidation hook.
-        #: Clears (adjudication, scrub, rewrites) do not fire it: they
-        #: happen live on both the cached and the fresh path.
-        self.on_latent_change: Optional[Callable[[], None]] = None
 
     def reset(self) -> None:
         """Re-seed the PRNGs and zero the statistics and latent map."""
@@ -253,8 +248,6 @@ class FaultInjector:
         if mask:
             self._latent[word] = mask
             self.stats.latent_flips_deposited += len(bits)
-            if self.on_latent_change is not None:
-                self.on_latent_change()
         return word
 
     def deposit_latent_flips(
@@ -332,8 +325,6 @@ class FaultInjector:
                         self.latent_deposits_by_vault.get(vault, 0) + 1)
                 break
         self.stats.latent_flips_deposited += deposited
-        if deposited and self.on_latent_change is not None:
-            self.on_latent_change()
         return deposited
 
     def latent_words(self, ranges: Sequence[Tuple[int, int]]

@@ -26,7 +26,7 @@ one without a scrubber — the golden-baseline guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.faults.ecc import (OUTCOME_CORRECTED, OUTCOME_DETECTED,
                               SecdedModel, popcount)
@@ -86,10 +86,6 @@ class PatrolScrubber:
         self.mapping = mapping
         self.stats = ScrubStats()
         self._steps_since_scrub = 0
-        # Fired after a patrol pass that drained (or aliased) at least
-        # one latent word — memory state changed behind the schedule
-        # cache's back, so it hangs its scrub-epoch invalidation here.
-        self.on_repair: Optional[Callable[[], None]] = None
         #: vault -> joules of the most recent patrol pass (the thermal
         #: model's heat feed). Patrol-stream energy lands on the vault
         #: whose stripe was walked and correction energy on the vault
@@ -139,8 +135,6 @@ class PatrolScrubber:
                 v = self.mapping.unit_of(word)
                 corr_by_vault[v] = corr_by_vault.get(v, 0) + 1
             inj.clear_latent_word(word)
-        if drained and self.on_repair is not None:
-            self.on_repair()
         self.stats.passes += 1
         regions = self.phys.regions()
         scanned = sum(size for _, size in regions)

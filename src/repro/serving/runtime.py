@@ -32,9 +32,8 @@ single-tenant, ``max_concurrency=1`` run therefore produces per-call
 results and ledger contents bit-identical to calling the system
 directly.
 
-**Attribution.** Every dispatched call is bracketed: the schedule
-cache is tagged with the tenant (per-tenant hit/stale/eviction stats)
-and the ledger entries it appends are recorded as that tenant's slice.
+**Attribution.** Every dispatched call is bracketed: the ledger
+entries it appends are recorded as that tenant's slice.
 Slices partition the system ledger exactly — every entry belongs to
 exactly one tenant — so summing any category across tenants reproduces
 the system total joule for joule
@@ -250,16 +249,11 @@ class ServingRuntime:
                             [(r.op, r.params) for r in unit])
             owned = plan
         ledger = self.system.ledger
-        cache = self.system.schedule_cache
         n0 = len(ledger.entries)
-        if cache is not None:
-            cache.set_tenant(tenant)
         try:
             result = self.system.runtime.acc_execute(
                 plan, functional=self.functional, concurrency=width)
         finally:
-            if cache is not None:
-                cache.set_tenant(None)
             if owned is not None:
                 self.system.runtime.acc_destroy(owned)
         n1 = len(ledger.entries)

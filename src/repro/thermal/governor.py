@@ -30,7 +30,7 @@ envelope band.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.accel.layer import AcceleratorLayer
 from repro.thermal.rc import ThermalConfig, ThermalModel
@@ -74,10 +74,6 @@ class PowerGovernor:
         # tiles *this governor* took offline — the only ones it may
         # repair (a genuinely dead tile stays dead however cool it is)
         self._offlined: set = set()
-        # Fired after any poll that changed at least one vault's state
-        # (throttle, offline, release, recovery). The schedule cache
-        # hangs its thermal-epoch invalidation off this hook.
-        self.on_state_change: Optional[Callable[[], None]] = None
 
     # -- queries the execution path makes -------------------------------------
 
@@ -111,7 +107,6 @@ class PowerGovernor:
         the first execute.
         """
         cfg = self.config
-        before = dict(self.state)
         for vault in range(self.model.vaults):
             temp = self.model.temperature(vault)
             state = self.state[vault]
@@ -139,8 +134,6 @@ class PowerGovernor:
             elif state == THROTTLED and temp < release:
                 self.state[vault] = NOMINAL
                 self.stats.releases += 1
-        if self.state != before and self.on_state_change is not None:
-            self.on_state_change()
 
     @property
     def any_throttled(self) -> bool:

@@ -73,24 +73,3 @@ def test_mean_hops_matches_double_loop():
         pairs = noc.tiles * (noc.tiles - 1)
         want = total / pairs if pairs else 0.0
         assert noc.mean_hops() == want
-
-
-def test_health_hook_fires_only_on_transitions():
-    noc = MeshNoc()
-    fired = []
-    noc.health.on_change = lambda: fired.append(1)
-    noc.fail_link(0, 1)
-    assert len(fired) == 1
-    noc.fail_link(0, 1)               # already failed: no event
-    assert len(fired) == 1
-    noc.restore_link(0, 1)
-    assert len(fired) == 2
-    noc.restore_link(0, 1)            # already healthy: no event
-    assert len(fired) == 2
-    noc.health.restore_all()          # nothing failed: no event
-    assert len(fired) == 2
-    noc.fail_link(1, 2)
-    noc.fail_link(2, 3)
-    assert len(fired) == 4
-    noc.health.restore_all()          # one event for the bulk restore
-    assert len(fired) == 5

@@ -135,9 +135,12 @@ class TestLoopsAndStrides:
 class TestConfigUnit:
     def test_descriptor_without_start_rejected(self, system):
         plan, _, _ = make_axpy_plan(system)
-        # descriptor is written with CMD_IDLE; decoding directly must fail
+        # the golden image carries CMD_IDLE: without the doorbell the
+        # configuration unit must refuse to decode it
+        desc = plan.descriptor
         with pytest.raises(DescriptorError):
-            system.config_unit.decode(plan.descriptor.base_pa)
+            system.config_unit.plans_from_image(desc.data, desc.base_pa,
+                                                require_start=True)
 
     def test_chained_pass_faster_than_two_passes(self, system):
         n = 512

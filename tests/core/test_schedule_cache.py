@@ -1,21 +1,25 @@
-"""Schedule-cache battery: property, stale-entry and invalidation tests.
+"""Schedule-cache battery: replay identity under every hazard.
 
-Three layers of evidence that descriptor-keyed schedule caching is
-*free* — purely a speedup, never a semantic change:
+The cache keys each execution on the whole model input, so a replay can
+never be stale. Four layers of evidence that caching is *free* — purely
+a speedup, never a semantic change:
 
 * a *property* battery drives 300 randomized descriptors (op x shape x
   stride x placement) through a cache-on and a cache-off system in
   lockstep and asserts every replayed execution is bit-identical to the
   fresh simulation, call by call and ledger by ledger;
-* *stale-cache regressions* fire every invalidation source the system
-  wires — injected faults, link failures, tile failures, governor
-  throttle/offline/recovery, patrol-scrub repairs — and assert the
-  affected entries are evicted and re-simulated;
-* a *deliberately-stale* test constructs the nastiest case: a hazard
-  that comes and goes between two identical calls (link flap-style
-  fail + restore), leaving the *key* bit-identical while the world the
-  entry was computed in changed. The entry must be caught as stale,
-  never silently replayed.
+* a *directed key* test pins the one input that only matters deep in
+  degradation: with a single serving tile, failing a link on its
+  reroute paths moves hop counts (and energy) but not the reroute map,
+  so the failed-link set must be part of the key;
+* *replay-identity* tests put every hazard the system has — injected
+  and planted faults, link and tile failures and repairs, governor
+  throttle/release, patrol scrubs — between two calls and assert the
+  cached system stays bit-identical to an uncached one; a hazard that
+  is undone (link fail + restore) returns to a key whose entry is exact
+  and replays it;
+* a seeded *hazard lockstep* battery mixes all of the above at random,
+  heavily degraded states included.
 """
 
 import dataclasses
@@ -68,8 +72,7 @@ def random_descriptor(rng):
     return op, params, strides, text
 
 
-def run_trial(system, spec, executes=2):
-    """Plan one descriptor, execute it ``executes`` times, destroy it."""
+def make_plan(system, spec):
     op, params, strides, text = spec
     core = system.layer.accelerator(op)
     streams = core.streams(params)
@@ -77,8 +80,13 @@ def run_trial(system, spec, executes=2):
     out_size = sum(s.total_bytes for s in streams if s.is_write)
     store = ParamStore()
     store.add("w.para", params.pack() + strides)
-    plan = system.runtime.acc_plan(text, store, in_size=in_size,
+    return system.runtime.acc_plan(text, store, in_size=in_size,
                                    out_size=out_size)
+
+
+def run_trial(system, spec, executes=2):
+    """Plan one descriptor, execute it ``executes`` times, destroy it."""
+    plan = make_plan(system, spec)
     results = [system.runtime.acc_execute(plan, functional=False)
                for _ in range(executes)]
     system.runtime.acc_destroy(plan)
@@ -117,7 +125,6 @@ def test_property_battery_replay_bit_identical_over_300_trials():
     assert on.runtime.counters.cached_executes == TRIALS
     stats = on.schedule_cache.stats
     assert stats.hits == TRIALS
-    assert stats.stale_evictions == 0
     # 300 distinct descriptors through a 256-entry LRU really overflow
     assert stats.capacity_evictions > 0
     assert len(on.schedule_cache) == on.schedule_cache.capacity
@@ -130,75 +137,120 @@ def test_replay_marks_cache_hit_and_counter():
     assert system.runtime.counters.cached_executes == 2
     assert system.schedule_cache.stats.hits == 2
     assert system.schedule_cache.stats.misses == 1
-    assert system.schedule_cache.hit_rate == pytest.approx(2 / 3)
+    assert system.schedule_cache.stats.hit_rate == pytest.approx(2 / 3)
 
 
-# -- stale-cache regressions: every invalidation source -----------------------
+# -- the key names every model input ------------------------------------------
 
 
 AXPY_SPEC = ("AXPY", TABLE2["AXPY"].params(0.002), b"",
              "PASS { COMP AXPY w.para }")
 
 
-def test_injected_fault_invalidates(tmp_path):
-    faults = FaultInjector(seed=11)
-    system = make_system(faults=faults, schedule_cache=True)
-    run_trial(system, AXPY_SPEC)
-    assert system.schedule_cache.stats.hits == 1
-    # new latent flips landing must bump the fault epoch...
-    faults.plant_latent_flips(64, [3])
-    assert system.schedule_cache.stats.invalidations["fault"] == 1
-    # ...and the next identical call must be caught stale, not replayed
-    run_trial(system, AXPY_SPEC)
-    assert system.schedule_cache.stats.stale_evictions >= 1
+def test_failed_link_set_is_in_the_key():
+    """Fifteen dead tiles reroute every stripe to tile 15. Failing
+    link (14, 15) leaves the serving set and the reroute map exactly as
+    they were, but vault 14's stripe now detours, so the energy moves.
+    The second call must miss and match a cache-off system."""
+    spec = ("AXPY", TABLE2["AXPY"].params(0.004), b"",
+            "PASS { COMP AXPY w.para }")
+    results = {}
+    for cache in (True, False):
+        system = make_system(schedule_cache=cache)
+        for vault in range(15):
+            system.layer.mark_tile_failed(vault)
+        plan = make_plan(system, spec)
+        first = system.runtime.acc_execute(plan, functional=False)
+        reroutes = system.layer.reroute_map()
+        system.layer.noc.fail_link(14, 15)
+        assert system.layer.reroute_map() == reroutes
+        second = system.runtime.acc_execute(plan, functional=False)
+        results[cache] = (first, second, system)
+    (first, second, cached), (_, second_off, fresh) = (results[True],
+                                                      results[False])
+    assert first.energy == 0.0063008035318491
+    assert second.energy == 0.0063056372094741
+    assert second == second_off
+    assert cached.schedule_cache.stats.hits == 0
+    assert cached.schedule_cache.stats.misses == 2
+    assert_ledgers_identical(cached, fresh)
+
+
+# -- replay identity: hazards between calls ------------------------------------
+
+
+def lockstep(build, spec, hazards):
+    """Run ``spec`` once, then once after each hazard, on a cache-on and
+    a cache-off system built by ``build``; returns both systems after
+    asserting every call matched."""
+    on, off = build(True), build(False)
+    plans = {id(s): make_plan(s, spec) for s in (on, off)}
+    for step, hazard in enumerate([None, *hazards]):
+        got = []
+        for system in (on, off):
+            if hazard is not None:
+                hazard(system)
+            got.append(system.runtime.acc_execute(plans[id(system)],
+                                                  functional=False))
+        assert got[0] == got[1], f"call {step} diverged: {got!r}"
+    assert_ledgers_identical(on, off)
+    return on, off
+
+
+def test_planted_flip_replays_and_is_adjudicated_live():
+    """A latent flip in the operand footprint does not change the model
+    input: the next call replays, and the datapath SECDED guard — which
+    runs live on every call — corrects the word exactly as it does on
+    the uncached system."""
+    x_pa = AXPY_SPEC[1].x_pa
+    on, off = lockstep(
+        lambda cache: make_system(faults=FaultInjector(seed=11),
+                                  schedule_cache=cache),
+        AXPY_SPEC, [lambda s: s.faults.plant_latent_flips(x_pa, [3])])
+    assert on.schedule_cache.stats.hits == 1
+    assert on.datapath.stats.words_corrected == 1
+    assert on.datapath.stats == off.datapath.stats
+    assert on.faults.stats == off.faults.stats
 
 
 def test_link_failure_and_restore_invalidate():
-    system = make_system(schedule_cache=True)
-    cache = system.schedule_cache
-    run_trial(system, AXPY_SPEC)
-    system.layer.noc.fail_link(0, 1)
-    assert cache.stats.invalidations["health"] == 1
-    system.layer.noc.restore_link(0, 1)
-    assert cache.stats.invalidations["health"] == 2
-    # restoring a link that is not failed is not a transition
-    system.layer.noc.restore_link(0, 1)
-    assert cache.stats.invalidations["health"] == 2
+    """A link failure moves the key (a miss); restoring it returns to the
+    healthy key, whose entry is exact and replays. Restoring a link that
+    is not failed changes nothing and replays again."""
+    on, _ = lockstep(
+        lambda cache: make_system(schedule_cache=cache), AXPY_SPEC,
+        [lambda s: s.layer.noc.fail_link(0, 1),
+         lambda s: s.layer.noc.restore_link(0, 1),
+         lambda s: s.layer.noc.restore_link(0, 1)])
+    stats = on.schedule_cache.stats
+    assert (stats.hits, stats.misses) == (2, 2)
 
 
 def test_tile_failure_and_repair_invalidate():
-    system = make_system(schedule_cache=True)
-    cache = system.schedule_cache
-    system.layer.mark_tile_failed(3)
-    assert cache.stats.invalidations["health"] == 1
-    system.layer.mark_tile_failed(3)          # already failed: no-op
-    assert cache.stats.invalidations["health"] == 1
-    system.layer.repair_tile(3)
-    assert cache.stats.invalidations["health"] == 2
+    """A tile failure moves the key (a miss); failing it again is a
+    no-op that replays the degraded entry, and repairing it returns to
+    the healthy key, whose entry is exact and replays."""
+    on, _ = lockstep(
+        lambda cache: make_system(schedule_cache=cache), AXPY_SPEC,
+        [lambda s: s.layer.mark_tile_failed(3),
+         lambda s: s.layer.mark_tile_failed(3),
+         lambda s: s.layer.repair_tile(3)])
+    stats = on.schedule_cache.stats
+    assert (stats.hits, stats.misses) == (2, 2)
 
 
-def test_deliberately_stale_entry_is_caught_not_replayed():
-    """The nastiest staleness: a link fails and is restored *between*
-    two identical calls. Serving tiles, reroutes, slowdown — the whole
-    key — are bit-identical to the cached entry's, so only the epoch
-    check stands between the second call and silently replaying an
-    entry computed in a different world. It must be caught."""
-    cached = make_system(schedule_cache=True)
-    fresh = make_system()
-    first_on = run_trial(cached, AXPY_SPEC, executes=1)
-    first_off = run_trial(fresh, AXPY_SPEC, executes=1)
-    assert first_on == first_off
-    for system in (cached, fresh):
+def test_flap_between_calls_replays_bit_identical():
+    """A link fails and is restored *between* two identical calls. The
+    world is back where the entry was computed, so the second call is a
+    hit, and it matches a fresh simulation bit for bit."""
+    def flap(system):
         system.layer.noc.fail_link(5, 6)
         system.layer.noc.restore_link(5, 6)
-    second_on = run_trial(cached, AXPY_SPEC, executes=1)
-    second_off = run_trial(fresh, AXPY_SPEC, executes=1)
-    assert second_on == second_off
-    stats = cached.schedule_cache.stats
-    assert stats.stale_evictions == 1, (
-        "the flapped-link entry was not caught as stale")
-    assert stats.hits == 0
-    assert stats.invalidations["health"] == 2
+
+    on, _ = lockstep(lambda cache: make_system(schedule_cache=cache),
+                     AXPY_SPEC, [flap])
+    stats = on.schedule_cache.stats
+    assert (stats.hits, stats.misses) == (1, 1)
 
 
 def test_degraded_key_separates_health_states():
@@ -218,11 +270,11 @@ def test_degraded_key_separates_health_states():
     assert_ledgers_identical(cached, fresh)
 
 
-def test_governor_transitions_invalidate_and_stay_identical():
-    """A tight envelope makes the governor throttle mid-run: every
-    state transition must bump the thermal epoch, and the cached run
-    must stay bit-identical to the uncached one through the throttle
-    and release transitions."""
+def test_governor_transitions_stay_identical():
+    """A tight envelope makes the governor throttle mid-run: the
+    throttled state is part of the key, and the cached run must stay
+    bit-identical to the uncached one through the throttle and release
+    transitions."""
     config = ThermalConfig(envelope=AMBIENT_K + 0.5)
     cached = make_system(thermal=config, schedule_cache=True)
     fresh = make_system(thermal=config)
@@ -236,25 +288,27 @@ def test_governor_transitions_invalidate_and_stay_identical():
     assert_ledgers_identical(cached, fresh)
     assert fresh.governor.stats.throttle_events > 0, (
         "the scenario no longer throttles; pick a heavier op")
-    assert cached.schedule_cache.stats.invalidations["thermal"] > 0
+    assert cached.schedule_cache.stats.misses > 1
     assert (cached.governor.stats.__dict__
             == fresh.governor.stats.__dict__)
 
 
-def test_scrub_repair_invalidates():
-    faults = FaultInjector(seed=5)
-    system = make_system(faults=faults,
-                         scrub=ScrubConfig(interval=1000),
-                         schedule_cache=True)
-    run_trial(system, AXPY_SPEC)
-    faults.plant_latent_flips(128, [1])
-    fault_invals = system.schedule_cache.stats.invalidations["fault"]
-    assert fault_invals == 1
-    system.scrubber.scrub()
-    assert system.schedule_cache.stats.invalidations["scrub"] == 1
-    # an empty patrol pass repairs nothing: no invalidation
-    system.scrubber.scrub()
-    assert system.schedule_cache.stats.invalidations["scrub"] == 1
+def test_scrub_repair_between_calls_replays_bit_identical():
+    """A patrol pass that drains a planted flip changes memory, not the
+    model input: the next call replays, identical to the uncached
+    system's."""
+    def plant_and_scrub(system):
+        system.faults.plant_latent_flips(AXPY_SPEC[1].y_pa, [1])
+        system.scrubber.scrub()
+
+    on, off = lockstep(
+        lambda cache: make_system(faults=FaultInjector(seed=5),
+                                  scrub=ScrubConfig(interval=1000),
+                                  schedule_cache=cache),
+        AXPY_SPEC, [plant_and_scrub])
+    assert on.schedule_cache.stats.hits == 1
+    assert on.scrubber.stats.words_corrected == 1
+    assert on.scrubber.stats == off.scrubber.stats
 
 
 def test_scrubbed_campaign_identical_with_cache():
@@ -268,7 +322,7 @@ def test_scrubbed_campaign_identical_with_cache():
 
     spec = ("DOT", TABLE2["DOT"].params(0.016), b"",
             "PASS { COMP DOT w.para }")
-    on_sys, off_sys = build(True), build(None)
+    on_sys, off_sys = build(True), build(False)
     assert (run_trial(on_sys, spec, executes=6)
             == run_trial(off_sys, spec, executes=6))
     assert_ledgers_identical(on_sys, off_sys)
@@ -281,11 +335,17 @@ def test_scrubbed_campaign_identical_with_cache():
 # -- ScheduleCache mechanics ---------------------------------------------------
 
 
-def test_cache_rejects_bad_capacity_and_domain():
+def test_cache_rejects_bad_capacity():
     with pytest.raises(ValueError):
         ScheduleCache(capacity=0)
-    with pytest.raises(KeyError):
-        ScheduleCache().invalidate("weather")
+
+
+@pytest.mark.parametrize("value", [None, 1, ScheduleCache()])
+def test_schedule_cache_option_is_a_bool(value):
+    """A cache is never shared: its key does not name the device or the
+    layer, so a second system would replay the first one's results."""
+    with pytest.raises(TypeError):
+        make_system(schedule_cache=value)
 
 
 def test_lru_eviction_order():
@@ -332,14 +392,129 @@ def test_replay_copies_containers():
     assert again.overheads == {"throttle": ExecResult(0.5, 0.5)}
 
 
-def test_clear_drops_entries_but_keeps_stats():
-    cache = ScheduleCache()
-    from repro.core.config_unit import DescriptorExecution
-    from repro.metrics import ExecResult
-    cache.store("k", [], DescriptorExecution(
-        result=ExecResult(1.0, 1.0), by_accelerator={}))
-    assert cache.lookup("k") is not None
-    cache.clear()
-    assert len(cache) == 0
-    assert cache.lookup("k") is None
-    assert cache.stats.hits == 1
+# -- seeded hazard lockstep battery ---------------------------------------------
+
+
+HAZARD_SEQUENCES = 24
+HAZARD_STEPS = 8
+
+
+def build_hazard_system(cache, seed, thermal):
+    return make_system(
+        faults=FaultInjector(seed=seed, latent_flip_rate=2e-9,
+                             link_flap_rate=0.1),
+        scrub=ScrubConfig(interval=3),
+        thermal=(ThermalConfig(envelope=AMBIENT_K + 0.5) if thermal
+                 else None),
+        schedule_cache=cache)
+
+
+def draw_hazard(rng, specs):
+    """One random hazard, as a function applied to each system alike.
+
+    Tile failures come in two sizes: a few tiles, or all but one — the
+    deep degradation where every stripe rides the mesh to one tile and
+    a single failed link moves the hop counts."""
+    kind = int(rng.integers(8))
+    if kind == 1:
+        pick = int(rng.integers(1 << 16))
+
+        def hazard(system):
+            links = system.layer.noc.healthy_links()
+            if links:
+                system.layer.noc.fail_link(*links[pick % len(links)])
+    elif kind == 2:
+        pick = int(rng.integers(1 << 16))
+
+        def hazard(system):
+            failed = sorted(system.layer.noc.failed_links)
+            if failed:
+                system.layer.noc.restore_link(*failed[pick % len(failed)])
+    elif kind == 3:
+        keep = int(rng.integers(16))
+        dead = ([v for v in range(16) if v != keep] if rng.random() < 0.5
+                else [int(v) for v in rng.choice(16, size=3,
+                                                 replace=False)])
+
+        def hazard(system):
+            for vault in dead:
+                system.layer.mark_tile_failed(vault)
+    elif kind == 4:
+        def hazard(system):
+            for vault in system.layer.failed_tiles():
+                if system.governor is None \
+                        or vault not in system.governor.offline:
+                    system.layer.repair_tile(vault)
+    elif kind == 5:
+        spec = specs[int(rng.integers(len(specs)))]
+        field = type(spec[1]).ADDR_FIELDS[0]
+        addr = getattr(spec[1], field) + int(rng.integers(64)) * 8
+        bits = [int(b) for b in rng.choice(64, size=int(rng.integers(1, 3)),
+                                           replace=False)]
+
+        def hazard(system):
+            system.faults.plant_latent_flips(addr, bits)
+    elif kind == 6:
+        def hazard(system):
+            system.scrubber.scrub()
+    else:
+        def hazard(system):
+            pass
+    return hazard
+
+
+def assert_systems_identical(on, off):
+    assert on.ledger.entries == off.ledger.entries
+    counters_on = dataclasses.asdict(on.runtime.counters)
+    counters_off = dataclasses.asdict(off.runtime.counters)
+    counters_on.pop("cached_executes")
+    counters_off.pop("cached_executes")
+    assert counters_on == counters_off
+    assert on.faults.stats == off.faults.stats
+    assert on.datapath.stats == off.datapath.stats
+    assert on.scrubber.stats == off.scrubber.stats
+    assert on.layer.failed_tiles() == off.layer.failed_tiles()
+    assert on.layer.noc.failed_links == off.layer.noc.failed_links
+    if on.governor is not None:
+        assert on.governor.stats == off.governor.stats
+        assert on.governor.state == off.governor.state
+        assert (on.thermal.temps.tolist()
+                == off.thermal.temps.tolist())
+
+
+def test_hazard_lockstep_battery():
+    """Seeded random hazard sequences — link fail/restore and in-execute
+    flaps, tile failures down to one serving tile and repairs, planted
+    single and double flips, latent deposits, patrol scrubs, DVFS
+    throttling, concurrency 1–2 — run on a cache-on and a cache-off
+    system in lockstep. Every call, ledger entry, counter and fault,
+    datapath, scrub and governor statistic must match, and the cache
+    must really replay, in deep degradation too."""
+    rng = np.random.default_rng(20261017)
+    hits = deep_hits = 0
+    for seq in range(HAZARD_SEQUENCES):
+        thermal = seq % 2 == 1
+        on = build_hazard_system(True, seq, thermal)
+        off = build_hazard_system(False, seq, thermal)
+        specs = [random_descriptor(rng) for _ in range(2)]
+        plans = {id(s): [make_plan(s, spec) for spec in specs]
+                 for s in (on, off)}
+        for step in range(HAZARD_STEPS):
+            hazard = draw_hazard(rng, specs)
+            which = int(rng.integers(len(specs)))
+            concurrency = int(rng.integers(1, 3))
+            replays = on.runtime.counters.cached_executes
+            got = []
+            for system in (on, off):
+                hazard(system)
+                got.append(system.runtime.acc_execute(
+                    plans[id(system)][which], functional=False,
+                    concurrency=concurrency))
+            assert got[0] == got[1], (
+                f"sequence {seq} step {step}: {got[0]!r} != {got[1]!r}")
+            if on.runtime.counters.cached_executes > replays:
+                hits += 1
+                deep_hits += len(on.layer.serving_tiles()) <= 4
+        assert_systems_identical(on, off)
+    assert hits > HAZARD_SEQUENCES
+    assert deep_hits > 0

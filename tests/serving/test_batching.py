@@ -1,4 +1,4 @@
-"""Batching equivalence and tenant-tagged cache staleness.
+"""Batching equivalence and served schedule-cache replay identity.
 
 The batcher coalesces adjacent small same-op calls into one multi-PASS
 descriptor (one PASS per member — see :mod:`repro.serving.batching`).
@@ -14,10 +14,11 @@ That transformation must be *exactly* equivalent where it matters:
 and it must respect its own policy: never across ops, never past
 ``max_batch``, never for calls above the small-call threshold.
 
-The second half pins the tenant-tagged schedule-cache staleness path:
-health and governor epoch bumps between serves must be *caught* —
-counted as stale evictions in the dispatching tenant's tagged stats,
-re-simulated, and never silently replayed.
+The second half pins schedule-cache replay under serving: hazards
+between serves (a link flap, a dead tile, governor throttling) either
+move the cache key or leave a world in which the cached entry is still
+exact, so served results stay bit-identical to an uncached system, and
+tenants share the entries of one system's cache.
 """
 
 import numpy as np
@@ -28,6 +29,7 @@ from repro.core import MealibSystem
 from repro.eval.workloads import TABLE2
 from repro.serving import (BatchPolicy, ServingRuntime, TenantConfig,
                            coalesce)
+from repro.thermal import AMBIENT_K, ThermalConfig
 
 N_CALLS = 6
 VECTOR_N = 4096
@@ -162,7 +164,7 @@ def test_serving_configs_accept_integer_types():
     assert policy.batchable("DOT", 1) and not policy.batchable("AXPY", 1)
 
 
-# -- tenant-tagged stale-cache regression -------------------------------------
+# -- served schedule-cache replay identity ------------------------------------
 
 
 def _cached_serving(system):
@@ -170,75 +172,65 @@ def _cached_serving(system):
                           max_concurrency=1, functional=False)
 
 
-def test_health_epoch_bump_is_caught_per_tenant():
-    system = MealibSystem(stack_bytes=32 << 20, schedule_cache=True)
-    serving = _cached_serving(system)
-    plan = coalesce(system, [("AXPY", TABLE2["AXPY"].params(SCALE))])
-    for i in range(3):
-        serving.submit_plan("t", plan, arrival=float(i))
-    serving.run()
-    tagged = system.schedule_cache.stats_for("t")
-    assert (tagged.hits, tagged.misses, tagged.stale_evictions) \
-        == (2, 1, 0)
+def _serve_plan_lockstep(build, op, scale, hazards):
+    """Serve one plan once, then once after each hazard, on a cache-on
+    and a cache-off system; asserts every served result matches and
+    returns the cache-on system and its serving runtime."""
+    runs = []
+    for cache in (True, False):
+        system = build(cache)
+        serving = _cached_serving(system)
+        plan = coalesce(system, [(op, TABLE2[op].params(scale))])
+        for i, hazard in enumerate([None, *hazards]):
+            if hazard is not None:
+                hazard(system)
+            serving.submit_plan("t", plan, arrival=float(i))
+            serving.run()
+        runs.append((system, serving))
+    (on, served_on), (off, served_off) = runs
+    for a, b in zip(served_on.requests, served_off.requests):
+        assert (a.result.time, a.result.energy) \
+            == (b.result.time, b.result.energy)
+    assert on.ledger.entries == off.ledger.entries
+    return on, served_on
+
+
+def test_served_link_flap_replays_bit_identical():
+    def flap(system):
+        noc = system.layer.noc
+        link = noc.healthy_links()[0]
+        noc.fail_link(*link)
+        noc.restore_link(*link)
+
+    system, serving = _serve_plan_lockstep(
+        lambda cache: MealibSystem(stack_bytes=32 << 20,
+                                   schedule_cache=cache),
+        "AXPY", SCALE,
+        [None, None, flap, lambda s: s.layer.mark_tile_failed(0)])
+    stats = system.schedule_cache.stats
+    # a flap that is undone before the serve leaves the world the entry
+    # was computed in: the serve replays. A dead tile moves the key.
+    assert (stats.hits, stats.misses) == (3, 2)
     healthy = serving.requests[0].result
-
-    # the classic stale hole: a transient link flap leaves the serving/
-    # reroute sets — and therefore the cache KEY — exactly as before,
-    # but bumps the health epoch twice; the tenant's next serve must
-    # stale-evict and re-simulate, never silently replay
-    noc = system.layer.noc
-    link = noc.healthy_links()[0]
-    noc.fail_link(*link)
-    noc.restore_link(*link)
-    serving.submit_plan("t", plan, arrival=3.0)
-    serving.run()
-    tagged = system.schedule_cache.stats_for("t")
-    assert tagged.stale_evictions == 1
-    assert (tagged.hits, tagged.misses) == (2, 2)
-    # the world really is back to healthy, so the re-simulation agrees
-    assert serving.requests[-1].result.time == healthy.time
-    assert serving.requests[-1].result.energy == healthy.energy
-
-    # a permanent health change (dead tile) alters the key itself: a
-    # tagged miss, and the re-simulated run really pays reroute
-    system.layer.mark_tile_failed(0)
-    serving.submit_plan("t", plan, arrival=4.0)
-    serving.run()
-    tagged = system.schedule_cache.stats_for("t")
-    assert tagged.misses == 3
-    degraded = serving.requests[-1].result
-    assert degraded.time > healthy.time
+    assert serving.requests[3].result == healthy
+    assert serving.requests[4].result.time > healthy.time
     assert system.ledger.total("reroute").time > 0.0
 
 
-def test_governor_epoch_bump_is_caught_per_tenant():
-    system = MealibSystem(stack_bytes=32 << 20, schedule_cache=True)
-    serving = _cached_serving(system)
-    plan = coalesce(system, [("DOT", TABLE2["DOT"].params(SCALE))])
-    for i in range(2):
-        serving.submit_plan("t", plan, arrival=float(i))
-    serving.run()
-
-    # a governor state transition fires the cache's thermal hook (the
-    # PowerGovernor wires on_state_change to exactly this)
-    system.schedule_cache.invalidate_thermal()
-
-    serving.submit_plan("t", plan, arrival=2.0)
-    serving.run()
-    tagged = system.schedule_cache.stats_for("t")
-    assert tagged.stale_evictions == 1
-    assert (tagged.hits, tagged.misses) == (1, 2)
-    # the re-simulated call replays bit-identically thereafter
-    serving.submit_plan("t", plan, arrival=3.0)
-    serving.run()
-    tagged = system.schedule_cache.stats_for("t")
-    assert tagged.hits == 2
-    results = [r.result for r in serving.requests]
-    assert all(r.time == results[0].time for r in results)
-    assert all(r.energy == results[0].energy for r in results)
+def test_served_governor_transitions_replay_bit_identical():
+    system, serving = _serve_plan_lockstep(
+        lambda cache: MealibSystem(
+            stack_bytes=32 << 20,
+            thermal=ThermalConfig(envelope=AMBIENT_K + 0.5),
+            schedule_cache=cache),
+        "GEMV", 0.016, [None] * 5)
+    assert system.governor.stats.throttle_events > 0, (
+        "the scenario no longer throttles; pick a heavier op")
+    stats = system.schedule_cache.stats
+    assert stats.hits > 0 and stats.misses > 1
 
 
-def test_tenant_tags_split_cache_traffic():
+def test_tenants_share_cache_entries():
     system = MealibSystem(stack_bytes=32 << 20, schedule_cache=True)
     serving = ServingRuntime(system,
                              [TenantConfig("a"), TenantConfig("b")],
@@ -248,11 +240,6 @@ def test_tenant_tags_split_cache_traffic():
         serving.submit_plan("a" if i % 2 == 0 else "b", plan,
                             arrival=float(i))
     serving.run()
-    stats_a = system.schedule_cache.stats_for("a")
-    stats_b = system.schedule_cache.stats_for("b")
-    # a took the cold miss, b rides a's entry; global = sum of tags
-    assert (stats_a.hits, stats_a.misses) == (1, 1)
-    assert (stats_b.hits, stats_b.misses) == (2, 0)
-    glob = system.schedule_cache.stats
-    assert glob.hits == stats_a.hits + stats_b.hits
-    assert glob.misses == stats_a.misses + stats_b.misses
+    # a takes the cold miss; every later serve, b's included, replays
+    stats = system.schedule_cache.stats
+    assert (stats.hits, stats.misses) == (3, 1)

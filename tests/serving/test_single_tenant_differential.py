@@ -125,10 +125,10 @@ def test_served_repeated_plan_is_byte_identical(config):
         assert a.time == r.result.time
         assert a.energy == r.result.energy
     _assert_systems_identical(direct, served)
-    # the serving path really rode the cache, tagged per tenant
-    tagged = served.schedule_cache.stats_for("solo")
-    assert tagged.lookups == executes
-    assert tagged.hits == direct.schedule_cache.stats.hits
+    # the serving path really rode the cache, like the direct loop
+    stats = served.schedule_cache.stats
+    assert stats.lookups == executes
+    assert stats.hits == direct.schedule_cache.stats.hits
 
 
 def test_thermal_state_matches_after_serving():

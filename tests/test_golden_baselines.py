@@ -347,8 +347,8 @@ def test_throttle_never_reprices_the_nominal_share(op):
 # golden file is recomputed on a cache-enabled system and compared to
 # the *same* recorded entries the cache-off tests above pin. The
 # scrubbed/thermal sections repeat each descriptor four times, so they
-# really exercise replay-under-invalidation (deposits, governor state
-# changes and patrol repairs all bump epochs mid-matrix).
+# really exercise replay across hazards (latent deposits, governor
+# state changes and patrol repairs all happen mid-matrix).
 
 
 @pytest.mark.parametrize("scale", SCALES)
