@@ -16,9 +16,8 @@ from repro.compiler.recognizer import (AccelCallStep, AllocStep, FreeStep,
                                        HostCallStep, ParamsProto,
                                        PlanDestroyStep, RecognizerError,
                                        Schedule, recognize)
-from repro.compiler.rewrite import (FusedStep, RewriteConfig,
-                                    RewriteDecision, RewriteResult,
-                                    rewrite_schedule)
+from repro.compiler.rewrite import (FusedStep, RewriteDecision,
+                                    RewriteResult, rewrite_schedule)
 from repro.compiler.semantics import (BufferInfo, CompileEnv, PlanSpec,
                                       SemanticError, build_env)
 from repro.compiler.translate import (HOST_CALL_OVERHEAD_S,
@@ -37,6 +36,6 @@ __all__ = [
     "BufferInfo",
     "CompileEnv", "PlanSpec", "SemanticError", "build_env",
     "HOST_CALL_OVERHEAD_S", "TranslatedProgram", "step_profile",
-    "translate", "FusedStep", "RewriteConfig", "RewriteDecision",
+    "translate", "FusedStep", "RewriteDecision",
     "RewriteResult", "rewrite_schedule",
 ]

@@ -50,15 +50,14 @@ the call chain for diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.compiler.analysis.alias import (INPLACE_EXACT_OK,
                                            cross_iteration,
                                            same_iteration,
                                            step_accesses, step_ranges)
-from repro.compiler.analysis.certificates import (SafetyCertificate,
-                                                  certify_schedule)
+from repro.compiler.analysis.certificates import SafetyCertificate
 from repro.compiler.analysis.dataflow import LifecycleFacts, Liveness
 from repro.compiler.analysis.deptest import DepVerdict
 from repro.compiler.analysis.events import BufferEvent
@@ -83,13 +82,16 @@ REJECT_CODES = frozenset({"MEA001", "MEA003", "MEA004", "MEA006",
 
 @dataclass
 class AnalysisResult:
-    """Everything one analysis run produced."""
+    """Everything one run of the checked front end produced."""
 
     program: Program
-    schedule: Schedule
+    schedule: Schedule                 # as recognized (call sites)
     report: DiagnosticReport
-    certificates: Tuple[SafetyCertificate, ...] = field(
-        default_factory=tuple)
+    #: the schedule to lower: demoted, certified and, with ``rewrite``,
+    #: rewritten; the recognized schedule when the program is rejected
+    lowered: Schedule
+    demoted: Tuple[int, ...] = ()
+    certificates: Tuple[SafetyCertificate, ...] = ()
     #: the rewrite engine's decision log (MEA018/MEA019), empty unless
     #: the analysis ran with ``rewrite=True``
     rewrites: Tuple = ()
@@ -367,39 +369,12 @@ def analyze_source(source: str, rewrite: bool = False
     over the certified schedule: its decision log (MEA018 applied /
     MEA019 rejected, each naming its prover or blocking dependence)
     joins the report, and the certificates reflect the rewritten
-    steps (fused passes carry the merged proof).
+    steps (fused passes carry the merged proof). This is the front
+    end of :func:`repro.compiler.translate.translate`, which then
+    rejects or lowers the result.
     """
-    import dataclasses
-
-    from repro.compiler.cparser import parse_source
-    from repro.compiler.recognizer import recognize
-
-    program = parse_source(source)
-    schedule = recognize(program)
-    facts = ProgramFacts(program, schedule.env)
-    report = check_program(program, schedule, facts)
-    certificates: Tuple[SafetyCertificate, ...] = ()
-    rewrites: Tuple = ()
-    if not rejection_errors(report):
-        lowered, demoted = apply_demotions(schedule, report)
-        certificates = certify_schedule(program, lowered,
-                                        skip=demoted, facts=facts)
-        if rewrite:
-            from repro.compiler.rewrite import rewrite_schedule
-            by_index = {c.step_index: c for c in certificates}
-            steps = [dataclasses.replace(s, certificate=by_index[i])
-                     if isinstance(s, AccelCallStep) and i in by_index
-                     else s
-                     for i, s in enumerate(lowered.steps)]
-            certified = Schedule(env=lowered.env, steps=steps)
-            result = rewrite_schedule(program, certified, facts=facts)
-            rewrites = result.decisions
-            certificates = result.certificates
-            report.extend(d.diagnostic() for d in result.decisions)
-            report.sort()
-    return AnalysisResult(program=program, schedule=schedule,
-                          report=report, certificates=certificates,
-                          rewrites=rewrites)
+    from repro.compiler.translate import analyze_program
+    return analyze_program(source, rewrite)
 
 
 def apply_demotions(schedule: Schedule, report: DiagnosticReport

@@ -33,7 +33,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.compiler.analysis.certificates import SafetyCertificate
 from repro.compiler.analysis.rules import analyze_source
-from repro.compiler.cast import CParseError
 from repro.compiler.diagnostics import (CODE_TITLES, Diagnostic,
                                         DiagnosticReport, Severity)
 from repro.compiler.errors import CompilerError
@@ -57,11 +56,6 @@ def _report_for(source: str, rewrite: bool = False
     except CompilerError as exc:
         report = DiagnosticReport()
         report.add(exc.diagnostic)
-        return report, (), ()
-    except CParseError as exc:
-        report = DiagnosticReport()
-        report.add(Diagnostic(code="MEA013", severity=Severity.ERROR,
-                              message=str(exc)))
         return report, (), ()
 
 

@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.compiler.diagnostics import SourceLoc
+from repro.compiler.errors import CompilerError
 
 
-class CParseError(Exception):
-    """Raised on source the subset grammar cannot express."""
+class CParseError(CompilerError):
+    """Raised on source the subset grammar cannot express (MEA013)."""
 
 
 # -- expressions -------------------------------------------------------------

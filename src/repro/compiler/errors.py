@@ -1,7 +1,7 @@
 """Typed compiler errors carrying structured diagnostics.
 
-``RecognizerError`` and ``SemanticError`` used to be bare-string
-exceptions; they are now thin wrappers over a :class:`Diagnostic` so
+``CParseError``, ``RecognizerError`` and ``SemanticError`` are thin
+wrappers over a :class:`Diagnostic` so
 every failure has a stable code and, where the frontend knows one, a
 real source location. ``str(exc)`` keeps the old "line N: message"
 shape for compatibility with existing callers and tests.

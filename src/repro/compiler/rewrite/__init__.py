@@ -6,8 +6,7 @@ See :mod:`.engine` for the driver and :mod:`.legality` for the
 obligations each primitive discharges.
 """
 
-from repro.compiler.rewrite.engine import (RewriteConfig, RewriteResult,
-                                           rewrite_schedule)
+from repro.compiler.rewrite.engine import RewriteResult, rewrite_schedule
 from repro.compiler.rewrite.ir import (FusedStep, RewriteDecision,
                                        decision_diagnostics)
 from repro.compiler.rewrite.legality import (LegalityVerdict, fuse_legal,
@@ -18,7 +17,6 @@ from repro.compiler.rewrite.legality import (LegalityVerdict, fuse_legal,
 __all__ = [
     "FusedStep",
     "LegalityVerdict",
-    "RewriteConfig",
     "RewriteDecision",
     "RewriteResult",
     "decision_diagnostics",

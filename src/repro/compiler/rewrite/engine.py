@@ -44,18 +44,12 @@ from repro.compiler.rewrite.legality import (fuse_legal,
 from repro.compiler.semantics import CompileEnv
 
 
-@dataclass(frozen=True)
-class RewriteConfig:
-    """Which primitives run, and their thresholds."""
-
-    fuse: bool = True
-    reorder: bool = True
-    split: bool = True
-    #: how many intervening steps a consumer may be hoisted past
-    max_hoist: int = 4
-    #: split fires only on calls whose written stream is at least this
-    split_min_bytes: int = 1 << 20
-    split_parts: int = 8
+#: how many intervening steps a consumer may be hoisted past
+MAX_HOIST = 4
+#: split fires only on calls whose written stream is at least this
+SPLIT_MIN_BYTES = 1 << 20
+#: LOOP iterations a split call tiles into
+SPLIT_PARTS = 8
 
 
 @dataclass
@@ -101,7 +95,6 @@ def _extended(step: AccelCallStep,
 
 def _fuse_pass(steps: List[object], origin: List[int],
                env: CompileEnv, vranges: ValueRanges,
-               config: RewriteConfig,
                decisions: List[RewriteDecision]) -> None:
     i = 0
     while i < len(steps):
@@ -118,16 +111,14 @@ def _fuse_pass(steps: List[object], origin: List[int],
         # of the consumer for the hoist to be legal
         j = i + 1
         consumer: Optional[AccelCallStep] = None
-        while j < len(steps) and j - i - 1 <= config.max_hoist:
+        while j < len(steps) and j - i - 1 <= MAX_HOIST:
             cand = steps[j]
             if isinstance(cand, AccelCallStep) \
                     and produced & set(cand.in_bufs):
                 consumer = cand
                 break
-            if not config.reorder and j > i:
-                break
             j += 1
-        if consumer is None or not config.fuse:
+        if consumer is None:
             i += 1
             continue
 
@@ -262,7 +253,6 @@ def _group_pass(steps: List[object], origin: List[int],
 
 def _split_pass(steps: List[object], origin: List[int],
                 env: CompileEnv, vranges: ValueRanges,
-                config: RewriteConfig,
                 decisions: List[RewriteDecision]) -> None:
     for i, entry in enumerate(steps):
         if not isinstance(entry, AccelCallStep):
@@ -272,10 +262,9 @@ def _split_pass(steps: List[object], origin: List[int],
             continue
         n = cast(int, entry.proto.scalars["n"])
         buf, _ = entry.proto.addrs["y_pa"]
-        if n * env.buffers[buf].elem_size < config.split_min_bytes:
+        if n * env.buffers[buf].elem_size < SPLIT_MIN_BYTES:
             continue
-        verdict, tiled = split_step(entry, config.split_parts, env,
-                                    vranges)
+        verdict, tiled = split_step(entry, SPLIT_PARTS, env, vranges)
         if not verdict.ok or tiled is None:
             decisions.append(RewriteDecision(
                 primitive="split", applied=False,
@@ -290,39 +279,33 @@ def _split_pass(steps: List[object], origin: List[int],
             primitive="split", applied=True,
             steps=(origin[i],), accels=(entry.accel,),
             prover=verdict.prover,
-            detail=f"n={n} tiled into {config.split_parts} LOOP "
+            detail=f"n={n} tiled into {SPLIT_PARTS} LOOP "
                    "iterations",
             buffers=(buf,), loc=entry.loc))
 
 
 def rewrite_schedule(program: Program, schedule: Schedule,
-                     config: Optional[RewriteConfig] = None,
                      facts: Optional[ProgramFacts] = None
                      ) -> RewriteResult:
     """Rewrite a certified schedule; every change proven and logged.
 
     ``schedule`` must carry certificates on its offloaded steps (the
-    ``translate(analyze=True)`` / ``analyze_source`` output); steps
-    without one are never rewritten. ``facts`` is the compile's shared
-    analysis bundle; without one the call builds its own.
+    schedule :func:`repro.compiler.translate.analyze_program` builds
+    for ``translate`` and ``analyze_source``); steps without one are
+    never rewritten. ``facts`` is the compile's shared analysis
+    bundle; without one the call builds its own.
     """
     if facts is None:
         facts = ProgramFacts(program, schedule.env)
     assert facts.program is program and facts.env is schedule.env
-    cfg = config or RewriteConfig()
     vranges = facts.ranges
     steps: List[object] = list(schedule.steps)
     origin = list(range(len(steps)))
     decisions: List[RewriteDecision] = []
 
-    if cfg.fuse:
-        _fuse_pass(steps, origin, schedule.env, vranges, cfg,
-                   decisions)
-    if cfg.reorder:
-        _group_pass(steps, origin, schedule.env, vranges, decisions)
-    if cfg.split:
-        _split_pass(steps, origin, schedule.env, vranges, cfg,
-                    decisions)
+    _fuse_pass(steps, origin, schedule.env, vranges, decisions)
+    _group_pass(steps, origin, schedule.env, vranges, decisions)
+    _split_pass(steps, origin, schedule.env, vranges, decisions)
 
     certificates = tuple(
         s.certificate for s in steps

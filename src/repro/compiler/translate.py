@@ -1,10 +1,11 @@
 """Pass 2 + lowering: from schedules to runnable translated programs.
 
-``translate`` drives the whole compiler: parse -> recognise -> check
-and certify -> rewrite (the verified engine, the only chainer) ->
-group. The result is a :class:`TranslatedProgram` whose descriptor steps
-carry everything needed to emit TDL + parameter files once buffer
-addresses are known (pass 2's malloc/free substitution happens here too:
+``translate`` drives the whole compiler: the checked front end
+:func:`analyze_program` (parse -> recognise -> check and certify ->
+rewrite, the verified engine being the only chainer), then group. The
+result is a :class:`TranslatedProgram` whose descriptor steps carry
+everything needed to emit TDL + parameter files once buffer addresses
+are known (pass 2's malloc/free substitution happens here too:
 AllocSteps become ``mealib_mem_alloc`` at run time).
 
 ``step_profile`` maps any step to its operation profile — used both to
@@ -20,6 +21,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple, Union, cast
 
 from repro.compiler.analysis.facts import ProgramFacts
+from repro.compiler.analysis.rules import (AnalysisResult,
+                                           apply_demotions,
+                                           rejection_errors)
 from repro.compiler.cast import Program
 from repro.compiler.cparser import parse_source
 from repro.compiler.diagnostics import DiagnosticReport
@@ -51,8 +55,7 @@ class TranslatedProgram:
     diagnostics: DiagnosticReport = field(
         default_factory=DiagnosticReport)
     demoted_steps: Tuple[int, ...] = ()
-    #: one rewrite-safety certificate per offloaded step (empty when
-    #: the checker was skipped with ``analyze=False``)
+    #: one rewrite-safety certificate per offloaded step
     certificates: Tuple = ()
     #: the rewrite engine's decision log (empty when ``translate`` ran
     #: with ``rewrite=False``)
@@ -66,18 +69,61 @@ class TranslatedProgram:
         return self.schedule.total_library_calls()
 
 
+def analyze_program(source: Union[str, Program],
+                    rewrite: bool) -> AnalysisResult:
+    """The checked front end: parse (given text) -> recognise -> check
+    -> demote -> certify -> rewrite (with ``rewrite``).
+
+    One :class:`ProgramFacts` bundle serves check, certify and rewrite.
+    A program with a rejecting finding stops after the check: its
+    result carries the report and the recognised schedule only.
+    """
+    # the phases are looked up where they are defined at every call,
+    # so a wrapper installed on a module attribute sees each one
+    from repro.compiler.analysis.certificates import certify_schedule
+    from repro.compiler.analysis.rules import check_program
+    from repro.compiler.rewrite import rewrite_schedule
+
+    program = (parse_source(source) if isinstance(source, str)
+               else source)
+    schedule = recognize(program)
+    facts = ProgramFacts(program, schedule.env)
+    report = check_program(program, schedule, facts)
+    if rejection_errors(report):
+        return AnalysisResult(program=program, schedule=schedule,
+                              report=report, lowered=schedule)
+    lowered, demoted = apply_demotions(schedule, report)
+    certificates = certify_schedule(program, lowered, skip=demoted,
+                                    facts=facts)
+    by_index = {c.step_index: c for c in certificates}
+    steps = [dataclasses.replace(s, certificate=by_index[i])
+             if isinstance(s, AccelCallStep) and i in by_index else s
+             for i, s in enumerate(lowered.steps)]
+    lowered = Schedule(env=lowered.env, steps=steps)
+    rewrites: Tuple = ()
+    if rewrite:
+        result = rewrite_schedule(program, lowered, facts=facts)
+        lowered = result.schedule
+        rewrites = result.decisions
+        certificates = result.certificates
+        report.extend(d.diagnostic() for d in result.decisions)
+        report.sort()
+    return AnalysisResult(program=program, schedule=schedule,
+                          report=report, lowered=lowered,
+                          demoted=tuple(demoted),
+                          certificates=certificates, rewrites=rewrites)
+
+
 def translate(source: Union[str, Program],
-              analyze: bool = True,
-              rewrite: bool = True,
-              rewrite_config=None) -> TranslatedProgram:
+              rewrite: bool = True) -> TranslatedProgram:
     """Compile C-subset source (or a parsed Program).
 
-    With ``analyze`` (the default) the static safety checker runs
-    before lowering: alias/dependence errors (MEA002, MEA005) demote
-    the offending accelerated calls to host execution, lifecycle
-    errors (use-before-init, use-after-free, double-free, plan
-    executed after destroy) raise :class:`AnalysisRejected`, and the
-    full report lands on ``TranslatedProgram.diagnostics``.
+    The static safety checker runs before lowering: alias/dependence
+    errors (MEA002, MEA005) demote the offending accelerated calls to
+    host execution, lifecycle errors (use-before-init, use-after-free,
+    double-free, plan executed after destroy) raise
+    :class:`AnalysisRejected`, and the full report lands on
+    ``TranslatedProgram.diagnostics``.
 
     With ``rewrite`` (the default) the verified rewrite engine
     (:mod:`repro.compiler.rewrite`) runs over the certified schedule:
@@ -86,61 +132,22 @@ def translate(source: Union[str, Program],
     the diagnostics).  The engine is the compiler's only chainer, so
     every fusion carries a machine-checked proof.  ``rewrite=False``
     is the unfused identity translation: one PASS per call site, the
-    "off" side of translation validation.  Rewrites require
-    ``analyze=True`` (they only touch certified steps); pass
-    ``analyze=False, rewrite=False`` for unchecked output.
+    "off" side of translation validation.
     """
-    if rewrite and not analyze:
-        raise ValueError("rewrite=True requires analyze=True: the "
-                         "engine only rewrites certified steps")
-    program = (parse_source(source) if isinstance(source, str)
-               else source)
-    schedule = recognize(program)
-    report = DiagnosticReport()
-    lowered = schedule
-    demoted: List[int] = []
-    certificates: Tuple = ()
-    rewrites: Tuple = ()
-    # one analysis bundle for the whole compile: check, certify and
-    # rewrite share its CFG, value ranges and statement events
-    facts = ProgramFacts(program, schedule.env)
-    if analyze:
-        from repro.compiler.analysis.certificates import \
-            certify_schedule
-        from repro.compiler.analysis.rules import (apply_demotions,
-                                                   check_program,
-                                                   rejection_errors)
-        report = check_program(program, schedule, facts)
-        rejects = rejection_errors(report)
-        if rejects:
-            first = rejects[0]
-            raise AnalysisRejected(first.message, loc=first.loc,
-                                   code=first.code,
-                                   buffers=first.buffers)
-        lowered, demoted = apply_demotions(schedule, report)
-        certificates = certify_schedule(program, lowered,
-                                        skip=demoted, facts=facts)
-        by_index = {c.step_index: c for c in certificates}
-        steps = [dataclasses.replace(s, certificate=by_index[i])
-                 if isinstance(s, AccelCallStep) and i in by_index
-                 else s
-                 for i, s in enumerate(lowered.steps)]
-        lowered = Schedule(env=lowered.env, steps=steps)
-    if rewrite:
-        from repro.compiler.rewrite import rewrite_schedule
-        result = rewrite_schedule(program, lowered,
-                                  config=rewrite_config, facts=facts)
-        lowered = result.schedule
-        rewrites = result.decisions
-        certificates = result.certificates
-        report.extend(d.diagnostic() for d in result.decisions)
-        report.sort()
-    return TranslatedProgram(source_program=program, env=schedule.env,
-                             schedule=schedule, items=optimize(lowered),
-                             diagnostics=report,
-                             demoted_steps=tuple(demoted),
-                             certificates=certificates,
-                             rewrites=rewrites)
+    result = analyze_program(source, rewrite)
+    rejects = rejection_errors(result.report)
+    if rejects:
+        first = rejects[0]
+        raise AnalysisRejected(first.message, loc=first.loc,
+                               code=first.code, buffers=first.buffers)
+    return TranslatedProgram(source_program=result.program,
+                             env=result.schedule.env,
+                             schedule=result.schedule,
+                             items=optimize(result.lowered),
+                             diagnostics=result.report,
+                             demoted_steps=result.demoted,
+                             certificates=result.certificates,
+                             rewrites=result.rewrites)
 
 
 # -- profiles -----------------------------------------------------------------

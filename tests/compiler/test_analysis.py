@@ -15,9 +15,9 @@ import pytest
 from repro.apps.sar import SarConfig, sar_source
 from repro.apps.stap import PRESETS, stap_source
 from repro.compiler import (AccelCallStep, AnalysisRejected,
-                            HostCallStep, PlanDestroyStep, parse_source,
-                            recognize, run_original, run_translated,
-                            translate)
+                            CompilerError, HostCallStep, PlanDestroyStep,
+                            optimize, parse_source, recognize,
+                            run_original, run_translated, translate)
 from repro.compiler.analysis import (analyze_source, build_cfg,
                                      check_program)
 from repro.compiler.analyze import main as analyze_main
@@ -287,12 +287,6 @@ def test_lifecycle_error_rejects_program():
     assert excinfo.value.code == "MEA003"
 
 
-def test_analyze_false_skips_the_checker():
-    t = translate(ALIASED_SAXPY, analyze=False, rewrite=False)
-    assert not t.demoted_steps
-    assert len(t.diagnostics) == 0
-
-
 def test_looped_fft_demotes_and_destroy_step_is_inert():
     src = PLAN_PREFIX + """
 #pragma omp parallel for
@@ -337,10 +331,10 @@ def test_examples_are_diagnostic_free(name):
 def test_analysis_never_changes_a_clean_schedule(name):
     source = CLEAN_SOURCES[name]
     checked = translate(source, rewrite=False)
-    unchecked = translate(source, analyze=False, rewrite=False)
+    unchecked = recognize(parse_source(source))
     assert checked.demoted_steps == ()
-    assert checked.items == unchecked.items
-    assert checked.schedule.steps == unchecked.schedule.steps
+    assert checked.items == optimize(unchecked)
+    assert checked.schedule.steps == unchecked.steps
 
 
 # -- report plumbing and CFG shape --------------------------------------------
@@ -401,6 +395,17 @@ def test_cli_unparseable_source(tmp_path):
     bad = tmp_path / "bad.c"
     bad.write_text("float x[;\n")
     assert analyze_main([str(bad)]) == 1
+
+
+@pytest.mark.parametrize("source, message", [
+    ("float a[4] @;\n", "line 1: unexpected character '@'"),  # lexer
+    ("float a[;\n", "line 1: unexpected token ';'"),          # parser
+], ids=["lexer", "parser"])
+def test_parse_errors_are_compiler_errors(source, message):
+    with pytest.raises(CompilerError) as excinfo:
+        analyze_source(source)
+    assert excinfo.value.code == "MEA013"
+    assert excinfo.value.message == message
 
 
 def test_cli_missing_file(tmp_path):

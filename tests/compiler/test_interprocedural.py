@@ -13,7 +13,8 @@ import pytest
 
 from repro.compiler import (AccelCallStep, AnalysisRejected,
                             HostCallStep, RecognizerError, parse_source,
-                            run_original, run_translated, translate)
+                            recognize, run_original, run_translated,
+                            translate)
 from repro.compiler.analysis import (analyze_source, build_call_graph,
                                      compute_summaries)
 from repro.core import MealibSystem
@@ -276,8 +277,7 @@ def test_call_graph_topo_and_recursion():
 
 def test_summaries_bind_param_targets():
     program = parse_source(CLEAN_FN)
-    schedule_env = translate(CLEAN_FN, analyze=False,
-                             rewrite=False).env
+    schedule_env = recognize(parse_source(CLEAN_FN)).env
     summaries = compute_summaries(program, schedule_env)
     summary = summaries["scale_row"]
     assert summary.available

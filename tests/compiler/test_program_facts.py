@@ -1,15 +1,21 @@
 """One analysis per compile: the shared :class:`ProgramFacts` bundle.
 
-``translate`` and ``analyze_source`` hand one bundle to the checker,
-the certifier and the rewrite engine. These tests pin that each
-analysis then runs once per compile, that sharing changes no output
-(the three entry points called without a bundle build their own and
-must agree exactly), and that malformed input through the whole
-pipeline fails only with the compiler's typed errors.
+``translate`` and ``analyze_source`` share one checked front end,
+which hands one bundle to the checker, the certifier and the rewrite
+engine. These tests pin that each analysis then runs once per
+compile, that sharing changes no output (the three entry points
+called without a bundle build their own and must agree exactly), and
+that malformed input through the whole pipeline and the ``analyze``
+CLI fails only with the compiler's typed errors.
 """
 
+import contextlib
 import dataclasses
+import io
+import json
+import os
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -17,13 +23,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler import (AccelCallStep, CParseError, CompilerError,
-                            Schedule, parse_source, recognize, translate)
+from repro.compiler import (AccelCallStep, CompilerError, Schedule,
+                            parse_source, recognize, translate)
 from repro.compiler.analysis import (ProgramFacts, ValueRanges,
                                      analyze_source, apply_demotions,
                                      build_cfg, certify_schedule,
                                      check_program, stmt_events)
 from repro.compiler.analysis.rules import rejection_errors
+from repro.compiler.analyze import main as analyze_main
 from repro.compiler.errors import AnalysisRejected
 from repro.compiler.passes import optimize
 from repro.compiler.rewrite import rewrite_schedule
@@ -191,7 +198,20 @@ def mutated_programs(draw):
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(source=mutated_programs())
 def test_mutated_programs_fail_only_with_typed_errors(source):
-    try:
-        translate(source, rewrite=True)
-    except (CParseError, CompilerError):
-        pass
+    for compile_ in (lambda: translate(source, rewrite=True),
+                     lambda: analyze_source(source, rewrite=True)):
+        try:
+            compile_()
+        except CompilerError:
+            pass
+    # the CLI folds every failure into its report: exit 0 or 1, JSON out
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutant.c")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(source)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = analyze_main([path, "--json"])
+    assert status in (0, 1)
+    (report,) = json.loads(out.getvalue())
+    assert report["file"] == path

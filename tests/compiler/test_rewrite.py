@@ -13,10 +13,8 @@ import json
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from repro.compiler import (FusedStep, RewriteConfig, run_translated,
-                            translate)
+from repro.compiler import FusedStep, run_translated, translate
 from repro.compiler.analyze import main as analyze_main
 from repro.compiler.diagnostics import CODE_TITLES
 from repro.compiler.passes import DescriptorStep
@@ -191,12 +189,7 @@ def test_split_respects_size_threshold():
     assert not step.looped
 
 
-# -- configuration and gating -------------------------------------------------
-
-def test_rewrite_requires_the_analyzer():
-    with pytest.raises(ValueError):
-        translate(FUSABLE, analyze=False, rewrite=True)
-
+# -- rewrites on and off ------------------------------------------------------
 
 def test_rewrites_off_is_the_identity():
     base = translate(FUSABLE)
@@ -211,17 +204,6 @@ def test_rewrites_off_is_the_identity():
     assert off.rewrites == ()
     assert fused_steps(off) == []
     assert "MEA018" not in [d.code for d in off.diagnostics]
-
-
-def test_config_disables_individual_primitives():
-    tp = translate(FUSABLE, rewrite=True,
-                   rewrite_config=RewriteConfig(fuse=False))
-    assert fused_steps(tp) == []
-    assert not any(r.primitive == "fuse" and r.applied
-                   for r in tp.rewrites)
-    tp2 = translate(LARGE_AXPY, rewrite=True,
-                    rewrite_config=RewriteConfig(split=False))
-    assert not any(r.primitive == "split" for r in tp2.rewrites)
 
 
 def test_rewrite_codes_registered():
