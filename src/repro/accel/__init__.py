@@ -24,7 +24,7 @@ from repro.accel.resmp import ResmpAccelerator, ResmpParams
 from repro.accel.spmv import SpmvAccelerator, SpmvParams
 from repro.accel.synthesis import (LAYER_AREA_BUDGET_MM2, LogicBlock,
                                    noc_area, noc_power)
-from repro.accel.tile import PORT_CHAIN, PORT_DRAM, SwitchConfig, Tile
+from repro.accel.tile import Tile
 
 __all__ = [
     "AxpyAccelerator", "AxpyParams", "AccelExecution", "AcceleratorCore",
@@ -36,5 +36,5 @@ __all__ = [
     "NocUnreachableError", "ReshpAccelerator",
     "ReshpParams", "ResmpAccelerator", "ResmpParams", "SpmvAccelerator",
     "SpmvParams", "LAYER_AREA_BUDGET_MM2", "LogicBlock", "noc_area",
-    "noc_power", "PORT_CHAIN", "PORT_DRAM", "SwitchConfig", "Tile",
+    "noc_power", "Tile",
 ]

@@ -163,11 +163,12 @@ class AcceleratorCore(ABC):
 
     # -- datapath footprint ---------------------------------------------------
 
-    def operand_spans(self, params, count: int = 1, strides=None,
-                      writes: bool = False) -> List[Tuple[int, int]]:
+    def operand_spans(self, params, count: int = 1,
+                      strides: Optional["StrideTable"] = None
+                      ) -> Tuple[List[Tuple[int, int]],
+                                 List[Tuple[int, int]]]:
         """Physical ``(start, size)`` byte extents of this invocation's
-        DRAM streams in one direction (reads, or writes with
-        ``writes=True``).
+        DRAM streams, as ``(reads, writes)``.
 
         This is the operand footprint the in-datapath ECC layer
         (:class:`~repro.faults.datapath.DatapathEcc`) adjudicates before
@@ -190,19 +191,21 @@ class AcceleratorCore(ABC):
             lo = stream.base + min(0, reach)
             return lo, abs(reach) + stream.elem_bytes
 
-        def direction(p) -> List[StreamSpec]:
-            return [s for s in self.streams(p)
-                    if s.is_write == writes and s.n_elems > 0]
+        def live(p) -> List[StreamSpec]:
+            return [s for s in self.streams(p) if s.n_elems > 0]
 
-        base_streams = direction(params)
+        def by_direction(spans):
+            return ([sp for sp, s in zip(spans, base_streams)
+                     if not s.is_write],
+                    [sp for sp, s in zip(spans, base_streams) if s.is_write])
+
+        base_streams = live(params)
         spans = [span(s) for s in base_streams]
         if strides is None or not spans:
-            return spans
-        if not isinstance(strides, StrideTable):
-            strides = linear_strides(type(params), strides)
+            return by_direction(spans)
         iters = strides.total if strides.trips != (0,) else max(count, 1)
         if iters <= 1:
-            return spans
+            return by_direction(spans)
         corners = {"lo": {}, "hi": {}}
         for field, deltas in strides.deltas.items():
             lo_off = hi_off = 0
@@ -218,13 +221,13 @@ class AcceleratorCore(ABC):
         for updates in corners.values():
             if not updates:
                 continue
-            for idx, s in enumerate(direction(replace(params, **updates))):
+            for idx, s in enumerate(live(replace(params, **updates))):
                 start, size = span(s)
                 old_start, old_size = spans[idx]
                 end = max(old_start + old_size, start + size)
                 start = min(old_start, start)
                 spans[idx] = (start, end - start)
-        return spans
+        return by_direction(spans)
 
     # -- descriptor plumbing --------------------------------------------------
 

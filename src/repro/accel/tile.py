@@ -1,19 +1,15 @@
 """One accelerator tile: PEs + local memory + network controller.
 
-Each tile sits under one vault controller (Figure 4). The tile holds the
-switch state the configuration unit programs: which PE (accelerator) is
-active and how its input/output ports are wired — to DRAM, or to another
-accelerator in the same pass (chaining through local memory).
+Each tile sits under one vault controller (Figure 4). Its PEs are the
+accelerators a pass activates; a chained pass hands intermediates from
+one PE to the next through the tile's local memory. The model keeps
+only what it prices: whether the tile's logic is alive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
-
-#: Port wiring targets the switch supports.
-PORT_DRAM = "dram"
-PORT_CHAIN = "chain"
+from dataclasses import dataclass
+from typing import Dict
 
 
 class TileFailedError(Exception):
@@ -24,55 +20,26 @@ class TileFailedError(Exception):
 
 
 @dataclass
-class SwitchConfig:
-    """Input/output wiring of the active PE in a tile."""
-
-    input_port: str = PORT_DRAM
-    output_port: str = PORT_DRAM
-
-    def __post_init__(self) -> None:
-        for port in (self.input_port, self.output_port):
-            if port not in (PORT_DRAM, PORT_CHAIN):
-                raise ValueError(f"unknown switch port {port!r}")
-
-
-@dataclass
 class Tile:
     """A vault-attached accelerator tile.
 
     Attributes:
         vault: index of the vault this tile is bonded to.
         local_memory_kb: shared LM capacity of the tile.
-        active_pe: name of the accelerator currently enabled (or None).
-        switch: current port wiring.
-        failed: the tile's logic is dead; it can no longer be
-            configured. Its vault's DRAM (and mesh router) stay alive,
-            so the vault's data stripe is served by the remaining
-            healthy tiles over TSV + mesh instead of taking the whole
+        failed: the tile's logic is dead; it can no longer serve a
+            pass. Its vault's DRAM (and mesh router) stay alive, so the
+            vault's data stripe is served by the remaining healthy
+            tiles over TSV + mesh instead of taking the whole
             accelerated path down.
     """
 
     vault: int
     local_memory_kb: int = 64
-    active_pe: Optional[str] = None
-    switch: SwitchConfig = field(default_factory=SwitchConfig)
     failed: bool = False
-
-    def configure(self, pe_name: str, input_port: str = PORT_DRAM,
-                  output_port: str = PORT_DRAM) -> None:
-        """Program the tile for one pass (done by the decode unit)."""
-        if self.failed:
-            raise TileFailedError(
-                f"tile on vault {self.vault} is marked failed")
-        self.active_pe = pe_name
-        self.switch = SwitchConfig(input_port=input_port,
-                                   output_port=output_port)
 
     def mark_failed(self) -> None:
         """Hard-fail the tile (injected or detected by self-test)."""
         self.failed = True
-        self.active_pe = None
-        self.switch = SwitchConfig()
 
     def repair(self) -> None:
         """Return a failed tile to service.
@@ -82,15 +49,6 @@ class Tile:
         never repaired (the injector does not call this).
         """
         self.failed = False
-
-    def release(self) -> None:
-        """Return the tile to idle at the end of a pass."""
-        self.active_pe = None
-        self.switch = SwitchConfig()
-
-    @property
-    def busy(self) -> bool:
-        return self.active_pe is not None
 
 
 def make_tiles(count: int = 16, local_memory_kb: int = 64

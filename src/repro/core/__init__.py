@@ -10,13 +10,13 @@ from repro.core.descriptor import (CMD_IDLE, CMD_START, DescriptorError,
                                    KIND_LOOP, OPCODES, decode_control,
                                    decode_instructions,
                                    descriptor_checksum, encode,
-                                   set_command, verify_integrity)
+                                   encoded_size, set_command,
+                                   verify_integrity)
 from repro.core.invocation import InvocationModel
 from repro.core.runtime import (CATEGORIES, AccPlan, Ledger, LedgerEntry,
                                 MealibRuntime, MealibRuntimeError,
                                 ResilienceCounters, ResiliencePolicy)
-from repro.core.schedule_cache import (ScheduleCache, ScheduleCacheStats,
-                                       ScheduleEntry)
+from repro.core.schedule_cache import ScheduleCache, ScheduleCacheStats
 from repro.core.system import MealibSystem
 from repro.core.tdl import (Comp, Loop, ParamStore, Pass, TdlError,
                             TdlProgram, format_tdl, parse_tdl)
@@ -27,11 +27,12 @@ __all__ = [
     "CMD_IDLE", "CMD_START", "DescriptorError", "DescriptorIntegrityError",
     "EncodedDescriptor", "Instruction", "KIND_ACCEL", "KIND_ENDLOOP",
     "KIND_ENDPASS", "KIND_LOOP", "OPCODES", "decode_control",
-    "decode_instructions", "descriptor_checksum", "encode", "set_command",
+    "decode_instructions", "descriptor_checksum", "encode", "encoded_size",
+    "set_command",
     "verify_integrity", "InvocationModel", "CATEGORIES", "AccPlan",
     "Ledger", "LedgerEntry", "MealibRuntime", "MealibRuntimeError",
     "ResilienceCounters", "ResiliencePolicy",
-    "ScheduleCache", "ScheduleCacheStats", "ScheduleEntry",
+    "ScheduleCache", "ScheduleCacheStats",
     "MealibSystem", "Comp", "Loop", "ParamStore", "Pass", "TdlError",
     "TdlProgram", "format_tdl", "parse_tdl",
 ]

@@ -2,8 +2,8 @@
 
 When the host writes START into a descriptor's Control Region, the CU's
 Fetch Unit pulls the descriptor into instruction memory, and the Decode
-Unit walks it pass by pass: it activates the pass's accelerators,
-programs each tile's switch (chaining the datapath when a pass holds
+Unit walks it pass by pass: it activates the pass's accelerators
+(chaining the datapath through tile local memory when a pass holds
 several COMPs), runs accelerator initialisation, and triggers
 processing. LOOP blocks re-arm the same configuration without host
 involvement — the paper's mechanism for collapsing 16M library calls
@@ -12,7 +12,10 @@ into one descriptor.
 The CU here does double duty, like the rest of the package: it executes
 descriptors *functionally* (so results are real and testable) and
 *models* their time/energy (aggregating loop iterations into batched
-streams, the way the hardware pipeline actually behaves).
+streams, the way the hardware pipeline actually behaves). The two are
+kept apart: decode and model are a pure function of the fetched image
+and the layer/governor state (what the schedule cache stores), and the
+live effects around them run once per execution on one path.
 """
 
 from __future__ import annotations
@@ -20,15 +23,14 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional,
-                    Tuple)
+                    Sequence, Tuple)
 
-from repro.accel.base import (AcceleratorCore, StrideTable,
-                              linear_strides, shift_params,
+from repro.accel.base import (AcceleratorCore, StrideTable, shift_params,
                               unpack_strides)
 from repro.accel.layer import AcceleratorLayer
 from repro.accel.noc import MeshNoc
 from repro.accel.synthesis import noc_power
-from repro.accel.tile import PORT_CHAIN, PORT_DRAM, TileFailedError
+from repro.accel.tile import TileFailedError
 from repro.core.descriptor import (CMD_START, DescriptorError, Instruction,
                                    KIND_ACCEL, KIND_ENDLOOP, KIND_ENDPASS,
                                    KIND_LOOP, decode_control,
@@ -63,6 +65,10 @@ LOOP_REARM_TIME = 1e-9
 #: CU logic power while a descriptor is in flight.
 CU_POWER = 0.5
 
+#: Exclusive upper bound of a decodable operand address: the memory
+#: model's address arithmetic is 64-bit signed.
+ADDR_LIMIT = 1 << 63
+
 
 @dataclass(frozen=True)
 class CompInstance:
@@ -70,15 +76,24 @@ class CompInstance:
 
     core: AcceleratorCore
     params: object
-    strides: Optional[object] = None      # StrideTable or field mapping
+    strides: Optional[StrideTable] = None
+
+
+#: A physical ``(start, size)`` byte extent.
+Span = Tuple[int, int]
 
 
 @dataclass(frozen=True)
 class PassPlan:
-    """A decoded PASS with the loop trip count it executes under."""
+    """A decoded PASS with the loop trip count it executes under, and
+    its DRAM operand footprint widened over the loop: the first COMP's
+    read spans and the last COMP's write spans (intermediates of a
+    chained pass ride the tile local memories)."""
 
     comps: Tuple[CompInstance, ...]
-    count: int = 1
+    count: int
+    reads: Tuple[Span, ...]
+    writes: Tuple[Span, ...]
 
     @property
     def chained(self) -> bool:
@@ -97,10 +112,6 @@ class Degradation:
 
     serving: Tuple[int, ...]
     reroutes: Mapping[int, int]
-
-    @property
-    def active(self) -> bool:
-        return bool(self.reroutes)
 
 
 @dataclass
@@ -127,9 +138,6 @@ class DescriptorExecution:
     vault_heat: Optional[Dict[int, float]] = None
     #: Heat deposited on the logic-layer node, J (thermal runs only).
     logic_heat: float = 0.0
-    #: True when this execution replayed a schedule-cache entry
-    #: (bit-identical to the fresh simulation it snapshotted).
-    cache_hit: bool = False
 
 
 def _scaled_stream(stream: StreamSpec, count: int) -> StreamSpec:
@@ -205,8 +213,6 @@ def _comp_streams_aggregated(comp: "CompInstance",
     strides = comp.strides
     if strides is None:
         return [_scaled_stream(s, count) for s in streams]
-    if not isinstance(strides, StrideTable):
-        strides = linear_strides(comp.core.params_type, strides)
     trips = strides.trips
     base_of = {getattr(comp.params, f): f
                for f in comp.core.params_type.ADDR_FIELDS}
@@ -219,6 +225,30 @@ def _comp_streams_aggregated(comp: "CompInstance",
         out.append(_coalesce_looped_stream(s, strides.deltas[field],
                                            trips, count))
     return out
+
+
+def _checked_plan(comps: Tuple[CompInstance, ...], count: int) -> PassPlan:
+    """A decoded pass whose every COMP the model can price: its streams
+    build, and its operand spans, widened over the loop, stay inside
+    ``[0, ADDR_LIMIT)``. Anything else is a malformed descriptor,
+    rejected at decode, before any functional effect."""
+    footprint = []
+    for comp in comps:
+        name = comp.core.name
+        try:
+            reads, writes = comp.core.operand_spans(comp.params, count,
+                                                    comp.strides)
+        except (ValueError, OverflowError) as exc:
+            raise DescriptorError(
+                f"{name} parameters build no valid stream: {exc}") from exc
+        for start, size in reads + writes:
+            if start < 0 or start + size > ADDR_LIMIT:
+                raise DescriptorError(
+                    f"{name} operand span {start:#x}+{size:#x} leaves the "
+                    "physical address range")
+        footprint.append((reads, writes))
+    return PassPlan(comps=comps, count=count, reads=tuple(footprint[0][0]),
+                    writes=tuple(footprint[-1][1]))
 
 
 class ConfigurationUnit:
@@ -323,13 +353,13 @@ class ConfigurationUnit:
                 if in_loop:
                     loop_passes.append(tuple(current))
                 else:
-                    plans.append(PassPlan(comps=tuple(current), count=1))
+                    plans.append(_checked_plan(tuple(current), 1))
                 current = []
             elif instr.kind == KIND_ENDLOOP:
                 if not in_loop:
                     raise DescriptorError("ENDLOOP without LOOP")
                 for comps in loop_passes:
-                    plans.append(PassPlan(comps=comps, count=loop_count))
+                    plans.append(_checked_plan(comps, loop_count))
                 in_loop = False
                 loop_count = 1
         if in_loop or current:
@@ -338,50 +368,21 @@ class ConfigurationUnit:
 
     # -- execution --------------------------------------------------------------
 
-    def _configure_tiles(self, plan: PassPlan,
-                         serving: Optional[List[int]] = None) -> None:
-        """Program the switch network for one pass (chain wiring).
-
-        Only the ``serving`` tiles are armed; dead or mesh-isolated
-        tiles sit the pass out and their vault stripes ride the NoC.
-        """
-        vaults = serving if serving is not None else list(self.layer.tiles)
-        for idx, comp in enumerate(plan.comps):
-            first = idx == 0
-            last = idx == len(plan.comps) - 1
-            for vault in vaults:
-                self.layer.tiles[vault].configure(
-                    comp.core.name,
-                    input_port=PORT_DRAM if first else PORT_CHAIN,
-                    output_port=PORT_DRAM if last else PORT_CHAIN)
-
-    def _release_tiles(self) -> None:
-        for tile in self.layer.tiles.values():
-            tile.release()
-
-    def _guard_datapath(self, plans: List[PassPlan]) -> None:
+    def _guard_datapath(self, plans: Sequence[PassPlan]) -> None:
         """Adjudicate the descriptor's operand footprint through the
         in-datapath SECDED layer before the tiles stream anything.
 
-        Only the DRAM-touching streams are guarded — a chained pass's
-        first COMP reads and last COMP writes (matching
-        :meth:`_pass_mem`); intermediates ride the tile local
-        memories and never cross the TSVs. Raises
+        Only the DRAM-touching streams are guarded — each plan's
+        decoded :attr:`PassPlan.reads`/:attr:`PassPlan.writes`
+        (matching :meth:`_pass_mem`). Raises
         :class:`~repro.faults.ecc.UncorrectableEccError` on a detected
-        double-bit word, *before* any functional effect, so the
-        runtime's retry re-executes a clean descriptor.
+        double-bit word, *before* the model and any functional effect,
+        so the runtime's retry re-executes a clean descriptor.
         """
         if self.datapath is None:
             return
-        reads: List[Tuple[int, int]] = []
-        writes: List[Tuple[int, int]] = []
-        for plan in plans:
-            first, last = plan.comps[0], plan.comps[-1]
-            reads.extend(first.core.operand_spans(
-                first.params, plan.count, first.strides, writes=False))
-            writes.extend(last.core.operand_spans(
-                last.params, plan.count, last.strides, writes=True))
-        self.datapath.guard(reads, writes)
+        self.datapath.guard([s for plan in plans for s in plan.reads],
+                            [s for plan in plans for s in plan.writes])
 
     def run_functional(self, plan: PassPlan) -> None:
         """Numerically execute one pass plan against physical memory.
@@ -395,17 +396,15 @@ class ConfigurationUnit:
 
     def _model_pass(self, plan: PassPlan,
                     degradation: Optional[Degradation] = None
-                    ) -> Tuple[ExecResult, Dict[str, float], ExecResult,
-                               Dict[str, object]]:
+                    ) -> Tuple[ExecResult, ExecResult, Dict[str, object]]:
         """Time/energy of one pass plan (loop iterations aggregated).
 
-        Returns ``(result, per-comp compute times, reroute overhead,
-        heat breakdown)``. When the layer is degraded, ``result`` is
-        the degraded cost and the overhead is its excess over the
-        hypothetical healthy cost (what the ``reroute`` ledger category
-        accounts). On a healthy layer the overhead is exactly
-        :data:`~repro.metrics.ZERO` and the model is bit-identical to
-        the undegraded one. The heat breakdown (of the *actual* run,
+        Returns ``(result, reroute overhead, heat breakdown)``. When the
+        layer is degraded, ``result`` is the degraded cost and the
+        overhead is its excess over the hypothetical healthy cost (what
+        the ``reroute`` ledger category accounts). On a healthy layer
+        the overhead is exactly :data:`~repro.metrics.ZERO` and the
+        model is bit-identical to the undegraded one. The heat breakdown (of the *actual* run,
         degraded or not) is what the thermal model consumes; it is a
         pure decomposition of the result's energy.
 
@@ -414,16 +413,16 @@ class ConfigurationUnit:
         priced from that one :class:`MemResult`.
         """
         mem = self._pass_mem(plan)
-        if degradation is None or not degradation.active:
-            result, compute_times, heat = self._pass_terms(
-                plan, mem, len(self.layer.tiles), {})
-            return result, compute_times, ZERO, heat
-        result, compute_times, heat = self._pass_terms(
+        if degradation is None:
+            result, heat = self._pass_terms(plan, mem,
+                                            len(self.layer.tiles), {})
+            return result, ZERO, heat
+        result, heat = self._pass_terms(
             plan, mem, len(degradation.serving), degradation.reroutes)
-        clean, _, _ = self._pass_terms(plan, mem, len(self.layer.tiles), {})
+        clean, _ = self._pass_terms(plan, mem, len(self.layer.tiles), {})
         overhead = ExecResult(max(0.0, result.time - clean.time),
                               max(0.0, result.energy - clean.energy))
-        return result, compute_times, overhead, heat
+        return result, overhead, heat
 
     def _static_stretch(self, duration: float,
                         excess: float) -> ExecResult:
@@ -454,8 +453,7 @@ class ConfigurationUnit:
 
     def _pass_terms(self, plan: PassPlan, mem: MemResult, n_serve: int,
                     reroutes: Mapping[int, int]
-                    ) -> Tuple[ExecResult, Dict[str, float],
-                               Dict[str, object]]:
+                    ) -> Tuple[ExecResult, Dict[str, object]]:
         """One pass's cost on ``n_serve`` tiles with ``reroutes`` vault
         stripes carried over the mesh, given its healthy drain ``mem``
         (:meth:`_pass_mem`).
@@ -517,7 +515,7 @@ class ConfigurationUnit:
         energy += (noc_power() + CU_POWER) * time + e_reroute
         heat = {"dram": heat_dram, "tiles": heat_tiles,
                 "logic": heat_logic, "reroute": e_by_server}
-        return ExecResult(time=time, energy=energy), compute_times, heat
+        return ExecResult(time=time, energy=energy), heat
 
     def _reroute_terms(self, bytes_moved: float,
                        reroutes: Mapping[int, int]
@@ -599,10 +597,115 @@ class ConfigurationUnit:
             serving=tuple(serving),
             reroutes={v: s for v, s in reroutes.items()})
 
+    def _model(self, plans: Sequence[PassPlan], desc_bytes: int,
+               serving: Sequence[int],
+               degradation: Optional[Degradation], slowdown: float,
+               throttled: Sequence[int],
+               concurrency: int) -> DescriptorExecution:
+        """The pure model step: decoded plans -> execution record.
+
+        Prices every pass, the reroute, throttle and contention
+        stretches, the fetch overhead and (with a governor) the heat
+        terms from its arguments and the fixed device/layer alone, so
+        the record is exactly what the schedule cache may store.
+        """
+        fetch_time = FU_FETCH_LATENCY + desc_bytes / FU_FETCH_BW
+        total = ExecResult(time=fetch_time, energy=fetch_time * CU_POWER)
+        by_accel: Dict[str, ExecResult] = {}
+        rerouted = (len(degradation.reroutes)
+                    if degradation is not None else 0)
+        # vault-bandwidth contention: co-running descriptor streams
+        # time-share every vault's TSV bus, so each pass's drain
+        # stretches by the layer's slowdown factor (1.0 when alone)
+        contend = (self.layer.contention_slowdown(concurrency)
+                   if concurrency > 1 else 1.0)
+        overheads: Dict[str, ExecResult] = {}
+        if rerouted:
+            overheads["reroute"] = ZERO
+        if throttled:
+            overheads["throttle"] = ZERO
+        if concurrency > 1:
+            overheads["contention"] = ZERO
+        vault_heat: Optional[Dict[int, float]] = None
+        logic_heat = 0.0
+        if self.governor is not None:
+            vault_heat = {v: 0.0 for v in range(self.device.units)}
+            logic_heat = fetch_time * CU_POWER
+        for plan in plans:
+            pass_result, overhead, heat = self._model_pass(plan,
+                                                           degradation)
+            throttle_ov = ZERO
+            if slowdown < 1.0:
+                # frequency-only DVFS: the lockstep drain runs at the
+                # slowest serving vault's clock
+                throttle_ov = self._static_stretch(
+                    pass_result.time, 1.0 / slowdown - 1.0)
+            contention_ov = ZERO
+            if contend > 1.0:
+                # time-shared vault bandwidth: the pass drain takes
+                # `contend` times its solo duration. The stretch is
+                # ledgered but never added to the returned result: the
+                # solo decomposition stays bit-identical whatever the
+                # admission width
+                contention_ov = self._static_stretch(
+                    pass_result.time, contend - 1.0)
+            total = total.plus(pass_result).plus(throttle_ov)
+            pass_overheads = {"reroute": overhead,
+                              "throttle": throttle_ov,
+                              "contention": contention_ov}
+            for category, acc in overheads.items():
+                overheads[category] = acc.plus(pass_overheads[category])
+            # attribute the healthy-equivalent share of the pass to its
+            # accelerators; the degradation excess is reported
+            # separately so the reroute ledger can carry it (and the
+            # throttle excess likewise for the throttle category)
+            base = ExecResult(pass_result.time - overhead.time,
+                              pass_result.energy - overhead.energy)
+            share = base.time / max(len(plan.comps), 1)
+            for comp in plan.comps:
+                prev = by_accel.get(comp.core.name, ZERO)
+                frac = ExecResult(time=share,
+                                  energy=base.energy / len(plan.comps))
+                by_accel[comp.core.name] = prev.plus(frac)
+            if vault_heat is not None:
+                units = self.device.units
+                # DRAM joules interleave over every vault; tile logic
+                # heats the serving vaults; NoC + CU heat the logic
+                # node; rerouted stripes heat their carriers
+                per_vault = heat["dram"] / units
+                for v in vault_heat:
+                    vault_heat[v] += per_vault
+                per_tile = heat["tiles"] / len(serving)
+                for v in serving:
+                    vault_heat[v] += per_tile
+                logic_heat += heat["logic"]
+                for server, e_srv in heat["reroute"].items():
+                    vault_heat[server] += e_srv
+                # the throttle and contention stretches are DRAM static
+                # burn: they spread over every vault
+                for stretch_ov in (throttle_ov, contention_ov):
+                    if stretch_ov.energy > 0.0:
+                        per_vault = stretch_ov.energy / units
+                        for v in vault_heat:
+                            vault_heat[v] += per_vault
+        return DescriptorExecution(
+            result=total, by_accelerator=by_accel, overheads=overheads,
+            rerouted_vaults=rerouted, vault_heat=vault_heat,
+            logic_heat=logic_heat)
+
     def run_descriptor(self, desc_pa: int, desc_bytes: int,
                        functional: bool = True,
                        concurrency: int = 1) -> DescriptorExecution:
         """Execute a descriptor: functional effects + time/energy.
+
+        One path for every call: structural fault sampling, the
+        doorbell, the degradation state, fetch and the governor's DVFS
+        sample; then decode, the datapath SECDED guard, the pure model
+        step (:meth:`_model`), the functional run of every plan and the
+        throttle bookkeeping. A schedule-cache hit supplies the decoded
+        plans and the modelled record and skips only decode and model;
+        the guard runs before the model, so a retry it forces never
+        models twice.
 
         A dead tile (or a mesh-isolated one) no longer aborts the
         execution: its vault's data stripe is rerouted over TSV + mesh
@@ -639,7 +742,6 @@ class ConfigurationUnit:
             image = self.fetch(desc_pa, desc_bytes)
             # DVFS state is sampled once per execution: the governor is
             # only re-polled by the runtime after the thermal step
-            # (pure reads, so sampling before decode changes nothing)
             slowdown = 1.0
             throttled: List[int] = []
             if self.governor is not None:
@@ -647,6 +749,7 @@ class ConfigurationUnit:
                 throttled = self.governor.throttled_vaults(serving)
             cache = self.schedule_cache
             key = None
+            cached = None
             if cache is not None:
                 # the whole model input: an entry cannot go stale
                 # (``desc_bytes`` is ``len(image)``; the failed-link
@@ -656,123 +759,26 @@ class ConfigurationUnit:
                         if degradation is not None else ()),
                        self.noc.failed_links, slowdown, tuple(throttled),
                        concurrency)
-                entry = cache.lookup(key)
-                if entry is not None:
-                    # replay: every *live* side effect still runs —
-                    # SECDED adjudication, functional execution,
-                    # throttle bookkeeping — only descriptor decode,
-                    # tile programming and the memory-system model are
-                    # replayed from the cached (bit-identical) entry
-                    self._guard_datapath(entry.plans)
-                    if functional:
-                        for plan in entry.plans:
-                            self.run_functional(plan)
-                    execution = entry.replay()
-                    stretch = execution.overheads.get("throttle", ZERO).time
-                    if self.governor is not None and stretch > 0.0:
-                        self.governor.stats.note_throttled(stretch,
-                                                           throttled)
-                    return execution
-            plans = self.plans_from_image(image, desc_pa,
-                                          require_start=True)
+                cached = cache.lookup(key)
+            execution: Optional[DescriptorExecution] = None
+            if cached is not None:
+                plans, execution = cached
+            else:
+                plans = self.plans_from_image(image, desc_pa,
+                                              require_start=True)
             self._guard_datapath(plans)
-            fetch_time = FU_FETCH_LATENCY + desc_bytes / FU_FETCH_BW
-            total = ExecResult(time=fetch_time,
-                               energy=fetch_time * CU_POWER)
-            by_accel: Dict[str, ExecResult] = {}
-            rerouted = (len(degradation.reroutes)
-                        if degradation is not None else 0)
-            # vault-bandwidth contention: co-running descriptor streams
-            # time-share every vault's TSV bus, so each pass's drain
-            # stretches by the layer's slowdown factor (1.0 when alone)
-            contend = (self.layer.contention_slowdown(concurrency)
-                       if concurrency > 1 else 1.0)
-            overheads: Dict[str, ExecResult] = {}
-            if rerouted:
-                overheads["reroute"] = ZERO
-            if throttled:
-                overheads["throttle"] = ZERO
-            if concurrency > 1:
-                overheads["contention"] = ZERO
-            vault_heat: Optional[Dict[int, float]] = None
-            logic_heat = 0.0
-            if self.governor is not None:
-                vault_heat = {v: 0.0 for v in range(self.device.units)}
-                logic_heat = fetch_time * CU_POWER
-            for plan in plans:
-                self._configure_tiles(plan, serving)
-                if functional:
+            if execution is None:
+                execution = self._model(plans, len(image), serving,
+                                        degradation, slowdown, throttled,
+                                        concurrency)
+                if cache is not None:
+                    cache.store(key, plans, execution)
+            if functional:
+                for plan in plans:
                     self.run_functional(plan)
-                pass_result, _, overhead, heat = self._model_pass(
-                    plan, degradation)
-                throttle_ov = ZERO
-                if slowdown < 1.0:
-                    # frequency-only DVFS: the lockstep drain runs at
-                    # the slowest serving vault's clock
-                    throttle_ov = self._static_stretch(
-                        pass_result.time, 1.0 / slowdown - 1.0)
-                contention_ov = ZERO
-                if contend > 1.0:
-                    # time-shared vault bandwidth: the pass drain takes
-                    # `contend` times its solo duration. The stretch is
-                    # ledgered but never added to the returned result:
-                    # the solo decomposition stays bit-identical
-                    # whatever the admission width
-                    contention_ov = self._static_stretch(
-                        pass_result.time, contend - 1.0)
-                total = total.plus(pass_result).plus(throttle_ov)
-                pass_overheads = {"reroute": overhead,
-                                  "throttle": throttle_ov,
-                                  "contention": contention_ov}
-                for category, acc in overheads.items():
-                    overheads[category] = acc.plus(
-                        pass_overheads[category])
-                # attribute the healthy-equivalent share of the pass to
-                # its accelerators; the degradation excess is reported
-                # separately so the reroute ledger can carry it (and the
-                # throttle excess likewise for the throttle category)
-                base = ExecResult(pass_result.time - overhead.time,
-                                  pass_result.energy - overhead.energy)
-                share = base.time / max(len(plan.comps), 1)
-                for comp in plan.comps:
-                    prev = by_accel.get(comp.core.name, ZERO)
-                    frac = ExecResult(
-                        time=share,
-                        energy=base.energy / len(plan.comps))
-                    by_accel[comp.core.name] = prev.plus(frac)
-                if vault_heat is not None:
-                    units = self.device.units
-                    # DRAM joules interleave over every vault; tile
-                    # logic heats the serving vaults; NoC + CU heat the
-                    # logic node; rerouted stripes heat their carriers;
-                    # the throttle's static excess spreads like DRAM
-                    per_vault = heat["dram"] / units
-                    for v in vault_heat:
-                        vault_heat[v] += per_vault
-                    per_tile = heat["tiles"] / len(serving)
-                    for v in serving:
-                        vault_heat[v] += per_tile
-                    logic_heat += heat["logic"]
-                    for server, e_srv in heat["reroute"].items():
-                        vault_heat[server] += e_srv
-                    # the throttle and contention stretches are DRAM
-                    # static burn: they spread over every vault
-                    for stretch_ov in (throttle_ov, contention_ov):
-                        if stretch_ov.energy > 0.0:
-                            per_vault = stretch_ov.energy / units
-                            for v in vault_heat:
-                                vault_heat[v] += per_vault
-                self._release_tiles()
-            throttle_total = overheads.get("throttle", ZERO)
-            if self.governor is not None and throttle_total.time > 0.0:
-                self.governor.stats.note_throttled(throttle_total.time,
-                                                   throttled)
-            execution = DescriptorExecution(
-                result=total, by_accelerator=by_accel,
-                overheads=overheads, rerouted_vaults=rerouted,
-                vault_heat=vault_heat, logic_heat=logic_heat)
-            if cache is not None:
-                cache.store(key, plans, execution)
+            stretch = execution.overheads.get("throttle", ZERO).time
+            if stretch > 0.0:
+                self.governor.stats.note_throttled(stretch, throttled)
             return execution
         finally:
             if flapped is not None:

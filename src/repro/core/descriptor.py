@@ -125,6 +125,26 @@ def _lower(program: TdlProgram, params: ParamStore,
     return instructions, bytes(pr)
 
 
+def _instruction_count(program: TdlProgram) -> int:
+    """IR length of ``program``: one instruction per COMP plus the
+    control instructions (an ENDPASS per pass, LOOP/ENDLOOP per loop)."""
+    n_instr = len(program.comps())
+    for block in program.blocks:
+        if isinstance(block, Loop):
+            n_instr += 2 + len(block.body)      # LOOP, ENDLOOP, ENDPASSes
+        else:
+            n_instr += 1                         # ENDPASS
+    return n_instr
+
+
+def encoded_size(program: TdlProgram, params: ParamStore) -> int:
+    """Byte size of ``encode(program, params, base_pa)`` at any base:
+    what a command-space slot must hold before the descriptor is placed
+    in it."""
+    return (CR_BYTES + _instruction_count(program) * INSTR_BYTES
+            + sum(len(params.get(c.param_file)) for c in program.comps()))
+
+
 def encode(program: TdlProgram, params: ParamStore,
            base_pa: int) -> EncodedDescriptor:
     """Lower a TDL program into descriptor bytes at ``base_pa``.
@@ -132,15 +152,8 @@ def encode(program: TdlProgram, params: ParamStore,
     The PR follows the IR immediately; parameter addresses inside the IR
     are absolute physical addresses, as the hardware expects.
     """
-    # two-phase: sizes first (parameter addresses depend on IR length)
-    n_accel = len([c for c in program.comps()])
-    n_ctrl = 0
-    for block in program.blocks:
-        if isinstance(block, Loop):
-            n_ctrl += 2 + len(block.body)       # LOOP, ENDLOOP, ENDPASSes
-        else:
-            n_ctrl += 1                          # ENDPASS
-    n_instr = n_accel + n_ctrl
+    # sizes first: parameter addresses depend on the IR length
+    n_instr = _instruction_count(program)
     pr_offset = CR_BYTES + n_instr * INSTR_BYTES
     instructions, pr = _lower(program, params, base_pa + pr_offset)
     if len(instructions) != n_instr:

@@ -47,7 +47,8 @@ from repro.core.config_unit import ConfigurationUnit
 from repro.core.descriptor import (CMD_IDLE, CMD_START,
                                    DescriptorError,
                                    DescriptorIntegrityError,
-                                   EncodedDescriptor, encode, set_command)
+                                   EncodedDescriptor, encode, encoded_size,
+                                   set_command)
 from repro.core.invocation import InvocationModel
 from repro.core.tdl import ParamStore, TdlProgram, parse_tdl
 from repro.faults.datapath import DatapathEcc
@@ -109,7 +110,6 @@ class ResilienceCounters:
     rerouted_stripes: int = 0
     scrub_passes: int = 0
     throttled_executes: int = 0
-    cached_executes: int = 0        # schedule-cache replays
     contended_executes: int = 0     # ran sharing the stack (serving)
 
     @property
@@ -281,9 +281,8 @@ class MealibRuntime:
         if in_size < 0 or out_size < 0:
             raise MealibRuntimeError("buffer sizes must be non-negative")
         program = parse_tdl(tdl) if isinstance(tdl, str) else tdl
-        # two-step: encode once to learn the size, then place it
-        probe = encode(program, params, base_pa=0)
-        slot = self._command_alloc.alloc(probe.size, align=64)
+        slot = self._command_alloc.alloc(encoded_size(program, params),
+                                         align=64)
         try:
             descriptor = encode(program, params, base_pa=slot)
             self.space.pa_write(slot, descriptor.data)
@@ -354,19 +353,15 @@ class MealibRuntime:
                 execution = self.cu.run_descriptor(
                     plan.descriptor.base_pa, plan.descriptor.size,
                     functional=functional, concurrency=concurrency)
-            except TileFailedError as exc:
+            except (TileFailedError, DescriptorError,
+                    UncorrectableEccError, CuHangError) as exc:
+                # no tile can serve: straight to the host; a detected
+                # fault: retry until the budget is spent
                 self._write_descriptor(plan, CMD_IDLE)
                 total = total.plus(self._drain_correction_costs())
                 total = total.plus(self._account_fault(exc))
-                fallback = self._degrade_to_host(plan, functional, exc)
-                plan.executions += 1
-                return total.plus(fallback)
-            except (DescriptorError, UncorrectableEccError,
-                    CuHangError) as exc:
-                self._write_descriptor(plan, CMD_IDLE)
-                total = total.plus(self._drain_correction_costs())
-                total = total.plus(self._account_fault(exc))
-                if attempt >= self.policy.max_retries:
+                if (isinstance(exc, TileFailedError)
+                        or attempt >= self.policy.max_retries):
                     fallback = self._degrade_to_host(plan, functional, exc)
                     plan.executions += 1
                     return total.plus(fallback)
@@ -384,8 +379,6 @@ class MealibRuntime:
                     setattr(counters, counter,
                             getattr(counters, counter) + 1)
                     self.ledger.log(category, label, cost)
-                if execution.cache_hit:
-                    counters.cached_executes += 1
                 self._thermal_step(execution)
                 plan.executions += 1
                 return total.plus(execution.result)

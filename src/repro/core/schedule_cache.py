@@ -17,21 +17,23 @@ descriptor is a pure function of
   bit-identical :class:`~repro.core.config_unit.DescriptorExecution`
   decompositions.
 
-The cache exploits that: the configuration unit keys each execution by
-the whole model input, ``(descriptor address, image bytes, serving
-tiles, reroutes, failed mesh links, slowdown, throttled vaults,
-concurrency)``, and replays the stored decode + model result on a hit,
-skipping descriptor decode, tile switch programming and the whole
-memory-system simulation. (The failed-link set is in the key because
-route hop counts depend on it even when the serving and reroute sets
-are unchanged; ``concurrency`` is the co-running stream count the
-serving runtime dispatched the descriptor under, so contention-
-stretched and solo executions never share an entry.) Everything with a
-*live* side effect — fault sampling, descriptor corruption + integrity
-check, datapath SECDED adjudication of latent flips, functional
-execution, throttle bookkeeping — still runs on every call, so fault
-campaigns, patrol scrubs and functional results are unaffected by
-caching.
+The configuration unit splits each execution accordingly: a *pure
+step* (decode the fetched image into pass plans, then model them into
+the :class:`~repro.core.config_unit.DescriptorExecution`) and one live
+path around it that every call takes. The cache stores exactly the pure
+step's ``(plans, execution)`` record, keyed on the whole model input,
+``(descriptor address, image bytes, serving tiles, reroutes, failed
+mesh links, slowdown, throttled vaults, concurrency)``; a hit skips
+decode and the whole memory-system model and nothing else. (The
+failed-link set is in the key because route hop counts depend on it
+even when the serving and reroute sets are unchanged; ``concurrency``
+is the co-running stream count the serving runtime dispatched the
+descriptor under, so contention-stretched and solo executions never
+share an entry.) The live path — fault sampling, descriptor corruption
++ integrity check, datapath SECDED adjudication of latent flips,
+functional execution, throttle bookkeeping — is the same code on a hit
+and a miss, so fault campaigns, patrol scrubs and functional results
+are unaffected by caching.
 
 Because the key names every input of the model, an entry cannot go
 stale: a hazard that changes the world changes the key, and a hazard
@@ -48,9 +50,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Sequence
+from typing import Hashable, Optional, Sequence, Tuple
 
 from repro.core.config_unit import DescriptorExecution, PassPlan
+
 
 @dataclass
 class ScheduleCacheStats:
@@ -70,66 +73,54 @@ class ScheduleCacheStats:
         return self.hits / total if total else 0.0
 
 
-@dataclass
-class ScheduleEntry:
-    """One cached descriptor schedule: decoded plans + the modelled
-    execution decomposition."""
-
-    plans: List[PassPlan]
-    execution: DescriptorExecution
-
-    def replay(self) -> DescriptorExecution:
-        """A fresh :class:`DescriptorExecution` carrying the cached
-        decomposition."""
-        return _copy_execution(self.execution, cache_hit=True)
+#: One cached pure step: the decoded pass plans and their modelled
+#: execution record.
+Record = Tuple[Tuple[PassPlan, ...], DescriptorExecution]
 
 
-def _copy_execution(ex: DescriptorExecution,
-                    cache_hit: bool) -> DescriptorExecution:
-    """``ex`` with its containers copied, so a cached template and the
-    executions stored from or replayed out of it never alias. (Built
+def _copy_execution(ex: DescriptorExecution) -> DescriptorExecution:
+    """``ex`` with its containers copied, so a stored record and the
+    executions stored into or handed out of it never alias. (Built
     from ``vars`` rather than ``dataclasses.replace``, which costs
-    about three times as much on the replay path.)"""
+    about three times as much on the hit path.)"""
     return DescriptorExecution(**{
         **vars(ex), "by_accelerator": dict(ex.by_accelerator),
         "overheads": dict(ex.overheads),
         "vault_heat": (dict(ex.vault_heat)
-                       if ex.vault_heat is not None else None),
-        "cache_hit": cache_hit})
+                       if ex.vault_heat is not None else None)})
 
 
 class ScheduleCache:
-    """LRU map from descriptor keys to replayable schedule entries."""
+    """LRU map from model-input keys to pure-step records."""
 
     def __init__(self, capacity: int = 256):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.stats = ScheduleCacheStats()
-        self._entries: "OrderedDict[Hashable, ScheduleEntry]" = \
-            OrderedDict()
+        self._entries: "OrderedDict[Hashable, Record]" = OrderedDict()
 
-    def lookup(self, key: Hashable) -> Optional[ScheduleEntry]:
-        """The entry for ``key``, or ``None``."""
-        entry = self._entries.get(key)
-        if entry is None:
+    def lookup(self, key: Hashable) -> Optional[Record]:
+        """The record for ``key`` with a fresh copy of its execution,
+        or ``None``."""
+        record = self._entries.get(key)
+        if record is None:
             self.stats.misses += 1
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        return entry
+        plans, execution = record
+        return plans, _copy_execution(execution)
 
     def store(self, key: Hashable, plans: Sequence[PassPlan],
               execution: DescriptorExecution) -> None:
-        """Cache one freshly simulated execution under ``key``.
+        """Cache one pure step's record under ``key``.
 
         The execution is snapshotted (containers copied) so later
         caller-side mutation of the returned object cannot corrupt the
-        cached template.
+        stored record.
         """
-        self._entries[key] = ScheduleEntry(
-            plans=list(plans),
-            execution=_copy_execution(execution, cache_hit=False))
+        self._entries[key] = (tuple(plans), _copy_execution(execution))
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)

@@ -52,12 +52,13 @@ class MealibSystem:
 
     ``schedule_cache=True`` gives the system its own descriptor-keyed
     schedule cache (:class:`~repro.core.schedule_cache.ScheduleCache`):
-    repeated descriptors replay their decode + timing/energy
-    decomposition bit-identically instead of re-simulating the memory
-    system. The key is the whole model input, so no entry can go
-    stale; the cache is never shared, because the key does not name
-    the device or layer it was computed on. ``False`` (the
-    default) is the fully simulated, cache-free build.
+    it stores the configuration unit's pure decode-and-model record, so
+    a repeated descriptor skips decode and the memory-system simulation
+    and nothing else — fault sampling, the SECDED guard, the functional
+    run and throttle accounting take the same path as on a miss. The
+    key is the whole model input, so no entry can go stale; the cache
+    is never shared, because the key does not name the device or layer
+    it was computed on. ``False`` (the default) models every call.
 
     Many independent client streams can be multiplexed onto one system
     by the multi-tenant serving runtime
@@ -98,7 +99,7 @@ class MealibSystem:
         self.scrubber = None
         self.thermal = None
         self.governor = None
-        if thermal is not None and thermal.enabled:
+        if thermal is not None:
             self.thermal = ThermalModel(thermal,
                                         vaults=self.device.units,
                                         cols=self.layer.noc.cols)

@@ -69,8 +69,6 @@ class ThermalConfig:
     parameters couple vault temperature into the latent-flip rate.
 
     Attributes:
-        enabled: master switch — a disabled config wires nothing, so
-            the run is bit-identical to one without a thermal model.
         ambient: heatsink/board temperature, K; also the reference
             temperature of the leakage and Arrhenius terms.
         c_vault: heat capacity of one vault's DRAM stack, J/K.
@@ -102,7 +100,6 @@ class ThermalConfig:
             :meth:`~repro.faults.injector.FaultInjector.deposit_latent_flips`).
     """
 
-    enabled: bool = True
     ambient: float = AMBIENT_K
     c_vault: float = 2e-6
     c_logic: float = 8e-6

@@ -6,9 +6,12 @@ word and the checksum word itself zeroed) must flag *every* corrupted
 
 A corruption that gets past the checksum (a mutant resealed with a
 fresh CRC) must still fail *typed*: decode either yields plans or
-raises :class:`DescriptorError`, never a stray ``struct.error``.
+raises :class:`DescriptorError`, never a stray ``struct.error`` —
+and run through ``acc_execute`` it either executes or ends in
+:class:`DescriptorError`, never a stray exception from the model.
 """
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -127,3 +130,45 @@ def test_resealed_mutants_decode_or_fail_typed():
             except DescriptorError:
                 rejected += 1
     assert rejected > 0
+
+
+#: Resealed mutants run through ``acc_execute`` per Table 2 descriptor.
+EXECUTE_MUTANTS_PER_OP = 60
+
+
+def test_resealed_mutants_through_acc_execute_fail_typed():
+    """1-2 bit flips anywhere but the doorbell and checksum words,
+    resealed, then delivered and executed. A mutant whose parameters
+    describe a stream the model cannot build, or an operand span
+    outside ``[0, 2**63)``, is rejected at decode: retries and the
+    host fallback (which decodes the same golden bytes) end in
+    :class:`DescriptorError`, never a stray exception from the model."""
+    system = MealibSystem(stack_bytes=16 << 20)
+    rng = np.random.default_rng(0xACCE)
+    skip = set(range(COMMAND_OFFSET * 8, COMMAND_OFFSET * 8 + 32))
+    skip |= set(range(CHECKSUM_OFFSET * 8, CHECKSUM_OFFSET * 8 + 32))
+    outcomes = {"ran": 0, "rejected": 0}
+    for op in ("DOT", "AXPY", "GEMV", "SPMV", "FFT", "RESMP", "RESHP"):
+        store = ParamStore()
+        store.add("p.para", TABLE2[op].params(0.002).pack())
+        plan = system.runtime.acc_plan(f"PASS {{ COMP {op} p.para }}",
+                                       store, in_size=0, out_size=0)
+        golden = plan.descriptor
+        bits = [b for b in range(golden.size * 8) if b not in skip]
+        for _ in range(EXECUTE_MUTANTS_PER_OP):
+            mutated = bytearray(golden.data)
+            for bit in rng.choice(bits, size=int(rng.integers(1, 3)),
+                                  replace=False):
+                mutated[bit // 8] ^= 1 << (bit % 8)
+            struct.pack_into("<I", mutated, CHECKSUM_OFFSET,
+                             descriptor_checksum(mutated))
+            plan.descriptor = dataclasses.replace(golden,
+                                                  data=bytes(mutated))
+            try:
+                system.runtime.acc_execute(plan, functional=False)
+            except DescriptorError:
+                outcomes["rejected"] += 1
+            else:
+                outcomes["ran"] += 1
+        plan.descriptor = golden
+    assert outcomes["ran"] > 0 and outcomes["rejected"] > 0

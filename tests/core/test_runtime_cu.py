@@ -7,7 +7,8 @@ from repro.accel import (AxpyParams, DotParams, FftParams, ResmpParams,
                          DTYPE_C64)
 from repro.accel.base import pack_strides
 from repro.core import (MealibSystem, MealibRuntimeError, ParamStore,
-                        DescriptorError)
+                        DescriptorError, encode, encoded_size, parse_tdl)
+from repro.memmgmt.allocator import ContiguousAllocator
 from repro.metrics import ZERO
 
 
@@ -76,6 +77,43 @@ class TestRuntime:
     def test_descriptor_resides_in_command_space(self, system):
         plan, _, _ = make_axpy_plan(system)
         assert plan.descriptor.base_pa < system.space.command_bytes
+
+    def test_acc_plan_encodes_once_in_the_probed_slot(self, system):
+        """``acc_plan`` sizes the slot with ``encoded_size`` and encodes
+        once; the slot and the bytes are those of probe-encoding at
+        base 0 first and then placing the descriptor."""
+        shadow = ContiguousAllocator(base=system.space.command_pa + 256,
+                                     size=system.space.command_bytes - 256)
+        store = ParamStore()
+        store.add("a.para", AxpyParams(n=64, alpha=1.5, x_pa=0x1000,
+                                       y_pa=0x2000).pack())
+        store.add("s.para", AxpyParams(n=64, alpha=1.5, x_pa=0x1000,
+                                       y_pa=0x2000).pack()
+                  + pack_strides(AxpyParams, {"x_pa": 256, "y_pa": 256}))
+        store.add("f.para", FftParams(n=64, batch=2, src_pa=0x3000,
+                                      dst_pa=0x4000).pack())
+        texts = ["PASS { COMP AXPY a.para }",
+                 "LOOP 4 { PASS { COMP AXPY s.para } "
+                 "PASS { COMP FFT f.para } }",
+                 "PASS { COMP AXPY a.para COMP FFT f.para }\n"
+                 "PASS { COMP FFT f.para }"]
+        plans = []
+        for round_ in range(2):
+            for text in texts:
+                program = parse_tdl(text)
+                probe = encode(program, store, base_pa=0)
+                assert encoded_size(program, store) == probe.size
+                slot = shadow.alloc(probe.size, align=64)
+                plan = system.runtime.acc_plan(text, store, 0, 0)
+                assert plan.descriptor.base_pa == slot
+                assert plan.descriptor == encode(program, store,
+                                                 base_pa=slot)
+                plans.append(plan)
+            # freed slots are reused exactly as before
+            for plan in plans[::2]:
+                system.runtime.acc_destroy(plan)
+                shadow.free(plan.descriptor.base_pa)
+            plans = plans[1::2]
 
     def test_invocation_overhead_included(self, system):
         plan, _, _ = make_axpy_plan(system)

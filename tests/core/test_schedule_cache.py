@@ -22,16 +22,20 @@ a speedup, never a semantic change:
   heavily degraded states included.
 """
 
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.accel import AxpyParams
 from repro.accel.base import pack_strides
 from repro.core import CATEGORIES, MealibSystem, ParamStore, ScheduleCache
 from repro.eval.workloads import TABLE2
 from repro.faults import FaultInjector, ScrubConfig
+from repro.metrics import ExecResult
 from repro.thermal import AMBIENT_K, ThermalConfig
+from tests.core.helpers import record_executions
 
 OPS = ("DOT", "AXPY", "GEMV", "SPMV", "FFT", "RESMP", "RESHP")
 
@@ -122,7 +126,6 @@ def test_property_battery_replay_bit_identical_over_300_trials():
         assert on.schedule_cache.stats.hits == hits_before + 1, (
             f"trial {trial}: the repeated call did not hit the cache")
     assert_ledgers_identical(on, off)
-    assert on.runtime.counters.cached_executes == TRIALS
     stats = on.schedule_cache.stats
     assert stats.hits == TRIALS
     # 300 distinct descriptors through a 256-entry LRU really overflow
@@ -130,14 +133,55 @@ def test_property_battery_replay_bit_identical_over_300_trials():
     assert len(on.schedule_cache) == on.schedule_cache.capacity
 
 
-def test_replay_marks_cache_hit_and_counter():
+def test_repeated_descriptor_hits_are_counted_by_the_cache():
     system = make_system(schedule_cache=True)
     rng = np.random.default_rng(7)
     run_trial(system, random_descriptor(rng), executes=3)
-    assert system.runtime.counters.cached_executes == 2
     assert system.schedule_cache.stats.hits == 2
     assert system.schedule_cache.stats.misses == 1
     assert system.schedule_cache.stats.hit_rate == pytest.approx(2 / 3)
+
+
+def test_hit_and_miss_take_the_same_live_path(monkeypatch):
+    """A hit skips only decode and the model: the datapath guard runs
+    once per execute and the functional run once per plan, on the miss
+    that fills the entry and on the hit that uses it alike."""
+    from repro.core.config_unit import ConfigurationUnit
+    from repro.faults.datapath import DatapathEcc
+    calls = {"guard": 0, "functional": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(DatapathEcc, "guard",
+                        counting("guard", DatapathEcc.guard))
+    monkeypatch.setattr(ConfigurationUnit, "run_functional",
+                        counting("functional",
+                                 ConfigurationUnit.run_functional))
+    system = make_system(faults=FaultInjector(seed=3), schedule_cache=True)
+    n = 256
+    xb, x = system.space.alloc_array((n,), np.float32)
+    yb, y = system.space.alloc_array((n,), np.float32)
+    x[:] = 1.0
+    y[:] = 0.0
+    store = ParamStore()
+    store.add("a.para", AxpyParams(n=n, alpha=1.0, x_pa=xb.pa,
+                                   y_pa=yb.pa).pack())
+    plan = system.runtime.acc_plan(
+        "PASS { COMP AXPY a.para } PASS { COMP AXPY a.para }", store,
+        in_size=n * 8, out_size=n * 4)
+    per_call = []
+    for _ in range(2):
+        before = dict(calls)
+        system.runtime.acc_execute(plan)
+        per_call.append({k: calls[k] - before[k] for k in calls})
+    stats = system.schedule_cache.stats
+    assert (stats.hits, stats.misses) == (1, 1)
+    assert per_call == [{"guard": 1, "functional": 2}] * 2
+    np.testing.assert_array_equal(y, np.full(n, 4.0, np.float32))
 
 
 # -- the key names every model input ------------------------------------------
@@ -368,6 +412,9 @@ def test_lru_eviction_order():
 
 
 def test_replay_copies_containers():
+    """Neither the execution a miss returned (and stored) nor the one a
+    hit hands out aliases the stored record: mutating either cannot
+    change a later hit."""
     from repro.core.config_unit import DescriptorExecution
     from repro.metrics import ExecResult
     cache = ScheduleCache()
@@ -380,16 +427,37 @@ def test_replay_copies_containers():
     template.overheads["throttle"] = ExecResult(9.0, 9.0)
     template.overheads["contention"] = ExecResult(9.0, 9.0)
     template.vault_heat[0] = 9.0
-    replayed = cache.lookup("k").replay()
-    assert replayed.by_accelerator["AXPY"] == ExecResult(1.0, 2.0)
-    assert replayed.overheads == {"throttle": ExecResult(0.5, 0.5)}
-    assert replayed.vault_heat == {0: 0.5}
-    assert replayed.cache_hit is True
-    replayed.vault_heat[0] = 7.0              # caller-side mutation
-    replayed.overheads.clear()
-    again = cache.lookup("k").replay()
+    plans, hit = cache.lookup("k")
+    assert plans == ()
+    assert hit.by_accelerator["AXPY"] == ExecResult(1.0, 2.0)
+    assert hit.overheads == {"throttle": ExecResult(0.5, 0.5)}
+    assert hit.vault_heat == {0: 0.5}
+    hit.vault_heat[0] = 7.0                   # caller-side mutation
+    hit.overheads.clear()
+    hit.by_accelerator.clear()
+    _, again = cache.lookup("k")
+    assert again.by_accelerator == {"AXPY": ExecResult(1.0, 2.0)}
     assert again.vault_heat == {0: 0.5}
     assert again.overheads == {"throttle": ExecResult(0.5, 0.5)}
+
+
+def test_mutating_a_returned_execution_cannot_change_a_later_hit(
+        monkeypatch):
+    """Through the configuration unit: the execution a miss returns and
+    the ones hits return are each the caller's own to mutate."""
+    system = make_system(schedule_cache=True)
+    seen = record_executions(monkeypatch, system)
+    plan = make_plan(system, AXPY_SPEC)
+    pristine = []
+    for _ in range(3):
+        system.runtime.acc_execute(plan, functional=False)
+        pristine.append(copy.deepcopy(seen[-1]))
+        seen[-1].by_accelerator.clear()
+        seen[-1].overheads["contention"] = ExecResult(9.0, 9.0)
+    assert system.schedule_cache.stats.hits == 2
+    assert pristine[0] == pristine[1] == pristine[2]
+    assert list(pristine[2].by_accelerator) == ["AXPY"]
+    assert pristine[2].overheads == {}
 
 
 # -- seeded hazard lockstep battery ---------------------------------------------
@@ -465,11 +533,7 @@ def draw_hazard(rng, specs):
 
 def assert_systems_identical(on, off):
     assert on.ledger.entries == off.ledger.entries
-    counters_on = dataclasses.asdict(on.runtime.counters)
-    counters_off = dataclasses.asdict(off.runtime.counters)
-    counters_on.pop("cached_executes")
-    counters_off.pop("cached_executes")
-    assert counters_on == counters_off
+    assert on.runtime.counters == off.runtime.counters
     assert on.faults.stats == off.faults.stats
     assert on.datapath.stats == off.datapath.stats
     assert on.scrubber.stats == off.scrubber.stats
@@ -503,7 +567,7 @@ def test_hazard_lockstep_battery():
             hazard = draw_hazard(rng, specs)
             which = int(rng.integers(len(specs)))
             concurrency = int(rng.integers(1, 3))
-            replays = on.runtime.counters.cached_executes
+            replays = on.schedule_cache.stats.hits
             got = []
             for system in (on, off):
                 hazard(system)
@@ -512,7 +576,7 @@ def test_hazard_lockstep_battery():
                     concurrency=concurrency))
             assert got[0] == got[1], (
                 f"sequence {seq} step {step}: {got[0]!r} != {got[1]!r}")
-            if on.runtime.counters.cached_executes > replays:
+            if on.schedule_cache.stats.hits > replays:
                 hits += 1
                 deep_hits += len(on.layer.serving_tiles()) <= 4
         assert_systems_identical(on, off)
