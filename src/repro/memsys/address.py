@@ -40,16 +40,16 @@ def _fold(x: int, modulus: int) -> int:
 
 
 def _fold_array(x: np.ndarray, modulus: int) -> np.ndarray:
-    """Vectorized :func:`_fold` over an int64 array (exact: shifts and
-    XORs only)."""
+    """Vectorized :func:`_fold` over a non-negative int64 array (exact:
+    shifts and XORs only). The scalar loop stops once ``x`` runs out of
+    bits, so folding every ``bits``-wide chunk below the array maximum's
+    bit length touches the same chunks (higher ones are zero)."""
     bits = modulus.bit_length() - 1
     out = np.zeros_like(x)
     if bits == 0:
         return out
-    x = x.copy()
-    while np.any(x):
-        out ^= x & (modulus - 1)
-        x >>= bits
+    for shift in range(0, int(x.max(initial=0)).bit_length(), bits):
+        out ^= (x >> shift) & (modulus - 1)
     return out
 
 

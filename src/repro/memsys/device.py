@@ -70,9 +70,10 @@ class MemoryDevice:
         report time/energy/bandwidth.
 
         Each request moves ``request_bytes`` of payload. The batch
-        decompose and the per-unit split are vectorized (boolean masks
-        keep the trace order within each unit). Each unit drains its
-        share on a fresh controller (a drain models one operation
+        decompose and the per-unit split are vectorized (one stable
+        argsort of the unit column keeps the trace order within each
+        unit, a ``bincount`` sizes each unit's share). Each unit drains
+        its share on a fresh controller (a drain models one operation
         executing from a quiescent device), so units whose
         (bank, row, is_write) columns are byte-identical drain to the
         same result: each distinct column triple is drained once, keyed
@@ -85,12 +86,17 @@ class MemoryDevice:
         stats = BankStats()
         if count:
             units, banks, rows, _ = self.mapping.decompose_batch(addrs)
+            narrow = units.astype(np.min_scalar_type(self.units - 1))
+            order = np.argsort(narrow, kind="stable")
+            banks, rows, writes = banks[order], rows[order], writes[order]
             drained: Dict[Tuple[bytes, ...], VaultResult] = {}
-            for unit in range(self.units):
-                mask = units == unit
-                if not mask.any():
+            stop = 0
+            for size in np.bincount(units, minlength=self.units).tolist():
+                begin, stop = stop, stop + size
+                if not size:
                     continue
-                columns = (banks[mask], rows[mask], writes[mask])
+                columns = (banks[begin:stop], rows[begin:stop],
+                           writes[begin:stop])
                 key = tuple(c.tobytes() for c in columns)
                 result = drained.get(key)
                 if result is None:

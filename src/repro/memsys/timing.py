@@ -9,7 +9,8 @@ model in :mod:`repro.memsys.bank`, not fitted constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Tuple
 
@@ -45,6 +46,21 @@ class DramTiming:
     row_bytes: int
     banks: int
 
+    def __post_init__(self) -> None:
+        # the vault drain's elided and deferred maxes are exact only for
+        # non-negative delays and a positive burst time
+        for name in ("t_rcd", "t_cas", "t_rp", "t_ras", "t_wr", "t_ccd",
+                     "clock_hz", "bytes_per_cycle", "burst_bytes",
+                     "row_bytes", "banks"):
+            value = getattr(self, name)
+            delay = name.startswith("t_")
+            if not (math.isfinite(value) and (value >= 0 if delay
+                                              else value > 0)):
+                raise ValueError(
+                    f"{name} must be finite and "
+                    f"{'non-negative' if delay else 'positive'}, "
+                    f"got {value!r}")
+
     @property
     def t_ck(self) -> float:
         """One bus clock period in seconds."""
@@ -75,36 +91,12 @@ class DramTiming:
     def scaled_clock(self, clock_hz: float) -> "DramTiming":
         """Return a copy with a different bus clock, keeping absolute
         latencies (tRCD etc. are analog array delays, not cycle counts)."""
-        return DramTiming(
-            clock_hz=clock_hz,
-            t_rcd=self.t_rcd,
-            t_cas=self.t_cas,
-            t_rp=self.t_rp,
-            t_ras=self.t_ras,
-            t_wr=self.t_wr,
-            t_ccd=self.t_ccd,
-            bytes_per_cycle=self.bytes_per_cycle,
-            burst_bytes=self.burst_bytes,
-            row_bytes=self.row_bytes,
-            banks=self.banks,
-        )
+        return replace(self, clock_hz=clock_hz)
 
     def with_row_bytes(self, row_bytes: int) -> "DramTiming":
         """Return a copy with a different row-buffer size (design-space
         knob used by Fig 11)."""
-        return DramTiming(
-            clock_hz=self.clock_hz,
-            t_rcd=self.t_rcd,
-            t_cas=self.t_cas,
-            t_rp=self.t_rp,
-            t_ras=self.t_ras,
-            t_wr=self.t_wr,
-            t_ccd=self.t_ccd,
-            bytes_per_cycle=self.bytes_per_cycle,
-            burst_bytes=self.burst_bytes,
-            row_bytes=row_bytes,
-            banks=self.banks,
-        )
+        return replace(self, row_bytes=row_bytes)
 
 
 _NS = 1e-9

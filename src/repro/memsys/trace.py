@@ -8,12 +8,20 @@ the full working set. Table 2 working sets reach 1 GB; sampling keeps the
 cycle-level model tractable while preserving the row-buffer and
 bank-conflict behaviour that determines achieved bandwidth (validated by
 ``tests/memsys/test_trace.py::test_extrapolation_linearity``).
+
+Window emission and the stream merge are exact integer reformulations
+of a per-touch walk: seq and strided windows with a positive step are
+closed-form block ranges (:func:`_emit_window_array`), and the
+proportional round-robin merge is one stable sort on ``(gang start /
+window length, stream index)`` (:func:`_merge_window_arrays`). The
+per-touch coalescer and gang loop they replace are the references in
+``tests/memsys/helpers.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -151,12 +159,27 @@ def _emit_window_array(stream: StreamSpec, n_sample: int,
     coalesced — a dense scan costs one request per burst, a wide-strided
     walk costs one request per element. That asymmetry is exactly what
     makes transpose-like patterns slow on DRAM.
+
+    Seq and strided windows with a positive step are closed form: with
+    ``step <= burst_bytes`` consecutive touches advance at most one
+    block, so every block from the first touch's to the last touch's is
+    requested exactly once; with ``step > burst_bytes`` every touch
+    lands in a new block, so nothing coalesces. Gathers never coalesce;
+    blocked walks and negative strides coalesce touch by touch.
     """
-    addrs = _element_addrs(stream, n_sample)
-    if addrs.size == 0:
-        return addrs
-    blocks = addrs // burst_bytes
-    if stream.kind == "gather":
+    if n_sample <= 0:
+        return np.empty(0, dtype=np.int64)
+    step = 0
+    if stream.kind in ("seq", "strided"):
+        step = (stream.stride if stream.kind == "strided" else 0) or (
+            stream.elem_bytes)
+    if 0 < step <= burst_bytes:
+        last = stream.base + (n_sample - 1) * step
+        return np.arange(stream.base // burst_bytes,
+                         last // burst_bytes + 1,
+                         dtype=np.int64) * burst_bytes
+    blocks = _element_addrs(stream, n_sample) // burst_bytes
+    if stream.kind == "gather" or step > burst_bytes:
         return blocks * burst_bytes
     keep = np.empty(blocks.size, dtype=bool)
     keep[0] = True
@@ -164,57 +187,28 @@ def _emit_window_array(stream: StreamSpec, n_sample: int,
     return blocks[keep] * burst_bytes
 
 
-def _emit_stream_window(stream: StreamSpec, n_sample: int,
-                        burst_bytes: int) -> List[Request]:
-    """Expand the first ``n_sample`` elements into burst requests."""
-    addrs = _emit_window_array(stream, n_sample, burst_bytes)
-    w = stream.is_write
-    return [(int(a), w) for a in addrs]
-
-
-def _merge_plan(window_lens: Sequence[int]) -> List[Tuple[int, int, int]]:
-    """Gang-granular interleave order: ``(window, start, take)`` chunks.
-
-    Replays the proportional round-robin exactly — the stream least far
-    through its window (by the same float fraction comparison) issues
-    the next gang — but over whole gangs instead of single requests.
-    """
-    cursors = [0] * len(window_lens)
-    remaining = sum(window_lens)
-    plan: List[Tuple[int, int, int]] = []
-    while remaining:
-        best = -1
-        best_frac = 2.0
-        for idx, length in enumerate(window_lens):
-            if cursors[idx] >= length:
-                continue
-            frac = cursors[idx] / length
-            if frac < best_frac:
-                best_frac = frac
-                best = idx
-        take = min(GANG_ELEMS, window_lens[best] - cursors[best])
-        plan.append((best, cursors[best], take))
-        cursors[best] += take
-        remaining -= take
-    return plan
-
-
 def _merge_window_arrays(streams: Sequence[StreamSpec],
                          n_samples: Sequence[int], burst_bytes: int
                          ) -> Tuple[np.ndarray, np.ndarray]:
-    """Merged ``(addresses, is_write)`` arrays of the sampled windows."""
+    """Merged ``(addresses, is_write)`` arrays of the sampled windows.
+
+    Proportional round-robin: the stream least far through its window
+    issues its next gang of ``GANG_ELEMS`` requests, ties going to the
+    lower stream index. Each stream's gang fractions ``gang start /
+    window length`` rise strictly, so that greedy order is a k-way merge
+    of them, i.e. a stable sort of the concatenated windows on each
+    request's gang fraction (the same IEEE division the greedy compares).
+    """
     windows = [_emit_window_array(s, n, burst_bytes)
                for s, n in zip(streams, n_samples)]
-    plan = _merge_plan([w.size for w in windows])
-    total = sum(take for _, _, take in plan)
-    addrs = np.empty(total, dtype=np.int64)
-    writes = np.empty(total, dtype=bool)
-    pos = 0
-    for idx, start, take in plan:
-        addrs[pos:pos + take] = windows[idx][start:start + take]
-        writes[pos:pos + take] = streams[idx].is_write
-        pos += take
-    return addrs, writes
+    if not windows:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+    sizes = [w.size for w in windows]
+    gang_start = np.concatenate(
+        [np.arange(size) // GANG_ELEMS * GANG_ELEMS for size in sizes])
+    order = np.argsort(gang_start / np.repeat(sizes, sizes), kind="stable")
+    writes = np.repeat([s.is_write for s in streams], sizes)
+    return np.concatenate(windows)[order], writes[order]
 
 
 def merge_streams(streams: Sequence[StreamSpec], n_samples: Sequence[int],

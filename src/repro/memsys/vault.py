@@ -17,15 +17,26 @@ operation happens in exactly the order (and with exactly the operands)
 of the reference bank FSM — the timing recurrence
 ``finish = max(col + t_cas, bus_free) + t_burst`` is a genuine serial
 dependence and must not be reassociated, which is why it stays a lean
-loop instead of a numpy kernel (see DESIGN.md). Bit-identity against
-the reference :class:`Bank` FSM drain, which lives in the tests, is
-pinned by ``tests/memsys/test_vectorized_diff.py``.
+loop instead of a numpy kernel (see DESIGN.md). The rest of the FSM's
+bookkeeping is exact by monotonicity, given the non-negative delays
+:class:`DramTiming` enforces: a reorder swap only permutes requests, so
+per-bank request and write counts are ``bincount``s of the input and
+the loop counts only misses; ``done`` never decreases, so the drain
+finishes at the last burst; ``ready_pre`` never decreases and an
+open-row miss activates after ``ready_pre + t_rp`` anyway, so
+``ready_act = max(ready_act, ready_pre + t_rp)`` is folded once per
+touched bank after the loop; and a hit issues at ``col_at >=
+ready_col``, so it sets ``ready_col = col_at + t_ccd`` uncompared.
+Bit-identity against the reference :class:`Bank` FSM drain, which lives
+in the tests, is pinned by ``tests/memsys/test_vectorized_diff.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from repro.memsys.bank import Bank, BankStats
 from repro.memsys.timing import DramTiming
@@ -37,12 +48,6 @@ class VaultResult:
 
     finish_time: float
     stats: BankStats
-
-
-def _as_list(column: Sequence) -> list:
-    """A fresh Python list of ``column``: numpy's ``tolist`` (native
-    ints/bools in one pass) or a copy of a sequence."""
-    return column.tolist() if hasattr(column, "tolist") else list(column)
 
 
 class VaultController:
@@ -73,20 +78,21 @@ class VaultController:
         (t_rcd, t_cas, t_rp, t_ras, t_wr, t_ccd,
          t_burst) = self.timing.drain_constants
         bank_objs = self.banks
+        n_banks = len(bank_objs)
+        banks = np.asarray(req_banks, dtype=np.int64)
+        writes = np.asarray(req_writes, dtype=bool)
+        n_total = np.bincount(banks, minlength=n_banks).tolist()
+        n_writes = np.bincount(banks[writes], minlength=n_banks).tolist()
         open_row = [b.open_row for b in bank_objs]
         ready_act = [b._ready_act for b in bank_objs]
         ready_col = [b._ready_col for b in bank_objs]
         ready_pre = [b._ready_pre for b in bank_objs]
-        n_hits = [0] * len(bank_objs)
-        n_miss = [0] * len(bank_objs)
-        n_reads = [0] * len(bank_objs)
-        n_writes = [0] * len(bank_objs)
-        pending_b = _as_list(req_banks)
-        pending_r = _as_list(req_rows)
-        pending_w = _as_list(req_writes)
+        n_miss = [0] * n_banks
+        pending_b = banks.tolist()
+        pending_r = np.asarray(req_rows).tolist()
+        pending_w = writes.tolist()
         bus = self._bus_free_at
         now = start if start > bus else bus
-        finish = now
         head = 0
         n = len(pending_b)
         window = self.window
@@ -113,9 +119,9 @@ class VaultController:
             head += 1
             # inlined Bank.access (same operations, same order)
             if hit:
-                n_hits[bank] += 1
                 rc = ready_col[bank]
                 col_at = now if now > rc else rc
+                ready_col[bank] = col_at + t_ccd
             else:
                 n_miss[bank] += 1
                 ra = ready_act[bank]
@@ -130,35 +136,27 @@ class VaultController:
                 open_row[bank] = row
                 ready_pre[bank] = act_at + t_ras
                 col_at = act_at + t_rcd
-            data_start = col_at + t_cas
-            if data_start < bus:
-                data_start = bus
-            done = data_start + t_burst
-            rc = col_at + t_ccd
-            if rc > ready_col[bank]:
-                ready_col[bank] = rc
-            if is_write:
-                n_writes[bank] += 1
-                rp = done + t_wr
-            else:
-                n_reads[bank] += 1
-                rp = col_at + t_cas
+                rc = col_at + t_ccd
+                if rc > ready_col[bank]:
+                    ready_col[bank] = rc
+            cas_at = col_at + t_cas
+            # the burst waits for the bus and then holds it until done
+            bus = (bus if cas_at < bus else cas_at) + t_burst
+            rp = bus + t_wr if is_write else cas_at
             if rp > ready_pre[bank]:
                 ready_pre[bank] = rp
-            ra = ready_pre[bank] + t_rp
-            if ra > ready_act[bank]:
-                ready_act[bank] = ra
-            bus = done
-            if done > finish:
-                finish = done
         self._bus_free_at = bus
         stats = BankStats()
         for idx, b in enumerate(bank_objs):
             b.open_row = open_row[idx]
-            b._ready_act = ready_act[idx]
             b._ready_col = ready_col[idx]
             b._ready_pre = ready_pre[idx]
-            b.stats.add_counts(n_hits[idx], n_miss[idx], n_reads[idx],
-                               n_writes[idx])
+            if n_total[idx]:
+                ra = ready_pre[idx] + t_rp
+                if ra > b._ready_act:
+                    b._ready_act = ra
+            misses = n_miss[idx]
+            b.stats.add_counts(n_total[idx] - misses, misses,
+                               n_total[idx] - n_writes[idx], n_writes[idx])
             stats.merge(b.stats)
-        return VaultResult(finish_time=finish, stats=stats)
+        return VaultResult(finish_time=bus if n else now, stats=stats)

@@ -1,10 +1,11 @@
 """Unit and property tests for the address mapping."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memsys.address import AddressMapping, _fold
+from repro.memsys.address import AddressMapping, _fold, _fold_array
 
 MAPPING = AddressMapping(interleave_bytes=256, units=16, banks=8,
                          row_bytes=2048)
@@ -90,3 +91,17 @@ def test_mapping_is_injective_per_block(addr):
 @given(st.integers(min_value=0, max_value=1 << 30))
 def test_decompose_deterministic(addr):
     assert MAPPING.decompose(addr) == MAPPING.decompose(addr)
+
+
+@pytest.mark.parametrize("modulus", [1, 2, 4, 8, 16, 256])
+def test_fold_array_matches_scalar_fold(modulus):
+    near_top = [(1 << 62) + d for d in (-1, 0, 1, 12345)] + [
+        (1 << 63) - 1, (1 << 62) - (1 << 40)]
+    arrays = [np.array(near_top, dtype=np.int64),
+              np.zeros(7, dtype=np.int64),
+              np.empty(0, dtype=np.int64),
+              np.arange(0, 5000, 7, dtype=np.int64)]
+    for x in arrays:
+        got = _fold_array(x, modulus)
+        assert got.dtype == np.int64
+        assert got.tolist() == [_fold(v, modulus) for v in x.tolist()]

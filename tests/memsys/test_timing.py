@@ -1,5 +1,7 @@
 """Unit tests for DRAM timing parameter sets."""
 
+import dataclasses
+
 import pytest
 
 from repro.memsys.timing import DDR3_1600_CHANNEL, HMC_VAULT, DramTiming
@@ -48,3 +50,32 @@ def test_column_rate_matches_burst_rate():
     # tCCD must not throttle the bus below its peak by more than ~25%
     for t in (DDR3_1600_CHANNEL, HMC_VAULT):
         assert t.t_ccd <= 1.25 * t.t_burst
+
+
+@pytest.mark.parametrize("name",
+                         ["t_rcd", "t_cas", "t_rp", "t_ras", "t_wr", "t_ccd"])
+@pytest.mark.parametrize("value", [-1e-9, float("nan"), float("inf")])
+def test_rejects_negative_or_non_finite_delays(name, value):
+    with pytest.raises(ValueError, match=name):
+        dataclasses.replace(HMC_VAULT, **{name: value})
+
+
+@pytest.mark.parametrize("name", ["clock_hz", "bytes_per_cycle",
+                                  "burst_bytes", "row_bytes", "banks"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_rejects_non_positive_sizes_and_clock(name, value):
+    with pytest.raises(ValueError, match=name):
+        dataclasses.replace(DDR3_1600_CHANNEL, **{name: value})
+
+
+def test_rejects_non_finite_clock():
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="clock_hz"):
+            HMC_VAULT.scaled_clock(value)
+
+
+def test_zero_delays_and_presets_construct():
+    dataclasses.replace(HMC_VAULT, t_wr=0.0, t_ccd=0.0)
+    for preset in (DDR3_1600_CHANNEL, HMC_VAULT):
+        assert preset.scaled_clock(2 * preset.clock_hz).t_burst > 0
+        assert preset.with_row_bytes(4096).row_bytes == 4096

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from repro.memsys import (StackedDram, StreamSpec, haswell_memory, seq_read,
                           seq_write, simulate_streams)
-from repro.memsys.trace import _emit_stream_window, merge_streams
+from repro.memsys.trace import merge_streams
+from tests.memsys.helpers import emit_stream_window
 
 
 def test_seq_stream_addresses():
@@ -60,14 +61,14 @@ def test_invalid_specs_rejected():
 
 def test_coalescing_dense_scan():
     s = seq_read(0, 1024, elem_bytes=4)       # 256 elements
-    reqs = _emit_stream_window(s, 256, burst_bytes=64)
+    reqs = emit_stream_window(s, 256, burst_bytes=64)
     assert len(reqs) == 16                    # 1024 B / 64 B bursts
 
 
 def test_no_coalescing_wide_stride():
     s = StreamSpec(base=0, n_elems=64, elem_bytes=4, kind="strided",
                    stride=4096)
-    reqs = _emit_stream_window(s, 64, burst_bytes=64)
+    reqs = emit_stream_window(s, 64, burst_bytes=64)
     assert len(reqs) == 64
 
 

@@ -10,6 +10,8 @@ perform the same IEEE operations in the same order, not merely
 approximate them.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,10 +25,12 @@ from repro.memsys.energy import HMC_ENERGY
 from repro.memsys.timing import DDR3_1600_CHANNEL, HMC_VAULT
 from repro.memsys.trace import (DEFAULT_WINDOW_ELEMS, GANG_ELEMS,
                                 StreamSpec, _element_addrs,
-                                _emit_stream_window, _merge_window_arrays,
+                                _emit_window_array, _merge_window_arrays,
                                 merge_streams)
 from repro.memsys.vault import VaultController
-from tests.memsys.helpers import run_trace, service
+from tests.memsys.helpers import (emit_stream_window, reference_merge_arrays,
+                                  reference_window_array, run_trace,
+                                  service)
 
 RNG_SEED = 987654321
 
@@ -108,7 +112,7 @@ def test_emit_window_matches_scalar_reference():
         s = random_stream(rng)
         n = min(s.n_elems, 1200)
         burst = int(rng.choice([32, 64, 128]))
-        assert _emit_stream_window(s, n, burst) == reference_emit(
+        assert emit_stream_window(s, n, burst) == reference_emit(
             s, n, burst)
 
 
@@ -147,6 +151,75 @@ def test_merge_streams_matches_scalar_reference():
         burst = 64
         assert merge_streams(streams, n_samples, burst) == \
             reference_merge(streams, n_samples, burst)
+
+
+# -- closed-form windows and sort merge vs the element path --------------------
+
+
+def battery_stream(rng, burst):
+    """A stream from the edges of the closed-form window rules:
+    unaligned bases, ``elem_bytes >= burst``, strides of 0, ``burst``
+    and ``burst +- elem_bytes`` (negative for wide elements), every
+    kind."""
+    kind = ("seq", "strided", "gather", "blocked")[int(rng.integers(4))]
+    elem = int(rng.choice([1, 2, 4, 8, 16, 32, 64, 128, 256]))
+    n = int(rng.choice([1, GANG_ELEMS - 1, GANG_ELEMS, GANG_ELEMS + 1,
+                        3 * GANG_ELEMS, int(rng.integers(1, 1500))]))
+    base = (1 << 30) + int(rng.integers(0, 1 << 20))
+    if kind == "strided":
+        stride = int(rng.choice([0, burst, burst - elem, burst + elem,
+                                 elem, 3 * elem, -elem]))
+        return StreamSpec(base=base, n_elems=n, elem_bytes=elem,
+                          stride=stride, kind=kind,
+                          is_write=bool(rng.integers(2)))
+    if kind == "gather":
+        return StreamSpec(base=base, n_elems=n, elem_bytes=elem,
+                          region_bytes=int(rng.integers(1, 1 << 16)),
+                          kind=kind, is_write=bool(rng.integers(2)))
+    if kind == "blocked":
+        return StreamSpec(base=base, n_elems=n, elem_bytes=elem,
+                          block_elems=int(rng.integers(1, 40)),
+                          block_stride=int(rng.integers(1, 1 << 12)),
+                          kind=kind, is_write=bool(rng.integers(2)))
+    return StreamSpec(base=base, n_elems=n, elem_bytes=elem,
+                      is_write=bool(rng.integers(2)))
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_window_and_merge_match_element_path_byte_for_byte():
+    rng = np.random.default_rng(RNG_SEED + 10)
+    sizes = set()
+    for _ in range(1000):
+        burst = int(rng.choice([32, 64]))
+        streams = [battery_stream(rng, burst)
+                   for _ in range(int(rng.integers(1, 7)))]
+        n_samples = [s.n_elems if rng.integers(2) else
+                     int(rng.integers(1, s.n_elems + 1)) for s in streams]
+        for s, n in zip(streams, n_samples):
+            want = reference_window_array(s, n, burst)
+            assert_same_array(_emit_window_array(s, n, burst), want)
+            sizes.add(want.size)
+        got = _merge_window_arrays(streams, n_samples, burst)
+        want = reference_merge_arrays(streams, n_samples, burst)
+        for g, w in zip(got, want):
+            assert_same_array(g, w)
+    # windows shorter than, equal to, a multiple of and not a multiple
+    # of a gang all occurred
+    assert 1 in sizes and GANG_ELEMS in sizes
+    assert any(size > GANG_ELEMS and size % GANG_ELEMS == 0
+               for size in sizes)
+    assert any(size > GANG_ELEMS and size % GANG_ELEMS for size in sizes)
+
+
+def test_merge_of_no_streams_is_empty():
+    addrs, writes = _merge_window_arrays([], [], 64)
+    assert addrs.dtype == np.int64 and writes.dtype == bool
+    assert addrs.size == writes.size == 0
+    assert merge_streams([], [], 64) == []
 
 
 # -- address decomposition -----------------------------------------------------
@@ -244,6 +317,53 @@ def test_vault_drain_cumulative_across_service_calls():
         assert b_new._ready_act == b_ref._ready_act
         assert b_new._ready_col == b_ref._ready_col
         assert b_new._ready_pre == b_ref._ready_pre
+
+
+def bank_state(bank):
+    return (bank.open_row, bank._ready_act, bank._ready_col,
+            bank._ready_pre, dataclasses.replace(bank.stats))
+
+
+@pytest.mark.parametrize("timing", [HMC_VAULT, DDR3_1600_CHANNEL])
+def test_partial_drain_leaves_every_bank_like_the_fsm(timing):
+    """A drain that touches only some banks, after an earlier call that
+    touched others, leaves every bank, touched or not, in the reference
+    FSM's state; banks no call touched keep their initial state."""
+    rng = np.random.default_rng(RNG_SEED + 11)
+    vc = VaultController(timing, window=8)
+    banks, bus = None, 0.0
+    for call, used in enumerate(([0, 1, 2], [2, 3], [1])):
+        reqs = [(int(rng.choice(used)), int(rng.integers(4)),
+                 bool(rng.integers(2))) for _ in range(150)]
+        start = call * 2e-7
+        got = service(vc, reqs, start=start)
+        finish, stats, banks, bus = reference_service(
+            timing, 8, reqs, banks=banks, bus=bus, start=start)
+        assert got.finish_time == finish
+        assert got.stats == stats
+        assert [bank_state(b) for b in vc.banks] == [
+            bank_state(b) for b in banks]
+    assert bank_state(vc.banks[timing.banks - 1]) == bank_state(
+        Bank(timing))
+
+
+@pytest.mark.parametrize("start", [0.0, 1e-9, 1.0])
+def test_empty_drain_returns_now_and_keeps_state(start):
+    timing = HMC_VAULT
+    fresh = VaultController(timing)
+    got = service(fresh, [], start=start)
+    assert got.finish_time == start
+    assert [bank_state(b) for b in fresh.banks] == [
+        bank_state(Bank(timing))] * timing.banks
+    vc = VaultController(timing)
+    service(vc, random_requests(np.random.default_rng(RNG_SEED), timing,
+                                50))
+    bus = vc._bus_free_at
+    before = [bank_state(b) for b in vc.banks]
+    got = service(vc, [], start=start)
+    assert got.finish_time == max(start, bus)
+    assert vc._bus_free_at == bus
+    assert [bank_state(b) for b in vc.banks] == before
 
 
 def test_service_arrays_accepts_numpy_columns():
