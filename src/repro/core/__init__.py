@@ -1,7 +1,7 @@
 """MEALib core: TDL, descriptors, configuration unit, runtime, system."""
 
 from repro.core.config_unit import (CompInstance, ConfigurationUnit,
-                                    Degradation, DescriptorExecution,
+                                    DescriptorExecution, ModelInput,
                                     PassPlan)
 from repro.core.descriptor import (CMD_IDLE, CMD_START, DescriptorError,
                                    DescriptorIntegrityError,
@@ -22,8 +22,8 @@ from repro.core.tdl import (Comp, Loop, ParamStore, Pass, TdlError,
                             TdlProgram, format_tdl, parse_tdl)
 
 __all__ = [
-    "CompInstance", "ConfigurationUnit", "Degradation",
-    "DescriptorExecution", "PassPlan",
+    "CompInstance", "ConfigurationUnit", "DescriptorExecution",
+    "ModelInput", "PassPlan",
     "CMD_IDLE", "CMD_START", "DescriptorError", "DescriptorIntegrityError",
     "EncodedDescriptor", "Instruction", "KIND_ACCEL", "KIND_ENDLOOP",
     "KIND_ENDPASS", "KIND_LOOP", "OPCODES", "decode_control",

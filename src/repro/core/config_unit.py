@@ -13,22 +13,21 @@ The CU here does double duty, like the rest of the package: it executes
 descriptors *functionally* (so results are real and testable) and
 *models* their time/energy (aggregating loop iterations into batched
 streams, the way the hardware pipeline actually behaves). The two are
-kept apart: decode and model are a pure function of the fetched image
-and the layer/governor state (what the schedule cache stores), and the
-live effects around them run once per execution on one path.
+kept apart: decode and model are a pure function of one frozen
+:class:`ModelInput` (what the schedule cache keys on), and the live
+effects around them run once per execution on one path.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace as dc_replace
-from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional,
+from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from repro.accel.base import (AcceleratorCore, StrideTable, shift_params,
                               unpack_strides)
 from repro.accel.layer import AcceleratorLayer
-from repro.accel.noc import MeshNoc
 from repro.accel.synthesis import noc_power
 from repro.accel.tile import TileFailedError
 from repro.core.descriptor import (CMD_START, DescriptorError, Instruction,
@@ -100,18 +99,29 @@ class PassPlan:
         return len(self.comps) > 1
 
 
-@dataclass(frozen=True)
-class Degradation:
-    """The layer's partial-degradation state for one execution.
+class ModelInput(NamedTuple):
+    """All one execution's pure model step reads besides the decoded
+    plans and the fixed device and mesh: the schedule cache's key.
 
     Attributes:
+        image / base_pa: the fetched descriptor image and its address.
         serving: vaults whose tiles execute the pass, ascending.
-        reroutes: degraded vault -> serving tile its data stripe is
-            carried to over TSV + mesh.
+        reroutes: ``(vault, serving tile, route hops)`` per degraded
+            vault, ascending: the tile its stripe is carried to over
+            TSV + mesh, and the adaptive route's current hop count.
+        slowdown / throttled: the governor's pass frequency factor and
+            the serving vaults under DVFS (1.0 and none when nominal).
+        contention: the layer's stretch for the co-running streams
+            (1.0 when the execution runs alone).
     """
 
+    image: bytes
+    base_pa: int
     serving: Tuple[int, ...]
-    reroutes: Mapping[int, int]
+    reroutes: Tuple[Tuple[int, int, int], ...]
+    slowdown: float
+    throttled: Tuple[int, ...]
+    contention: float
 
 
 @dataclass
@@ -256,7 +266,6 @@ class ConfigurationUnit:
 
     def __init__(self, layer: AcceleratorLayer,
                  space: UnifiedAddressSpace, device: MemoryDevice,
-                 noc: Optional[MeshNoc] = None,
                  faults: Optional[FaultInjector] = None,
                  datapath: Optional[DatapathEcc] = None,
                  governor: Optional["PowerGovernor"] = None,
@@ -264,7 +273,7 @@ class ConfigurationUnit:
         self.layer = layer
         self.space = space
         self.device = device
-        self.noc = noc if noc is not None else layer.noc
+        self.noc = layer.noc
         self.faults = faults
         self.datapath = datapath
         # power-envelope governor (repro.thermal): when attached, pass
@@ -277,6 +286,13 @@ class ConfigurationUnit:
         # model decomposition bit-identically; None keeps every
         # execution fully simulated
         self.schedule_cache = schedule_cache
+        # what the pure model step reads in place of the live layer,
+        # mesh and governor: all fixed at construction
+        self._tiles = len(layer.tiles)
+        self._link_bw = self.noc.link_bw
+        self._hop_latency = self.noc.hop_latency
+        self._energy_per_byte_hop = self.noc.energy_per_byte_hop
+        self._heat = governor is not None
 
     # -- decode ---------------------------------------------------------------
 
@@ -301,6 +317,13 @@ class ConfigurationUnit:
             raise DescriptorError(
                 f"malformed {instr.accel_name} parameter record "
                 f"({instr.param_size} bytes): {exc}") from exc
+        # a one-level (0,) table is the "loop count" convention; every
+        # level of a deeper table is a real mixed-radix trip count
+        if (strides is not None and len(strides.trips) > 1
+                and min(strides.trips) < 1):
+            raise DescriptorError(
+                f"{instr.accel_name} stride table has a trip below 1: "
+                f"{strides.trips}")
         return CompInstance(core=core, params=params, strides=strides)
 
     def fetch(self, desc_pa: int, desc_bytes: int) -> bytes:
@@ -394,17 +417,17 @@ class ConfigurationUnit:
                 params = shift_params(comp.params, comp.strides, i)
                 comp.core.run(self.space, params)
 
-    def _model_pass(self, plan: PassPlan,
-                    degradation: Optional[Degradation] = None
+    def _model_pass(self, plan: PassPlan, inp: ModelInput
                     ) -> Tuple[ExecResult, ExecResult, Dict[str, object]]:
         """Time/energy of one pass plan (loop iterations aggregated).
 
         Returns ``(result, reroute overhead, heat breakdown)``. When the
-        layer is degraded, ``result`` is the degraded cost and the
-        overhead is its excess over the hypothetical healthy cost (what
-        the ``reroute`` ledger category accounts). On a healthy layer
-        the overhead is exactly :data:`~repro.metrics.ZERO` and the
-        model is bit-identical to the undegraded one. The heat breakdown (of the *actual* run,
+        layer is degraded (``inp`` has reroutes), ``result`` is the
+        degraded cost and the overhead is its excess over the
+        hypothetical healthy cost (what the ``reroute`` ledger category
+        accounts). On a healthy layer the overhead is exactly
+        :data:`~repro.metrics.ZERO` and the model is bit-identical to
+        the undegraded one. The heat breakdown (of the *actual* run,
         degraded or not) is what the thermal model consumes; it is a
         pure decomposition of the result's energy.
 
@@ -413,13 +436,12 @@ class ConfigurationUnit:
         priced from that one :class:`MemResult`.
         """
         mem = self._pass_mem(plan)
-        if degradation is None:
-            result, heat = self._pass_terms(plan, mem,
-                                            len(self.layer.tiles), {})
+        if not inp.reroutes:
+            result, heat = self._pass_terms(plan, mem, self._tiles, ())
             return result, ZERO, heat
-        result, heat = self._pass_terms(
-            plan, mem, len(degradation.serving), degradation.reroutes)
-        clean, _ = self._pass_terms(plan, mem, len(self.layer.tiles), {})
+        result, heat = self._pass_terms(plan, mem, len(inp.serving),
+                                        inp.reroutes)
+        clean, _ = self._pass_terms(plan, mem, self._tiles, ())
         overhead = ExecResult(max(0.0, result.time - clean.time),
                               max(0.0, result.energy - clean.energy))
         return result, overhead, heat
@@ -452,7 +474,7 @@ class ConfigurationUnit:
         return simulate_streams(self.device, streams)
 
     def _pass_terms(self, plan: PassPlan, mem: MemResult, n_serve: int,
-                    reroutes: Mapping[int, int]
+                    reroutes: Sequence[Tuple[int, int, int]]
                     ) -> Tuple[ExecResult, Dict[str, object]]:
         """One pass's cost on ``n_serve`` tiles with ``reroutes`` vault
         stripes carried over the mesh, given its healthy drain ``mem``
@@ -487,7 +509,7 @@ class ConfigurationUnit:
             inter_bytes = plan.count * sum(
                 s.total_bytes for s in first.core.streams(first.params)
                 if s.is_write)
-            t_noc = inter_bytes / (n_serve * self.noc.link_bw)
+            t_noc = inter_bytes / (n_serve * self._link_bw)
         t_ctrl = plan.count * LOOP_REARM_TIME / n_serve
         t_reroute, e_reroute, e_by_server = self._reroute_terms(
             mem.bytes_moved, reroutes)
@@ -518,9 +540,10 @@ class ConfigurationUnit:
         return ExecResult(time=time, energy=energy), heat
 
     def _reroute_terms(self, bytes_moved: float,
-                       reroutes: Mapping[int, int]
+                       reroutes: Sequence[Tuple[int, int, int]]
                        ) -> Tuple[float, float, Dict[int, float]]:
-        """Mesh transport cost of the rerouted vault stripes.
+        """Mesh transport cost of the rerouted vault stripes
+        (:attr:`ModelInput.reroutes`).
 
         Returns ``(time, energy, energy by serving tile)`` — the
         per-server split feeds the thermal model (the carrying tile's
@@ -529,24 +552,17 @@ class ConfigurationUnit:
             return 0.0, 0.0, {}
         stripe = bytes_moved / self.device.units
         by_server: Dict[int, List[int]] = {}
-        for vault, server in reroutes.items():
-            by_server.setdefault(server, []).append(vault)
-        t_reroute = 0.0
-        e_reroute = 0.0
-        e_by_server: Dict[int, float] = {}
-        for server, vaults in by_server.items():
-            # batch hop kernel (vectorized XY when the mesh is healthy);
-            # the energy sum below stays in per-vault Python order
-            hops = [int(h) for h in
-                    self.noc.route_hops_batch(vaults, server)]
-            t_group = (max(hops) * self.noc.hop_latency
-                       + stripe * len(vaults) / self.noc.link_bw)
-            t_reroute = max(t_reroute, t_group)
-            e_group = sum(h * stripe * self.noc.energy_per_byte_hop
-                          for h in hops)
-            e_reroute += e_group
-            e_by_server[server] = e_by_server.get(server, 0.0) + e_group
-        return t_reroute, e_reroute, e_by_server
+        for _, server, hops in reroutes:
+            by_server.setdefault(server, []).append(hops)
+        t_reroute = max(max(hops) * self._hop_latency
+                        + stripe * len(hops) / self._link_bw
+                        for hops in by_server.values())
+        # summed in ascending vault order per server, servers in order
+        # of first appearance: the energies stay bit-identical
+        e_by_server = {server: sum(h * stripe * self._energy_per_byte_hop
+                                   for h in hops)
+                       for server, hops in by_server.items()}
+        return t_reroute, sum(e_by_server.values()), e_by_server
 
     def _inject_structural_faults(self) -> Optional[Tuple[int, int]]:
         """Apply this execution's injected tile/link faults.
@@ -575,15 +591,19 @@ class ConfigurationUnit:
                 self.noc.fail_link(*flapped)
         return flapped
 
-    def _degradation(self) -> Tuple[List[int], Optional[Degradation]]:
-        """Current serving tiles + degradation record, or raise
-        :class:`TileFailedError` when no accelerated execution is
-        possible (every tile dead, or a vault unreachable)."""
-        serving = self.layer.serving_tiles()
+    def _degradation(self) -> Tuple[Tuple[int, ...],
+                                     Tuple[Tuple[int, int, int], ...]]:
+        """The current :attr:`ModelInput.serving` and
+        :attr:`ModelInput.reroutes`, or raise :class:`TileFailedError`
+        when no accelerated execution is possible (every tile dead, or
+        a vault unreachable)."""
+        serving = tuple(self.layer.serving_tiles())
         if not serving:
             raise TileFailedError(
                 f"tiles on vaults {self.layer.failed_tiles()} are all "
                 "failed; no tile can serve the descriptor")
+        if len(serving) == self._tiles:
+            return serving, ()
         reroutes = self.layer.reroute_map()
         unreachable = sorted(v for v, s in reroutes.items() if s is None)
         if unreachable:
@@ -591,55 +611,52 @@ class ConfigurationUnit:
                 f"no serving tile can reach vaults {unreachable} over "
                 f"the degraded mesh (failed links: "
                 f"{sorted(self.noc.failed_links)})")
-        if len(serving) == len(self.layer.tiles):
-            return serving, None
-        return serving, Degradation(
-            serving=tuple(serving),
-            reroutes={v: s for v, s in reroutes.items()})
+        hops: Dict[int, int] = {}
+        for server in set(reroutes.values()):
+            # batch hop kernel (vectorized XY when the mesh is healthy)
+            vaults = [v for v, s in reroutes.items() if s == server]
+            hops.update(zip(vaults, self.noc.route_hops_batch(
+                vaults, server).tolist()))
+        return serving, tuple((v, s, hops[v]) for v, s in reroutes.items())
 
-    def _model(self, plans: Sequence[PassPlan], desc_bytes: int,
-               serving: Sequence[int],
-               degradation: Optional[Degradation], slowdown: float,
-               throttled: Sequence[int],
-               concurrency: int) -> DescriptorExecution:
+    def _model(self, plans: Sequence[PassPlan],
+               inp: ModelInput) -> DescriptorExecution:
         """The pure model step: decoded plans -> execution record.
 
         Prices every pass, the reroute, throttle and contention
         stretches, the fetch overhead and (with a governor) the heat
-        terms from its arguments and the fixed device/layer alone, so
-        the record is exactly what the schedule cache may store.
+        terms from ``inp`` and the fixed device and geometry alone, so
+        the record is exactly what the schedule cache may store under
+        ``inp``.
         """
-        fetch_time = FU_FETCH_LATENCY + desc_bytes / FU_FETCH_BW
+        fetch_time = FU_FETCH_LATENCY + len(inp.image) / FU_FETCH_BW
         total = ExecResult(time=fetch_time, energy=fetch_time * CU_POWER)
         by_accel: Dict[str, ExecResult] = {}
-        rerouted = (len(degradation.reroutes)
-                    if degradation is not None else 0)
+        rerouted = len(inp.reroutes)
         # vault-bandwidth contention: co-running descriptor streams
         # time-share every vault's TSV bus, so each pass's drain
         # stretches by the layer's slowdown factor (1.0 when alone)
-        contend = (self.layer.contention_slowdown(concurrency)
-                   if concurrency > 1 else 1.0)
+        contend = inp.contention
         overheads: Dict[str, ExecResult] = {}
         if rerouted:
             overheads["reroute"] = ZERO
-        if throttled:
+        if inp.throttled:
             overheads["throttle"] = ZERO
-        if concurrency > 1:
+        if contend > 1.0:
             overheads["contention"] = ZERO
         vault_heat: Optional[Dict[int, float]] = None
         logic_heat = 0.0
-        if self.governor is not None:
+        if self._heat:
             vault_heat = {v: 0.0 for v in range(self.device.units)}
             logic_heat = fetch_time * CU_POWER
         for plan in plans:
-            pass_result, overhead, heat = self._model_pass(plan,
-                                                           degradation)
+            pass_result, overhead, heat = self._model_pass(plan, inp)
             throttle_ov = ZERO
-            if slowdown < 1.0:
+            if inp.slowdown < 1.0:
                 # frequency-only DVFS: the lockstep drain runs at the
                 # slowest serving vault's clock
                 throttle_ov = self._static_stretch(
-                    pass_result.time, 1.0 / slowdown - 1.0)
+                    pass_result.time, 1.0 / inp.slowdown - 1.0)
             contention_ov = ZERO
             if contend > 1.0:
                 # time-shared vault bandwidth: the pass drain takes
@@ -675,8 +692,8 @@ class ConfigurationUnit:
                 per_vault = heat["dram"] / units
                 for v in vault_heat:
                     vault_heat[v] += per_vault
-                per_tile = heat["tiles"] / len(serving)
-                for v in serving:
+                per_tile = heat["tiles"] / len(inp.serving)
+                for v in inp.serving:
                     vault_heat[v] += per_tile
                 logic_heat += heat["logic"]
                 for server, e_srv in heat["reroute"].items():
@@ -701,11 +718,12 @@ class ConfigurationUnit:
         One path for every call: structural fault sampling, the
         doorbell, the degradation state, fetch and the governor's DVFS
         sample; then decode, the datapath SECDED guard, the pure model
-        step (:meth:`_model`), the functional run of every plan and the
-        throttle bookkeeping. A schedule-cache hit supplies the decoded
-        plans and the modelled record and skips only decode and model;
-        the guard runs before the model, so a retry it forces never
-        models twice.
+        step (:meth:`_model`) on the :class:`ModelInput` read off the
+        layer and governor, the functional run of every plan and the
+        throttle bookkeeping. A schedule-cache hit on that input
+        supplies the decoded plans and the modelled record and skips
+        only decode and model; the guard runs before the model, so a
+        retry it forces never models twice.
 
         A dead tile (or a mesh-isolated one) no longer aborts the
         execution: its vault's data stripe is rerouted over TSV + mesh
@@ -738,28 +756,20 @@ class ConfigurationUnit:
             if self.faults is not None and self.faults.sample_hang():
                 raise CuHangError(
                     "configuration unit did not acknowledge the doorbell")
-            serving, degradation = self._degradation()
+            serving, reroutes = self._degradation()
             image = self.fetch(desc_pa, desc_bytes)
             # DVFS state is sampled once per execution: the governor is
             # only re-polled by the runtime after the thermal step
             slowdown = 1.0
-            throttled: List[int] = []
+            throttled: Tuple[int, ...] = ()
             if self.governor is not None:
                 slowdown = self.governor.pass_slowdown(serving)
-                throttled = self.governor.throttled_vaults(serving)
+                throttled = tuple(self.governor.throttled_vaults(serving))
+            inp = ModelInput(image, desc_pa, serving, reroutes, slowdown,
+                             throttled,
+                             self.layer.contention_slowdown(concurrency))
             cache = self.schedule_cache
-            key = None
-            cached = None
-            if cache is not None:
-                # the whole model input: an entry cannot go stale
-                # (``desc_bytes`` is ``len(image)``; the failed-link
-                # set steers the reroute hop counts)
-                key = (desc_pa, image, tuple(serving),
-                       (tuple(sorted(degradation.reroutes.items()))
-                        if degradation is not None else ()),
-                       self.noc.failed_links, slowdown, tuple(throttled),
-                       concurrency)
-                cached = cache.lookup(key)
+            cached = cache.lookup(inp) if cache is not None else None
             execution: Optional[DescriptorExecution] = None
             if cached is not None:
                 plans, execution = cached
@@ -768,11 +778,9 @@ class ConfigurationUnit:
                                               require_start=True)
             self._guard_datapath(plans)
             if execution is None:
-                execution = self._model(plans, len(image), serving,
-                                        degradation, slowdown, throttled,
-                                        concurrency)
+                execution = self._model(plans, inp)
                 if cache is not None:
-                    cache.store(key, plans, execution)
+                    cache.store(inp, plans, execution)
             if functional:
                 for plan in plans:
                     self.run_functional(plan)

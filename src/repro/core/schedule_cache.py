@@ -8,10 +8,10 @@ descriptor is a pure function of
 
 * the descriptor image itself (op, shape, stride, placement — the image
   bytes embed all of them, including the absolute operand addresses),
-* the layer's degradation state (serving tiles + stripe reroutes + the
-  link-health overlay the adaptive router consults),
+* the layer's degradation state (serving tiles + stripe reroutes, each
+  with its route hop count on the current link-health overlay),
 * the governor's DVFS state (pass slowdown + throttled vault set),
-* the number of descriptor streams sharing the stack, and
+* the contention factor of the streams sharing the stack, and
 * nothing else — bank/bus state is per-drain (every pass model starts
   from cold controllers), so two calls with identical inputs produce
   bit-identical :class:`~repro.core.config_unit.DescriptorExecution`
@@ -20,23 +20,20 @@ descriptor is a pure function of
 The configuration unit splits each execution accordingly: a *pure
 step* (decode the fetched image into pass plans, then model them into
 the :class:`~repro.core.config_unit.DescriptorExecution`) and one live
-path around it that every call takes. The cache stores exactly the pure
-step's ``(plans, execution)`` record, keyed on the whole model input,
-``(descriptor address, image bytes, serving tiles, reroutes, failed
-mesh links, slowdown, throttled vaults, concurrency)``; a hit skips
-decode and the whole memory-system model and nothing else. (The
-failed-link set is in the key because route hop counts depend on it
-even when the serving and reroute sets are unchanged; ``concurrency``
-is the co-running stream count the serving runtime dispatched the
-descriptor under, so contention-stretched and solo executions never
-share an entry.) The live path — fault sampling, descriptor corruption
-+ integrity check, datapath SECDED adjudication of latent flips,
-functional execution, throttle bookkeeping — is the same code on a hit
-and a miss, so fault campaigns, patrol scrubs and functional results
-are unaffected by caching.
+path around it that every call takes. The live path reads the inputs
+above (and the fetch address) into one frozen
+:class:`~repro.core.config_unit.ModelInput`, the pure step's only
+input; the cache stores exactly the pure step's ``(plans, execution)``
+record keyed on that input, and a hit skips decode and the whole
+memory-system model and nothing else. The live path — fault sampling,
+descriptor corruption + integrity check, datapath SECDED adjudication
+of latent flips, functional execution, throttle bookkeeping — is the
+same code on a hit and a miss, so fault campaigns, patrol scrubs and
+functional results are unaffected by caching.
 
-Because the key names every input of the model, an entry cannot go
-stale: a hazard that changes the world changes the key, and a hazard
+Because the key is the model's whole input, an entry cannot go
+stale: a hazard that changes the world changes the key unless the
+model cannot see it (a failed link on no detour replays), and a hazard
 that is undone (a link flap restored, a throttle released) returns to
 a key whose entry is still exact. Nothing is ever evicted as stale.
 
@@ -50,9 +47,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.core.config_unit import DescriptorExecution, PassPlan
+from repro.core.config_unit import DescriptorExecution, ModelInput, PassPlan
 
 
 @dataclass
@@ -91,16 +88,16 @@ def _copy_execution(ex: DescriptorExecution) -> DescriptorExecution:
 
 
 class ScheduleCache:
-    """LRU map from model-input keys to pure-step records."""
+    """LRU map from model inputs to pure-step records."""
 
     def __init__(self, capacity: int = 256):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.stats = ScheduleCacheStats()
-        self._entries: "OrderedDict[Hashable, Record]" = OrderedDict()
+        self._entries: "OrderedDict[ModelInput, Record]" = OrderedDict()
 
-    def lookup(self, key: Hashable) -> Optional[Record]:
+    def lookup(self, key: ModelInput) -> Optional[Record]:
         """The record for ``key`` with a fresh copy of its execution,
         or ``None``."""
         record = self._entries.get(key)
@@ -112,7 +109,7 @@ class ScheduleCache:
         plans, execution = record
         return plans, _copy_execution(execution)
 
-    def store(self, key: Hashable, plans: Sequence[PassPlan],
+    def store(self, key: ModelInput, plans: Sequence[PassPlan],
               execution: DescriptorExecution) -> None:
         """Cache one pure step's record under ``key``.
 

@@ -56,7 +56,9 @@ class MealibSystem:
     a repeated descriptor skips decode and the memory-system simulation
     and nothing else — fault sampling, the SECDED guard, the functional
     run and throttle accounting take the same path as on a miss. The
-    key is the whole model input, so no entry can go stale; the cache
+    key is the :class:`~repro.core.config_unit.ModelInput` the model
+    reads, its whole input (route hop counts included, not the
+    failed-link set), so no entry can go stale; the cache
     is never shared, because the key does not name the device or layer
     it was computed on. ``False`` (the default) models every call.
 

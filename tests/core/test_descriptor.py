@@ -1,5 +1,8 @@
 """Accelerator descriptor encoding/decoding."""
 
+import struct
+
+import numpy as np
 import pytest
 
 from repro.accel import AxpyParams, FftParams
@@ -7,7 +10,7 @@ from repro.core import (CMD_IDLE, CMD_START, DescriptorError, KIND_ACCEL,
                         KIND_ENDLOOP, KIND_ENDPASS, KIND_LOOP, ParamStore,
                         decode_control, decode_instructions, encode,
                         parse_tdl, set_command)
-from repro.core.descriptor import CR_BYTES, INSTR_BYTES
+from repro.core.descriptor import CR_BYTES, INSTR_BYTES, MAGIC
 
 
 def sample():
@@ -101,3 +104,33 @@ def test_accel_name_of_control_instruction():
     from repro.core import Instruction
     with pytest.raises(DescriptorError):
         Instruction(kind=KIND_ENDPASS).accel_name
+
+
+#: Random byte strings per decoder battery.
+FUZZ_INPUTS = 35000
+
+
+def test_random_bytes_decode_or_fail_typed():
+    """Seeded random byte strings of 0-200 bytes, half of them behind
+    a valid magic word, through the control and instruction decoders:
+    each decodes or raises :class:`DescriptorError`, never a stray
+    exception. The instruction decoder also sees every string with a
+    small random instruction count, whatever its control region."""
+    rng = np.random.default_rng(0xB17E5)
+    magic = struct.pack("<I", MAGIC)
+    past_control = 0
+    for _ in range(FUZZ_INPUTS):
+        data = rng.bytes(int(rng.integers(0, 201)))
+        if rng.random() < 0.5:
+            data = magic + data[len(magic):]
+        try:
+            _, n_instr = decode_control(data)
+            past_control += 1
+            decode_instructions(data, n_instr)
+        except DescriptorError:
+            pass
+        try:
+            decode_instructions(data, int(rng.integers(0, 12)))
+        except DescriptorError:
+            pass
+    assert past_control > 0

@@ -5,7 +5,7 @@ import pytest
 
 from repro.accel import (AxpyParams, DotParams, FftParams, ResmpParams,
                          DTYPE_C64)
-from repro.accel.base import pack_strides
+from repro.accel.base import StrideTable, pack_strides
 from repro.core import (MealibSystem, MealibRuntimeError, ParamStore,
                         DescriptorError, encode, encoded_size, parse_tdl)
 from repro.memmgmt.allocator import ContiguousAllocator
@@ -168,6 +168,32 @@ class TestLoopsAndStrides:
         for i in range(iters):
             assert complex(out[i]) == pytest.approx(
                 complex(np.vdot(x[i], y[i])), rel=1e-3)
+
+    @pytest.mark.parametrize("trips", [(2, 0), (0, 2), (2, -1)])
+    def test_multi_level_trip_below_one_rejected(self, system, trips):
+        """Every level of a multi-level stride table is a trip count
+        of at least 1 (only a one-level ``(0,)`` table means "the loop
+        count"). Anything smaller is rejected at decode, before any
+        functional effect, and the host fallback, decoding the same
+        bytes, rejects it too."""
+        n = 64
+        xb, x = system.space.alloc_array((4, n), np.float32)
+        yb, y = system.space.alloc_array((4, n), np.float32)
+        x[:] = 1.0
+        y[:] = 0.0
+        table = StrideTable(trips=trips,
+                            deltas={"x_pa": (2 * n * 4, n * 4),
+                                    "y_pa": (2 * n * 4, n * 4)})
+        store = ParamStore()
+        store.add("a.para", AxpyParams(n=n, alpha=1.0, x_pa=xb.pa,
+                                       y_pa=yb.pa).pack()
+                  + pack_strides(AxpyParams, table))
+        plan = system.runtime.acc_plan(
+            "LOOP 4 { PASS { COMP AXPY a.para } }", store,
+            in_size=4 * n * 8, out_size=4 * n * 4)
+        with pytest.raises(DescriptorError, match="trip below 1"):
+            system.runtime.acc_execute(plan, functional=True)
+        np.testing.assert_array_equal(y, 0.0)
 
 
 class TestConfigUnit:

@@ -11,7 +11,9 @@ a speedup, never a semantic change:
 * a *directed key* test pins the one input that only matters deep in
   degradation: with a single serving tile, failing a link on its
   reroute paths moves hop counts (and energy) but not the reroute map,
-  so the failed-link set must be part of the key;
+  so the hop counts must be part of the key; a *purity* test runs the
+  model step with the live layer, mesh and governor replaced by
+  sentinels and gets the live record back;
 * *replay-identity* tests put every hazard the system has — injected
   and planted faults, link and tile failures and repairs, governor
   throttle/release, patrol scrubs — between two calls and assert the
@@ -191,11 +193,12 @@ AXPY_SPEC = ("AXPY", TABLE2["AXPY"].params(0.002), b"",
              "PASS { COMP AXPY w.para }")
 
 
-def test_failed_link_set_is_in_the_key():
+def test_route_hop_counts_are_in_the_key():
     """Fifteen dead tiles reroute every stripe to tile 15. Failing
     link (14, 15) leaves the serving set and the reroute map exactly as
-    they were, but vault 14's stripe now detours, so the energy moves.
-    The second call must miss and match a cache-off system."""
+    they were, but vault 14's stripe now detours, so its route hop
+    count and the energy move. The second call must miss and match a
+    cache-off system."""
     spec = ("AXPY", TABLE2["AXPY"].params(0.004), b"",
             "PASS { COMP AXPY w.para }")
     results = {}
@@ -218,6 +221,48 @@ def test_failed_link_set_is_in_the_key():
     assert cached.schedule_cache.stats.hits == 0
     assert cached.schedule_cache.stats.misses == 2
     assert_ledgers_identical(cached, fresh)
+
+
+def untouchable(name):
+    """A stand-in for live state that fails on any attribute access."""
+    class Untouchable:
+        def __getattribute__(self, attr):
+            raise AssertionError(f"the model step read {name}.{attr}")
+    return Untouchable()
+
+
+@pytest.mark.parametrize("thermal", [None, ThermalConfig()],
+                         ids=["no_governor", "governor"])
+def test_model_step_reads_only_its_input(monkeypatch, thermal):
+    """The model step is a function of the decoded plans and its
+    ``ModelInput`` alone. Capture a live degraded, detoured and
+    contended execute, swap the configuration unit's layer, mesh and
+    governor for sentinels, and model the same input again: the record
+    must equal the live one."""
+    system = make_system(thermal=thermal)
+    cu = system.config_unit
+    model = cu._model
+    seen = []
+
+    def recording(plans, inp):
+        seen.append((plans, inp, model(plans, inp)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(cu, "_model", recording)
+    for vault in range(15):
+        system.layer.mark_tile_failed(vault)
+    system.layer.noc.fail_link(14, 15)
+    plan = make_plan(system, AXPY_SPEC)
+    system.runtime.acc_execute(plan, functional=False, concurrency=2)
+    [(plans, inp, live)] = seen
+    assert inp.serving == (15,)
+    assert (14, 15, 3) in inp.reroutes
+    assert inp.contention == 2.0
+    assert set(live.overheads) == {"reroute", "contention"}
+    assert (live.vault_heat is None) == (thermal is None)
+    for name in ("noc", "layer", "governor"):
+        setattr(cu, name, untouchable(name))
+    assert model(plans, inp) == live
 
 
 # -- replay identity: hazards between calls ------------------------------------
@@ -258,16 +303,17 @@ def test_planted_flip_replays_and_is_adjudicated_live():
 
 
 def test_link_failure_and_restore_invalidate():
-    """A link failure moves the key (a miss); restoring it returns to the
-    healthy key, whose entry is exact and replays. Restoring a link that
-    is not failed changes nothing and replays again."""
+    """The key holds route hop counts, not the failed-link set. On a
+    healthy layer no stripe is rerouted, so failing link (0, 1) changes
+    no model input and replays; restoring it, and restoring it again,
+    replay too. Every replay matches the cache-off system."""
     on, _ = lockstep(
         lambda cache: make_system(schedule_cache=cache), AXPY_SPEC,
         [lambda s: s.layer.noc.fail_link(0, 1),
          lambda s: s.layer.noc.restore_link(0, 1),
          lambda s: s.layer.noc.restore_link(0, 1)])
     stats = on.schedule_cache.stats
-    assert (stats.hits, stats.misses) == (2, 2)
+    assert (stats.hits, stats.misses) == (3, 1)
 
 
 def test_tile_failure_and_repair_invalidate():

@@ -1,5 +1,6 @@
 """TDL parsing, printing, and tree invariants."""
 
+import numpy as np
 import pytest
 
 from repro.core import (Comp, Loop, Pass, TdlError, TdlProgram, format_tdl,
@@ -88,3 +89,38 @@ def test_loop_only_contains_passes():
 def test_pass_only_contains_comps():
     with pytest.raises(TdlError):
         Pass(comps=(Pass(comps=(Comp("FFT", "f"),)),))
+
+
+#: Token-level TDL mutants in the fuzz battery.
+TDL_MUTANTS = 20000
+
+#: Tokens a mutant inserts or substitutes.
+TDL_VOCABULARY = ("LOOP", "PASS", "COMP", "{", "}", "#", "AXPY", "FFT",
+                  "a.para", "0", "4", "-1", "128", "1e3", "}}", "{{")
+
+
+def test_token_mutants_parse_or_fail_typed():
+    """Seeded token-level mutants of :data:`SAMPLE`: 1-3 tokens
+    deleted, inserted or replaced from a small vocabulary. Each parses
+    or raises :class:`TdlError`, never a stray exception."""
+    rng = np.random.default_rng(0x7D1)
+    tokens = SAMPLE.split()
+    parsed = 0
+    for _ in range(TDL_MUTANTS):
+        mutant = list(tokens)
+        for _ in range(int(rng.integers(1, 4))):
+            op = int(rng.integers(3))
+            if op == 0 and mutant:
+                del mutant[int(rng.integers(len(mutant)))]
+                continue
+            word = TDL_VOCABULARY[int(rng.integers(len(TDL_VOCABULARY)))]
+            if op == 1 or not mutant:
+                mutant.insert(int(rng.integers(len(mutant) + 1)), word)
+            else:
+                mutant[int(rng.integers(len(mutant)))] = word
+        try:
+            parse_tdl(" ".join(mutant))
+            parsed += 1
+        except TdlError:
+            pass
+    assert 0 < parsed < TDL_MUTANTS
