@@ -23,7 +23,10 @@ from __future__ import annotations
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
-from typing import ClassVar, List, Mapping, Optional, Tuple, Type
+from typing import (Callable, ClassVar, Dict, List, Mapping, Optional,
+                    Sequence, Tuple, Type)
+
+import numpy as np
 
 from repro.accel.synthesis import LogicBlock, noc_power
 from repro.memmgmt.addrspace import UnifiedAddressSpace
@@ -90,6 +93,21 @@ class AcceleratorCore(ABC):
     @abstractmethod
     def run(self, space: UnifiedAddressSpace, params) -> None:
         """Execute the operation on physical memory (numerically)."""
+
+    def bind(self, space: UnifiedAddressSpace, params,
+             offsets: Mapping[str, Sequence[int]]) -> Callable[[int], None]:
+        """This invocation over a run of loop iterations, bound once:
+        ``step(i)`` runs ``params`` with every address field in
+        ``offsets`` (:func:`offset_columns`) advanced by its ``i``-th
+        entry. Cores override it to resolve their operands once."""
+        if not offsets:
+            return lambda i: self.run(space, params)
+        bases = {f: getattr(params, f) for f in offsets}
+
+        def step(i: int) -> None:
+            self.run(space, replace(params, **{
+                f: bases[f] + column[i] for f, column in offsets.items()}))
+        return step
 
     # -- modelling side --------------------------------------------------------
 
@@ -269,19 +287,6 @@ class StrideTable:
             out *= t
         return out
 
-    def offsets(self, iteration: int) -> Mapping[str, int]:
-        """Address offsets of loop ``iteration`` (row-major over trips)."""
-        if len(self.trips) == 1:
-            return {f: d[0] * iteration for f, d in self.deltas.items()}
-        digits = []
-        rest = iteration
-        for trip in reversed(self.trips):
-            digits.append(rest % trip)
-            rest //= trip
-        digits.reverse()
-        return {f: sum(d * g for d, g in zip(field_deltas, digits))
-                for f, field_deltas in self.deltas.items()}
-
 
 def linear_strides(params_type: Type,
                    strides: Mapping[str, int]) -> StrideTable:
@@ -321,14 +326,44 @@ def unpack_strides(params_type: Type, blob: bytes) -> StrideTable:
     return StrideTable(trips=tuple(trips), deltas=deltas)
 
 
-def shift_params(params, strides, iteration: int):
-    """Advance a parameter record to loop ``iteration``."""
-    if strides is None or iteration < 0:
-        return params
-    if not isinstance(strides, StrideTable):
-        strides = linear_strides(type(params), strides)
-    if iteration == 0:
-        return params
-    updates = {field: getattr(params, field) + off
-               for field, off in strides.offsets(iteration).items() if off}
-    return replace(params, **updates) if updates else params
+def offset_columns(strides: Optional[StrideTable],
+                   iterations: range) -> Dict[str, List[int]]:
+    """Every loop iteration's address offsets, one column per field:
+    ``columns[field][k]`` is ``field``'s offset at ``iterations[k]``.
+
+    A one-level table is linear (offset = delta * iteration, whatever
+    its trip); a deeper one is mixed-radix, row-major over its trips,
+    and wraps once the iteration passes the table's total. Fields that
+    never move are left out, so ``None`` strides give no columns. The
+    offsets are exact Python ints: a field is summed in int64 only when
+    the sum of its ``|delta| * largest digit`` terms, which bounds every
+    partial sum, is below ``2**63``, and in Python ints otherwise.
+    """
+    if strides is None:
+        return {}
+    index = np.arange(iterations.start, iterations.stop, dtype=np.int64)
+    # (digit column, largest digit) per level; None once a level's place
+    # value passes the last iteration, where the digit is always 0
+    if len(strides.trips) == 1:
+        levels = [(index, max(iterations.stop - 1, 0))]
+    else:
+        levels = []
+        place = 1
+        for trip in reversed(strides.trips):
+            levels.append((index // place % trip, trip - 1)
+                          if place < iterations.stop else None)
+            place *= trip
+        levels.reverse()
+    columns = {}
+    for field, deltas in strides.deltas.items():
+        terms = [(delta, level) for delta, level in zip(deltas, levels)
+                 if delta and level is not None]
+        if not terms:
+            continue
+        bound = sum(abs(delta) * top for delta, (_, top) in terms)
+        dtype = np.int64 if bound < 1 << 63 else object
+        column = np.zeros(len(index), dtype)
+        for delta, (digits, _) in terms:
+            column += digits.astype(dtype, copy=False) * delta
+        columns[field] = column.tolist()
+    return columns

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -77,18 +77,31 @@ class DotAccelerator(AcceleratorCore):
     params_type = DotParams
 
     def run(self, space: UnifiedAddressSpace, params: DotParams) -> None:
+        self.bind(space, params, {})(0)
+
+    def bind(self, space: UnifiedAddressSpace, params: DotParams,
+             offsets: Mapping[str, Sequence[int]]) -> Callable[[int], None]:
+        """Per iteration, slice each operand's window out of the region
+        that holds it: the same views (pointer, dtype, strides, shape)
+        the per-call path built, so the same BLAS call. BLAS returns 0
+        for ``n == 0``, whatever the increments."""
+        n = params.n
         np_dtype = np.complex64 if params.dtype == DTYPE_C64 else np.float32
-        span_x = 1 + (params.n - 1) * abs(params.incx)
-        span_y = 1 + (params.n - 1) * abs(params.incy)
-        x = space.pa_ndarray(params.x_pa, np_dtype, (span_x,))
-        y = space.pa_ndarray(params.y_pa, np_dtype, (span_y,))
-        xv = x[::params.incx] if params.incx != 1 else x
-        yv = y[::params.incy] if params.incy != 1 else y
-        if params.dtype == DTYPE_C64:
-            out = np.dot(np.conj(xv[:params.n]), yv[:params.n])
-        else:
-            out = np.dot(xv[:params.n], yv[:params.n])
-        space.pa_ndarray(params.out_pa, np_dtype, (1,))[0] = out
+        conj = params.dtype == DTYPE_C64
+        x = _window(space, params.x_pa, offsets.get("x_pa"),
+                    params.incx, n, params.elem_bytes)
+        y = _window(space, params.y_pa, offsets.get("y_pa"),
+                    params.incy, n, params.elem_bytes)
+        out = _window(space, params.out_pa, offsets.get("out_pa"),
+                      1, 1, params.elem_bytes)
+        incx, incy = params.incx, params.incy
+
+        def step(i: int) -> None:
+            xv = x(i).view(np_dtype)[::incx]
+            yv = y(i).view(np_dtype)[::incy]
+            value = np.dot(np.conj(xv) if conj else xv, yv)
+            out(i).view(np_dtype)[0] = value
+        return step
 
     def profile(self, params: DotParams) -> OpProfile:
         if params.dtype == DTYPE_C64:
@@ -96,6 +109,11 @@ class DotAccelerator(AcceleratorCore):
         return dot_profile(params.n)
 
     def streams(self, params: DotParams) -> List[StreamSpec]:
+        if params.incx == 0 or params.incy == 0:
+            raise ValueError(f"DOT increments must be non-zero: "
+                             f"incx={params.incx}, incy={params.incy}")
+        if params.dtype not in (DTYPE_F32, DTYPE_C64):
+            raise ValueError(f"unknown DOT dtype {params.dtype}")
         eb = params.elem_bytes
         out = []
         for base, inc in ((params.x_pa, params.incx),
@@ -108,3 +126,25 @@ class DotAccelerator(AcceleratorCore):
                                       elem_bytes=eb, kind="strided",
                                       stride=abs(inc) * eb))
         return out
+
+
+def _window(space: UnifiedAddressSpace, pa: int,
+            column: Optional[Sequence[int]], inc: int, n: int,
+            elem_bytes: int) -> Callable[[int], np.ndarray]:
+    """The bytes one operand touches at each loop iteration: ``n``
+    elements ``inc`` apart from ``pa + column[i]`` (``pa`` itself when
+    the operand does not move). Every access is checked against its
+    region; the last region found is kept, so a loop that stays inside
+    one allocation looks it up once."""
+    nbytes = (1 + (n - 1) * abs(inc)) * elem_bytes if n > 0 else 0
+    start, end, backing = 0, -1, None
+
+    def window(i: int) -> np.ndarray:
+        nonlocal start, end, backing
+        addr = pa + column[i] if column is not None else pa
+        if not start <= addr <= end - nbytes:
+            start, backing = space.pa_region(addr, nbytes)
+            end = start + len(backing)
+        off = addr - start
+        return backing[off:off + nbytes]
+    return window

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from repro.accel.base import (AcceleratorCore, StrideTable, shift_params,
+from repro.accel.base import (AcceleratorCore, StrideTable, offset_columns,
                               unpack_strides)
 from repro.accel.layer import AcceleratorLayer
 from repro.accel.synthesis import noc_power
@@ -63,6 +63,10 @@ LOOP_REARM_TIME = 1e-9
 
 #: CU logic power while a descriptor is in flight.
 CU_POWER = 0.5
+
+#: Loop iterations whose offsets are computed and bound at a time: a
+#: malformed LOOP count (up to 2**32 - 1) keeps the columns bounded.
+LOOP_BIND_CHUNK = 1 << 14
 
 #: Exclusive upper bound of a decodable operand address: the memory
 #: model's address arithmetic is 64-bit signed.
@@ -411,11 +415,18 @@ class ConfigurationUnit:
         """Numerically execute one pass plan against physical memory.
 
         Also reused by the runtime's host-fallback path: the host
-        performs the same arithmetic the accelerators would have."""
-        for i in range(plan.count):
-            for comp in plan.comps:
-                params = shift_params(comp.params, comp.strides, i)
-                comp.core.run(self.space, params)
+        performs the same arithmetic the accelerators would have.
+        Each COMP is bound once per :data:`LOOP_BIND_CHUNK` iterations
+        (offsets as columns, operands resolved by the core), and the
+        iterations then run COMP by COMP in order, as the tiles do."""
+        for lo in range(0, plan.count, LOOP_BIND_CHUNK):
+            iterations = range(lo, min(lo + LOOP_BIND_CHUNK, plan.count))
+            steps = [comp.core.bind(self.space, comp.params,
+                                    offset_columns(comp.strides, iterations))
+                     for comp in plan.comps]
+            for k in range(len(iterations)):
+                for step in steps:
+                    step(k)
 
     def _model_pass(self, plan: PassPlan, inp: ModelInput
                     ) -> Tuple[ExecResult, ExecResult, Dict[str, object]]:

@@ -92,6 +92,12 @@ class UnifiedAddressSpace:
         """Accelerator view: raw physical addressing, no MMU involved."""
         return self.driver.phys.ndarray(pa, dtype, shape)
 
+    def pa_region(self, pa: int, n: int) -> Tuple[int, np.ndarray]:
+        """``(start, backing)`` of the physical region holding
+        ``[pa, pa+n)``, for accelerators that slice many accesses out
+        of one region (:meth:`PhysicalMemory.region`)."""
+        return self.driver.phys.region(pa, n)
+
     # -- command space -------------------------------------------------------
 
     @property

@@ -68,18 +68,24 @@ class PhysicalMemory:
         del self._starts[idx]
         del self._regions[idx]
 
-    def _locate(self, addr: int, n: int) -> Tuple[np.ndarray, int]:
+    def region(self, addr: int, n: int) -> Tuple[int, np.ndarray]:
+        """The ``(start, backing)`` of the region holding the access
+        ``[addr, addr+n)``; raises :class:`PhysMemError` when no single
+        region holds it."""
         if n < 0:
             raise PhysMemError(f"negative access size {n}")
         idx = bisect.bisect_right(self._starts, addr) - 1
         if idx < 0:
             raise PhysMemError(f"unbacked physical address {addr:#x}")
         start, backing = self._regions[idx]
-        off = addr - start
-        if off + n > len(backing):
+        if addr - start + n > len(backing):
             raise PhysMemError(
                 f"access [{addr:#x}, {addr + n:#x}) crosses region end")
-        return backing, off
+        return start, backing
+
+    def _locate(self, addr: int, n: int) -> Tuple[np.ndarray, int]:
+        start, backing = self.region(addr, n)
+        return backing, addr - start
 
     def read(self, addr: int, n: int) -> bytes:
         backing, off = self._locate(addr, n)

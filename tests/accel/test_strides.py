@@ -1,12 +1,16 @@
-"""Mixed-radix stride tables and parameter shifting."""
+"""Mixed-radix stride tables, their offset columns and parameter
+shifting."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accel import AxpyParams, DotParams
-from repro.accel.base import (StrideTable, linear_strides, pack_strides,
-                              shift_params, unpack_strides)
+from repro.accel.base import (StrideTable, linear_strides, offset_columns,
+                              pack_strides, unpack_strides)
+from tests.accel.helpers import offsets, shift_params
 
 
 def test_linear_table():
@@ -14,7 +18,7 @@ def test_linear_table():
     assert table.trips == (0,)
     assert table.deltas["x_pa"] == (64,)
     assert table.deltas["y_pa"] == (0,)
-    assert table.offsets(5) == {"x_pa": 320, "y_pa": 0}
+    assert offsets(table, 5) == {"x_pa": 320, "y_pa": 0}
 
 
 def test_linear_rejects_unknown_field():
@@ -32,10 +36,10 @@ def test_mixed_radix_offsets():
     table = StrideTable(trips=(2, 3),
                         deltas={"x_pa": (100, 10), "y_pa": (0, 1)})
     assert table.total == 6
-    assert table.offsets(0) == {"x_pa": 0, "y_pa": 0}
-    assert table.offsets(2) == {"x_pa": 20, "y_pa": 2}
-    assert table.offsets(3) == {"x_pa": 100, "y_pa": 0}
-    assert table.offsets(5) == {"x_pa": 120, "y_pa": 2}
+    assert offsets(table, 0) == {"x_pa": 0, "y_pa": 0}
+    assert offsets(table, 2) == {"x_pa": 20, "y_pa": 2}
+    assert offsets(table, 3) == {"x_pa": 100, "y_pa": 0}
+    assert offsets(table, 5) == {"x_pa": 120, "y_pa": 2}
 
 
 def test_pack_unpack_roundtrip():
@@ -78,4 +82,67 @@ def test_offsets_match_nested_loops(t0, t1, i):
     outer, inner = divmod(i, t1)
     expected_x = 17 * outer + 3 * inner
     expected_y = 5 * outer
-    assert table.offsets(i) == {"x_pa": expected_x, "y_pa": expected_y}
+    assert offsets(table, i) == {"x_pa": expected_x, "y_pa": expected_y}
+
+
+# -- offset columns ----------------------------------------------------------
+
+def assert_columns_match(table, iterations):
+    """``offset_columns`` equals the per-iteration reference at every
+    iteration; a field left out is one whose offset is always 0."""
+    columns = offset_columns(table, iterations)
+    assert set(columns) <= {f for f, d in table.deltas.items() if any(d)}
+    for field in table.deltas:
+        expected = [offsets(table, i)[field] for i in iterations]
+        assert columns.get(field, [0] * len(iterations)) == expected
+        assert all(type(v) is int for v in columns.get(field, []))
+
+
+def random_table(rng, levels):
+    if levels == 1 and rng.random() < 0.5:
+        trips = (0,)                     # linear: the LOOP count rules
+    else:
+        trips = tuple(rng.randint(1, 5) for _ in range(levels))
+    magnitudes = (0, 0, 4, 8, 64, 1 << 20, (1 << 62) - 3, 1 << 62)
+    deltas = {f: tuple(rng.choice(magnitudes) * rng.choice((1, -1))
+                       for _ in range(levels))
+              for f in ("x_pa", "y_pa", "out_pa")}
+    return StrideTable(trips=trips, deltas=deltas)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_offset_columns_match_reference(levels):
+    """Seeded random tables, with loop counts below, equal to and above
+    the table total (wrapping), and windows that start mid-loop."""
+    rng = random.Random(1000 + levels)
+    for _ in range(60):
+        table = random_table(rng, levels)
+        total = table.total or rng.randint(1, 40)
+        for count in (max(total - 1, 0), total, total + rng.randint(1, 9),
+                      3 * total + 1):
+            assert_columns_match(table, range(count))
+            lo = rng.randint(0, count)
+            assert_columns_match(table, range(lo, count))
+
+
+def test_offset_columns_none_and_still_fields():
+    assert offset_columns(None, range(10)) == {}
+    table = StrideTable(trips=(2, 3), deltas={"x_pa": (0, 0),
+                                              "y_pa": (0, 8)})
+    assert offset_columns(table, range(6)) == {"y_pa": [0, 8, 16] * 2}
+    linear = linear_strides(AxpyParams, {"x_pa": 64})
+    assert offset_columns(linear, range(4)) == {"x_pa": [0, 64, 128, 192]}
+    assert offset_columns(linear, range(0)) == {"x_pa": []}
+
+
+@pytest.mark.parametrize("table", [
+    StrideTable(trips=(0,), deltas={"x_pa": (1 << 62,)}),
+    StrideTable(trips=(3, 3), deltas={"x_pa": (1 << 62, 1 << 62)}),
+    StrideTable(trips=(2, 2, 2), deltas={"x_pa": (-(1 << 62), 1 << 62,
+                                                  -(1 << 62))}),
+])
+def test_offset_columns_do_not_wrap_at_int64(table):
+    """Offsets past ``2**63`` stay exact integers (int64 would wrap)."""
+    columns = offset_columns(table, range(9))
+    assert max(abs(v) for v in columns["x_pa"]) >= 1 << 63
+    assert_columns_match(table, range(9))
