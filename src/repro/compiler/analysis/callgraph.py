@@ -117,6 +117,8 @@ def build_call_graph(program: Program) -> CallGraph:
     graph = CallGraph(functions=functions)
 
     def callees_of(body) -> Tuple[str, ...]:
+        if not functions:
+            return ()           # nothing to call: skip the walk
         names = []
         for call in walk_calls(body):
             if call.func in functions and call.func not in names:

@@ -16,7 +16,7 @@ union and termination follows from the finite token universe.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Tuple
 
 from repro.compiler.analysis.cfg import Cfg
 from repro.compiler.analysis.events import BufferEvent
@@ -31,53 +31,73 @@ EMPTY: Facts = frozenset()
 def solve_forward(cfg: Cfg, transfer: Transfer,
                   init: Facts = EMPTY) -> Tuple[Dict[int, Facts],
                                                 Dict[int, Facts]]:
-    """Iterate ``out[b] = transfer(b, union(out[preds]))`` to fixpoint."""
+    """Iterate ``out[b] = transfer(b, union(out[preds]))`` to fixpoint,
+    visiting the blocks round-robin in reverse post-order.
+
+    ``transfer`` must be a pure function of its arguments: a block
+    whose predecessors' facts have not changed since its last visit is
+    skipped.
+    """
     in_facts: Dict[int, Facts] = {b.bid: EMPTY for b in cfg.blocks}
     out_facts: Dict[int, Facts] = {b.bid: EMPTY for b in cfg.blocks}
     in_facts[cfg.entry] = init
     out_facts[cfg.entry] = transfer(cfg.entry, init)
-    order = cfg.rpo()
-    changed = True
-    while changed:
-        changed = False
-        for bid in order:
-            if bid == cfg.entry:
-                continue
-            merged: Facts = frozenset().union(
-                *(out_facts[p] for p in cfg.block(bid).preds)) \
-                if cfg.block(bid).preds else EMPTY
-            new_out = transfer(bid, merged)
-            if merged != in_facts[bid] or new_out != out_facts[bid]:
-                in_facts[bid] = merged
-                out_facts[bid] = new_out
-                changed = True
+    blocks = [cfg.block(bid) for bid in cfg.rpo() if bid != cfg.entry]
+    _fixpoint([(b.bid, b.preds, b.succs) for b in blocks],
+              out_facts, in_facts, transfer, EMPTY)
     return in_facts, out_facts
 
 
 def solve_backward(cfg: Cfg, transfer: Transfer,
                    init: Facts = EMPTY) -> Tuple[Dict[int, Facts],
                                                  Dict[int, Facts]]:
-    """Iterate ``in[b] = transfer(b, union(in[succs]))`` to fixpoint.
+    """Iterate ``in[b] = transfer(b, union(in[succs]))`` to fixpoint,
+    visiting the blocks round-robin in post-order, with the skipping
+    of :func:`solve_forward`.
 
     Returns ``(in_facts, out_facts)`` where ``out`` is the merged
     successor state the transfer consumed.
     """
     in_facts: Dict[int, Facts] = {b.bid: EMPTY for b in cfg.blocks}
     out_facts: Dict[int, Facts] = {b.bid: EMPTY for b in cfg.blocks}
-    order = list(reversed(cfg.rpo()))
+    blocks = [cfg.block(bid) for bid in reversed(cfg.rpo())]
+    _fixpoint([(b.bid, b.succs, b.preds) for b in blocks],
+              in_facts, out_facts, transfer, init)
+    return in_facts, out_facts
+
+
+def _fixpoint(order: List[Tuple[int, List[int], List[int]]],
+              result: Dict[int, Facts], merged_at: Dict[int, Facts],
+              transfer: Transfer, boundary: Facts) -> None:
+    """Round-robin over ``(block, sources, readers)`` to the fixpoint
+    of ``result[b] = transfer(b, union(result[s] for s in sources))``;
+    a block without sources merges ``boundary``, and ``merged_at[b]``
+    records the merged input of ``result[b]``.
+
+    A block is visited only while some source's result has changed
+    since its last visit (else it would merge and transfer the same
+    facts again and change nothing), so the rounds and every fact are
+    those of visiting each block every round.
+    """
+    dirty = {bid for bid, _, _ in order}
     changed = True
     while changed:
         changed = False
-        for bid in order:
-            merged: Facts = frozenset().union(
-                *(in_facts[s] for s in cfg.block(bid).succs)) \
-                if cfg.block(bid).succs else init
-            new_in = transfer(bid, merged)
-            if merged != out_facts[bid] or new_in != in_facts[bid]:
-                out_facts[bid] = merged
-                in_facts[bid] = new_in
-                changed = True
-    return in_facts, out_facts
+        for bid, sources, readers in order:
+            if bid not in dirty:
+                continue
+            dirty.discard(bid)
+            merged: Facts = (
+                frozenset().union(*[result[s] for s in sources])
+                if sources else boundary)
+            new = transfer(bid, merged)
+            if new != result[bid]:
+                result[bid] = new
+                dirty.update(readers)
+            elif merged == merged_at[bid]:
+                continue
+            merged_at[bid] = merged
+            changed = True
 
 
 class LifecycleFacts:
@@ -138,6 +158,10 @@ class Liveness:
     def __init__(self, facts: ProgramFacts):
         self.cfg = facts.cfg
         self._events = facts.events
+        #: bid -> every buffer the block references (liveness only
+        #: grows inside a block, so its transfer is one union)
+        self._gen = {bid: frozenset().union(*map(self._refs, per_stmt))
+                     for bid, per_stmt in self._events.items()}
         self.block_in, self.block_out = solve_backward(
             self.cfg, self._transfer)
 
@@ -148,9 +172,7 @@ class Liveness:
                                         "escape"))
 
     def _transfer(self, bid: int, facts: Facts) -> Facts:
-        for ev_list in self._events[bid]:
-            facts = facts | self._refs(ev_list)
-        return facts
+        return facts | self._gen[bid]
 
     def live_after_alloc(self, bid: int, stmt_idx: int,
                          buffer: str) -> bool:

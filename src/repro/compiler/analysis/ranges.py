@@ -183,7 +183,9 @@ class Interval:
 TOP = Interval(None, None)
 EMPTY = Interval(0, -1)
 
-#: An abstract store: variables absent from the mapping are TOP.
+#: An abstract store: variables absent from the mapping are TOP. A
+#: state is never changed once built, so the solver passes one object
+#: along every step that leaves it as it is.
 State = Dict[str, Interval]
 
 
@@ -266,11 +268,13 @@ class ValueRanges:
         return affine_interval(aff, state)
 
     def _transfer(self, blk: BasicBlock, state: State) -> State:
-        out = dict(state)
+        out = state
         for stmt in blk.stmts:
             if isinstance(stmt, VarDecl) and not stmt.pointer \
                     and not stmt.dims \
                     and stmt.ctype in ("int", "long", "size_t"):
+                if out is state:
+                    out = dict(state)
                 if stmt.name in self.env.constants:
                     out[stmt.name] = Interval.point(
                         self.env.constants[stmt.name])
@@ -292,7 +296,7 @@ class ValueRanges:
         ``var < bound`` holds on the header->body edge and fails on the
         header->exit edge.
         """
-        state = dict(out_state)
+        state = out_state
         if pred.kind == "header" and pred.loop is not None:
             loop = pred.loop
             var = loop.var
@@ -306,17 +310,16 @@ class ValueRanges:
                     start.lo,
                     None if bound.hi is None else bound.hi - 1)
                 narrowed = current.meet(guard)
-                if narrowed.is_empty:
-                    return None
-                state[var] = narrowed
             else:
                 # the guard failed: var has reached the bound
                 narrowed = current.meet(Interval(bound.lo, None))
-                if narrowed.is_empty:
-                    return None
-                state[var] = narrowed
+            if narrowed.is_empty:
+                return None
+            state = {**out_state, var: narrowed}
         if dst.kind == "header" and dst.loop is not None:
             loop = dst.loop
+            if state is out_state:
+                state = dict(out_state)
             if self._is_back_edge(pred, dst):
                 # model the implicit `var += step` of the back edge
                 state[loop.var] = state.get(loop.var, TOP).shift(
@@ -330,6 +333,8 @@ class ValueRanges:
     def _join_states(states: Sequence[State]) -> State:
         if not states:
             return {}
+        if len(states) == 1:
+            return states[0]
         keys = set(states[0])
         for s in states[1:]:
             keys &= set(s)          # a var missing anywhere is TOP
@@ -349,56 +354,93 @@ class ValueRanges:
             out[k] = r if prev is None else prev.widen(r)
         return out
 
-    def _merged(self, blk: BasicBlock,
-                block_out: Dict[int, State]) -> State:
-        """Join of the states flowing into ``blk`` along feasible
-        edges from already-visited predecessors."""
-        incoming: List[State] = []
-        for p in blk.preds:
-            if p not in block_out:
-                continue
-            es = self._edge_state(self.cfg.block(p), blk, block_out[p])
-            if es is not None:
-                incoming.append(es)
-        return self._join_states(incoming)
-
     def _solve(self) -> None:
+        """Round-robin over the blocks in RPO to the widened fixpoint,
+        then :data:`_NARROW_ROUNDS` descending rounds.
+
+        Two steps reuse their last result while their input is
+        unchanged: an edge state while the predecessor's out-state is
+        the same object, and a block's join while no predecessor's
+        out-state has been replaced since (replacing a block's
+        out-state marks its successors stale). Both are pure functions
+        of those inputs, and a state is only replaced by one that
+        differs from it, so every round sees exactly the states of
+        recomputing each step. The memos live only for this solve.
+        """
         cfg = self.cfg
-        order = cfg.rpo()
-        block_out: Dict[int, State] = {}
-        self.block_in = {cfg.entry: {}}
-        block_out[cfg.entry] = self._transfer(cfg.block(cfg.entry), {})
+        entry = cfg.entry
+        blocks = [cfg.block(bid) for bid in cfg.rpo() if bid != entry]
+        block_in: Dict[int, State] = {entry: {}}
+        block_out: Dict[int, State] = {
+            entry: self._transfer(cfg.block(entry), {})}
+        edges = {blk.bid: [_Edge(cfg.block(p)) for p in blk.preds]
+                 for blk in blocks}
+        #: bid -> join of its incoming edge states
+        joins: Dict[int, State] = {}
+        #: blocks with a predecessor out-state replaced since their join
+        stale = {blk.bid for blk in blocks}
+
+        def visit(blk: BasicBlock, widen: bool) -> bool:
+            """One block step; True if it changed the block's states."""
+            bid = blk.bid
+            if bid in stale:
+                stale.discard(bid)
+                incoming: List[State] = []
+                for edge in edges[bid]:
+                    out = block_out.get(edge.pred.bid)
+                    if out is None:
+                        continue            # not visited yet
+                    if edge.out is not out:
+                        edge.out = out
+                        edge.state = self._edge_state(edge.pred, blk, out)
+                    if edge.state is not None:
+                        incoming.append(edge.state)
+                joins[bid] = self._join_states(incoming)
+            merged = joins[bid]
+            old_in = block_in.get(bid)
+            if widen and old_in is not None:
+                merged = self._widen_state(old_in, merged)
+            new_out = self._transfer(blk, merged)
+            old_out = block_out.get(bid)
+            same_out = new_out is old_out or new_out == old_out
+            if merged is old_in or merged == old_in:
+                if same_out:
+                    return False
+            else:
+                block_in[bid] = merged
+            if not same_out:
+                block_out[bid] = new_out
+                stale.update(blk.succs)
+            return True
+
         rounds = 0
         changed = True
         while changed:
             changed = False
             rounds += 1
-            for bid in order:
-                if bid == cfg.entry:
-                    continue
-                blk = cfg.block(bid)
-                merged = self._merged(blk, block_out)
-                if blk.kind == "header" and rounds > _WIDEN_AFTER \
-                        and bid in self.block_in:
-                    merged = self._widen_state(self.block_in[bid],
-                                               merged)
-                new_out = self._transfer(blk, merged)
-                if merged != self.block_in.get(bid) \
-                        or new_out != block_out.get(bid):
-                    self.block_in[bid] = merged
-                    block_out[bid] = new_out
+            widening = rounds > _WIDEN_AFTER
+            for blk in blocks:
+                if visit(blk, widening and blk.kind == "header"):
                     changed = True
         # descending (narrowing) rounds: recompute without widening so
         # bounds pushed to infinity by widening tighten back where the
         # guard conditions justify it
         for _ in range(_NARROW_ROUNDS):
-            for bid in order:
-                if bid == cfg.entry:
-                    continue
-                blk = cfg.block(bid)
-                merged = self._merged(blk, block_out)
-                self.block_in[bid] = merged
-                block_out[bid] = self._transfer(blk, merged)
+            for blk in blocks:
+                visit(blk, False)
+        self.block_in = block_in
+
+
+class _Edge:
+    """A CFG edge into a block, with the edge state the range solver
+    last computed for it and the predecessor out-state it came from."""
+
+    __slots__ = ("pred", "out", "state")
+
+    def __init__(self, pred: BasicBlock):
+        self.pred = pred
+        self.out: Optional[State] = None
+        self.state: Optional[State] = None
 
 
 def loop_headers(cfg: Cfg) -> List[Tuple[int, For]]:

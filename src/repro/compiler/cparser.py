@@ -1,8 +1,12 @@
-"""Recursive-descent parser for the C subset."""
+"""Recursive-descent parser for the C subset.
+
+Statements descend one method per form; binary expressions are parsed
+by precedence climbing over :data:`_BINARY_PREC`.
+"""
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, cast
 
 from repro.compiler.cast import (AddrOf, Assign, BinOp, Call, CParseError,
                                  Expr, ExprStmt, For, FuncDef, Ident,
@@ -30,12 +34,33 @@ TYPE_KEYWORDS = {
     "fftw_iodim": 24,
 }
 
-_CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
+#: Binding power of each binary operator. Comparisons bind loosest,
+#: then ``+``/``-``, then ``*``/``/``/``%``; every level is
+#: left-associative.
+_BINARY_PREC = {"<": 1, "<=": 1, ">": 1, ">=": 1, "==": 1, "!=": 1,
+                "+": 2, "-": 2, "*": 3, "/": 3, "%": 3}
+
+#: Deepest expression the parser accepts. The depth of an expression
+#: is the longest path from its root to a leaf, where every enclosing
+#: parenthesis, call, brace initialiser, unary operator, subscript and
+#: binary operator counts one level, so a chain ``1+1+...+1`` of ``n``
+#: terms is ``n - 1`` deep. Past the limit the source is rejected with
+#: :class:`CParseError`: every later phase walks expressions
+#: recursively. Under Python's default recursion limit (1000) the
+#: costliest forms, nested calls and brace initialisers, translate up
+#: to 245 levels deep (about four frames a level); 200 leaves the
+#: caller about 180 frames. The deepest expression in the example and
+#: application sources is 6 levels.
+MAX_EXPR_DEPTH = 200
 
 
 class _Parser:
     def __init__(self, tokens: List[Token]):
-        self.tokens = tokens
+        #: the tokens and their texts, each ending in a ``None``
+        #: sentinel so the current token is one list index
+        self.tokens: List[Optional[Token]] = [*tokens, None]
+        self.texts: List[Optional[str]] = [t.text for t in tokens]
+        self.texts.append(None)
         self.pos = 0
 
     # -- token helpers ------------------------------------------------------
@@ -45,11 +70,10 @@ class _Parser:
         return self.tokens[idx] if idx < len(self.tokens) else None
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.text == text
+        return self.texts[self.pos] == text
 
     def advance(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok is None:
             raise CParseError("unexpected end of input")
         self.pos += 1
@@ -61,6 +85,46 @@ class _Parser:
             raise CParseError(
                 f"line {tok.line}: expected {text!r}, got {tok.text!r}")
         return tok
+
+    def _nested(self, level: int) -> int:
+        """The level of a sub-expression nested in a construct at
+        ``level``; raises before the parser recurses past the limit."""
+        if level >= MAX_EXPR_DEPTH:
+            raise self._too_deep()
+        return level + 1
+
+    def _outer(self, depth: int) -> int:
+        """The depth of a construct around a sub-expression ``depth``
+        deep."""
+        if depth >= MAX_EXPR_DEPTH:
+            raise self._too_deep()
+        return depth + 1
+
+    def _too_deep(self) -> CParseError:
+        line = cast(Token, self.tokens[self.pos - 1]).line
+        return CParseError(f"line {line}: expression nests deeper than "
+                           f"MAX_EXPR_DEPTH = {MAX_EXPR_DEPTH} levels")
+
+    # -- the translation unit --------------------------------------------------
+
+    def parse_program(self, defines: Tuple) -> Program:
+        """The function definitions and statements of one translation
+        unit, after its ``defines``."""
+        stmts = []
+        functions = []
+        seen = set()
+        while self.tokens[self.pos] is not None:
+            if self.at_funcdef():
+                func = self.parse_funcdef()
+                if func.name in seen:
+                    raise CParseError(
+                        f"function {func.name!r} is defined twice")
+                seen.add(func.name)
+                functions.append(func)
+            else:
+                stmts.append(self.parse_stmt())
+        return Program(defines=defines, stmts=tuple(stmts),
+                       functions=tuple(functions))
 
     # -- functions -----------------------------------------------------------
 
@@ -136,7 +200,7 @@ class _Parser:
     def parse_stmts(self, stop: Optional[str] = None) -> Tuple:
         stmts = []
         while True:
-            tok = self.peek()
+            tok = self.tokens[self.pos]
             if tok is None:
                 if stop is not None:
                     raise CParseError(f"missing {stop!r}")
@@ -147,7 +211,9 @@ class _Parser:
         return tuple(stmts)
 
     def parse_stmt(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
+        if tok is None:
+            raise CParseError("unexpected end of input")
         if tok.kind == "pragma":
             self.advance()
             loop = self.parse_stmt()
@@ -199,18 +265,30 @@ class _Parser:
                        dims=tuple(dims), init=init, loc=_loc(ctype_tok))
 
     def parse_init_list(self) -> InitList:
+        return self._init_list(0)[0]
+
+    def _init_list(self, level: int) -> Tuple[InitList, int]:
+        """A brace initialiser and its depth; braces nest like
+        parentheses."""
+        inner = self._nested(level)
         self.expect("{")
-        items = []
+        items: List[Expr] = []
+        item: Expr
+        depth = 0
         while not self.at("}"):
-            items.append(self.parse_init_list() if self.at("{")
-                         else self.parse_expr())
+            if self.at("{"):
+                item, idepth = self._init_list(inner)
+            else:
+                item, idepth = self._binary(1, inner)
+            items.append(item)
+            depth = max(depth, idepth)
             if self.at(","):
                 self.advance()
         self.expect("}")
-        return InitList(items=tuple(items))
+        return InitList(items=tuple(items)), self._outer(depth)
 
     def parse_expr_or_assign(self):
-        first = self.peek()
+        first = self.tokens[self.pos]
         loc = _loc(first) if first is not None else None
         expr = self.parse_expr()
         if self.at("="):
@@ -273,66 +351,50 @@ class _Parser:
                 step_tok = self.advance()
                 if step_tok.kind != "num":
                     raise CParseError("loop step must be a constant")
-                return int(parse_number(step_tok.text))
+                step = parse_number(step_tok.text)
+                if not isinstance(step, int):
+                    raise CParseError(
+                        f"line {step_tok.line}: loop step must be an "
+                        f"integer constant, got {step_tok.text!r}")
+                return step
         raise CParseError(f"line {tok.line}: unsupported loop step")
 
     # -- expressions -----------------------------------------------------------
+    #
+    # Each method returns the expression and its depth (see
+    # MAX_EXPR_DEPTH) and takes ``level``, the number of parentheses,
+    # calls, braces, unary operators and subscripts around it; a
+    # construct that would nest past the limit raises before it
+    # recurses, so a deep input never reaches Python's recursion limit.
 
     def parse_expr(self) -> Expr:
-        return self.parse_compare()
+        return self._binary(1, 0)[0]
 
-    def parse_compare(self) -> Expr:
-        left = self.parse_additive()
-        while (tok := self.peek()) is not None and tok.text in _CMP_OPS:
-            op = self.advance().text
-            left = BinOp(op, left, self.parse_additive())
-        return left
+    def _binary(self, min_prec: int, level: int) -> Tuple[Expr, int]:
+        """Precedence climbing over the operators binding at least as
+        tightly as ``min_prec``: the right operand of an operator takes
+        only tighter operators, so equal ones fold to the left."""
+        left, depth = self._unary(level)
+        texts = self.texts
+        prec = _BINARY_PREC.get(texts[self.pos])   # type: ignore[arg-type]
+        while prec is not None and prec >= min_prec:
+            op = cast(str, texts[self.pos])
+            self.pos += 1
+            right, rdepth = self._binary(prec + 1, level)
+            depth = self._outer(depth if depth > rdepth else rdepth)
+            left = BinOp(op, left, right)
+            prec = _BINARY_PREC.get(texts[self.pos])  # type: ignore[arg-type]
+        return left, depth
 
-    def parse_additive(self) -> Expr:
-        left = self.parse_multiplicative()
-        while self.at("+") or self.at("-"):
-            op = self.advance().text
-            left = BinOp(op, left, self.parse_multiplicative())
-        return left
-
-    def parse_multiplicative(self) -> Expr:
-        left = self.parse_unary()
-        while self.at("*") or self.at("/") or self.at("%"):
-            op = self.advance().text
-            left = BinOp(op, left, self.parse_unary())
-        return left
-
-    def parse_unary(self) -> Expr:
-        if self.at("&"):
-            self.advance()
-            return AddrOf(self.parse_unary())
-        if self.at("-"):
-            self.advance()
-            operand = self.parse_unary()
-            if isinstance(operand, Num):
-                return Num(-operand.value)
-            return BinOp("-", Num(0), operand)
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> Expr:
-        expr = self.parse_primary()
-        while self.at("["):
-            self.advance()
-            idx = self.parse_expr()
-            self.expect("]")
-            expr = Index(base=expr, idx=idx)
-        return expr
-
-    def parse_primary(self) -> Expr:
+    def _unary(self, level: int) -> Tuple[Expr, int]:
+        """A unary operator applied to a unary expression, or a
+        primary expression followed by its subscripts."""
         tok = self.advance()
-        if tok.kind == "num":
-            return Num(parse_number(tok.text))
-        if tok.text == "(":
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
+        text = tok.text
+        expr: Expr
+        depth = 0
         if tok.kind == "id":
-            if tok.text == "sizeof":
+            if text == "sizeof":
                 self.expect("(")
                 ctype = self.advance().text
                 if ctype not in TYPE_KEYWORDS:
@@ -340,20 +402,51 @@ class _Parser:
                         f"line {tok.line}: sizeof of unknown type "
                         f"{ctype!r}")
                 self.expect(")")
-                return Sizeof(ctype=ctype)
-            if self.at("("):
-                self.advance()
-                args = []
-                while not self.at(")"):
-                    args.append(self.parse_expr())
-                    if self.at(","):
-                        self.advance()
-                self.expect(")")
-                return Call(func=tok.text, args=tuple(args),
-                            loc=_loc(tok))
-            return Ident(name=tok.text)
-        raise CParseError(f"line {tok.line}: unexpected token "
-                          f"{tok.text!r}")
+                expr = Sizeof(ctype=ctype)
+            elif self.texts[self.pos] == "(":
+                expr, depth = self._call(tok, level)
+            else:
+                expr = Ident(name=text)
+        elif tok.kind == "num":
+            expr = Num(parse_number(text))
+        elif text == "(":
+            expr, depth = self._binary(1, self._nested(level))
+            self.expect(")")
+            depth = self._outer(depth)
+        elif text == "&" or text == "-":
+            operand, depth = self._unary(self._nested(level))
+            depth = self._outer(depth)
+            if text == "&":
+                return AddrOf(operand), depth
+            if isinstance(operand, Num):
+                return Num(-operand.value), depth
+            return BinOp("-", Num(0), operand), depth
+        else:
+            raise CParseError(f"line {tok.line}: unexpected token "
+                              f"{text!r}")
+        while self.texts[self.pos] == "[":
+            self.pos += 1
+            idx, idepth = self._binary(1, self._nested(level))
+            self.expect("]")
+            expr = Index(base=expr, idx=idx)
+            depth = self._outer(depth if depth > idepth else idepth)
+        return expr, depth
+
+    def _call(self, name: Token, level: int) -> Tuple[Call, int]:
+        """The argument list of a call to ``name``."""
+        inner = self._nested(level)
+        self.pos += 1                        # the "("
+        args = []
+        depth = 0
+        while self.texts[self.pos] != ")":
+            arg, adepth = self._binary(1, inner)
+            args.append(arg)
+            depth = max(depth, adepth)
+            if self.texts[self.pos] == ",":
+                self.pos += 1
+        self.expect(")")
+        return Call(func=name.text, args=tuple(args),
+                    loc=_loc(name)), self._outer(depth)
 
 
 def parse_source(source: str) -> Program:
@@ -372,19 +465,4 @@ def parse_source(source: str) -> Program:
         except ValueError:
             raise CParseError(f"#define {name} must be numeric in this "
                               "subset")
-    parser = _Parser(tokens)
-    stmts = []
-    functions = []
-    seen = set()
-    while parser.peek() is not None:
-        if parser.at_funcdef():
-            func = parser.parse_funcdef()
-            if func.name in seen:
-                raise CParseError(
-                    f"function {func.name!r} is defined twice")
-            seen.add(func.name)
-            functions.append(func)
-        else:
-            stmts.append(parser.parse_stmt())
-    return Program(defines=tuple(defines), stmts=tuple(stmts),
-                   functions=tuple(functions))
+    return _Parser(tokens).parse_program(tuple(defines))

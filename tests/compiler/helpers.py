@@ -1,14 +1,26 @@
 """Shared helpers for the compiler tests.
 
-Three things live here: the seeded program generators several test
-modules draw from, the per-character C-subset tokenizer, kept as the
-differential reference for :func:`repro.compiler.clexer.tokenize`, and
-the syntactic accelerator chainer the compiler used before the
-verified rewrite engine became its only chainer, kept as the
-differential reference for the engine's fusions.
+Besides the seeded program generators several test modules draw from,
+this module keeps the straightforward forms of the front end's hot
+paths as differential references, each of which the library must match
+exactly:
 
-The reference is the straightforward path: at each position try
-whitespace, an identifier, a number, the multi-character operators
+* :func:`reference_tokenize`, the per-character C-subset tokenizer, for
+  :func:`repro.compiler.clexer.tokenize`;
+* :func:`reference_parse_source`, the recursive-descent expression
+  chain (one method per precedence level) the parser used before
+  precedence climbing;
+* :class:`ReferenceValueRanges`, the range solver that recomputes every
+  edge state, join and transfer each round;
+* :func:`reference_solve_forward`, :func:`reference_solve_backward` and
+  :class:`ReferenceLiveness`, the dataflow solvers without reuse and
+  liveness with its per-statement transfer;
+* the syntactic accelerator chainer the compiler used before the
+  verified rewrite engine became its only chainer, for the engine's
+  fusions.
+
+The reference tokenizer is the straightforward path: at each position
+try whitespace, an identifier, a number, the multi-character operators
 longest first and single punctuation, in that order. The library
 matches one compiled alternation of the same classes per line; both
 must produce the same ``(kind, text, line, col)`` stream, the same
@@ -22,9 +34,19 @@ hex last, so ``0x10`` lexed as ``0`` then ``x10``. ``hex_first=True``
 
 import re
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.compiler.cast import CParseError
+from repro.compiler.analysis.cfg import BasicBlock, Cfg
+from repro.compiler.analysis.dataflow import (EMPTY as NO_FACTS, Facts,
+                                              Liveness, Transfer)
+from repro.compiler.analysis.ranges import (_NARROW_ROUNDS, _WIDEN_AFTER,
+                                            TOP, Interval, State,
+                                            ValueRanges)
+from repro.compiler.cast import (AddrOf, BinOp, Call, CParseError, Expr,
+                                 Ident, Index, InitList, Num, Program,
+                                 Sizeof, VarDecl)
+from repro.compiler.clexer import parse_number, tokenize
+from repro.compiler.cparser import TYPE_KEYWORDS, _loc, _Parser
 from repro.compiler.recognizer import AccelCallStep, Schedule
 
 # -- reference tokenizer -----------------------------------------------------
@@ -100,6 +122,316 @@ def reference_tokenize(source, hex_first=True):
                     raise CParseError(
                         f"line {lineno}: unexpected character {ch!r}")
     return tokens, defines
+
+
+# -- reference parser --------------------------------------------------------
+#
+# The token helpers and expression methods as they were before the
+# parser kept a flat text list and climbed precedences: one method per
+# level, each looping over its operators. They have no depth limit and
+# spend about seven Python frames per nesting level, so about 140
+# nested parentheses overflow Python's recursion limit here; the
+# differential inputs stay far below that. Statements are the
+# library's.
+
+_CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
+
+
+class ReferenceParser(_Parser):
+    def peek(self, offset=0):
+        idx = self.pos + offset
+        return self.tokens[idx] if idx < len(self.tokens) else None
+
+    def at(self, text):
+        tok = self.peek()
+        return tok is not None and tok.text == text
+
+    def advance(self):
+        tok = self.peek()
+        if tok is None:
+            raise CParseError("unexpected end of input")
+        self.pos += 1
+        return tok
+
+    def parse_init_list(self) -> InitList:
+        self.expect("{")
+        items = []
+        while not self.at("}"):
+            items.append(self.parse_init_list() if self.at("{")
+                         else self.parse_expr())
+            if self.at(","):
+                self.advance()
+        self.expect("}")
+        return InitList(items=tuple(items))
+
+    def parse_expr(self) -> Expr:
+        return self.parse_compare()
+
+    def parse_compare(self) -> Expr:
+        left = self.parse_additive()
+        while (tok := self.peek()) is not None and tok.text in _CMP_OPS:
+            op = self.advance().text
+            left = BinOp(op, left, self.parse_additive())
+        return left
+
+    def parse_additive(self) -> Expr:
+        left = self.parse_multiplicative()
+        while self.at("+") or self.at("-"):
+            op = self.advance().text
+            left = BinOp(op, left, self.parse_multiplicative())
+        return left
+
+    def parse_multiplicative(self) -> Expr:
+        left = self.parse_unary()
+        while self.at("*") or self.at("/") or self.at("%"):
+            op = self.advance().text
+            left = BinOp(op, left, self.parse_unary())
+        return left
+
+    def parse_unary(self) -> Expr:
+        if self.at("&"):
+            self.advance()
+            return AddrOf(self.parse_unary())
+        if self.at("-"):
+            self.advance()
+            operand = self.parse_unary()
+            if isinstance(operand, Num):
+                return Num(-operand.value)
+            return BinOp("-", Num(0), operand)
+        return self.parse_postfix()
+
+    def parse_postfix(self) -> Expr:
+        expr = self.parse_primary()
+        while self.at("["):
+            self.advance()
+            idx = self.parse_expr()
+            self.expect("]")
+            expr = Index(base=expr, idx=idx)
+        return expr
+
+    def parse_primary(self) -> Expr:
+        tok = self.advance()
+        if tok.kind == "num":
+            return Num(parse_number(tok.text))
+        if tok.text == "(":
+            inner = self.parse_expr()
+            self.expect(")")
+            return inner
+        if tok.kind == "id":
+            if tok.text == "sizeof":
+                self.expect("(")
+                ctype = self.advance().text
+                if ctype not in TYPE_KEYWORDS:
+                    raise CParseError(
+                        f"line {tok.line}: sizeof of unknown type "
+                        f"{ctype!r}")
+                self.expect(")")
+                return Sizeof(ctype=ctype)
+            if self.at("("):
+                self.advance()
+                args = []
+                while not self.at(")"):
+                    args.append(self.parse_expr())
+                    if self.at(","):
+                        self.advance()
+                self.expect(")")
+                return Call(func=tok.text, args=tuple(args),
+                            loc=_loc(tok))
+            return Ident(name=tok.text)
+        raise CParseError(f"line {tok.line}: unexpected token "
+                          f"{tok.text!r}")
+
+
+def reference_parse_source(source: str) -> Program:
+    """:func:`repro.compiler.parse_source` with the reference
+    expression chain."""
+    tokens, raw_defines = tokenize(source)
+    defines = []
+    for name, value in raw_defines:
+        try:
+            defines.append((name, parse_number(value)))
+        except ValueError:
+            raise CParseError(f"#define {name} must be numeric in this "
+                              "subset")
+    return ReferenceParser(tokens).parse_program(tuple(defines))
+
+
+# -- reference range solver ----------------------------------------------------
+#
+# Every round recomputes every edge state, join and transfer, copying
+# each state it passes on.
+
+class ReferenceValueRanges(ValueRanges):
+    def _transfer(self, blk: BasicBlock, state: State) -> State:
+        out = dict(state)
+        for stmt in blk.stmts:
+            if isinstance(stmt, VarDecl) and not stmt.pointer \
+                    and not stmt.dims \
+                    and stmt.ctype in ("int", "long", "size_t"):
+                if stmt.name in self.env.constants:
+                    out[stmt.name] = Interval.point(
+                        self.env.constants[stmt.name])
+                elif stmt.init is not None:
+                    out[stmt.name] = self._expr_interval(stmt.init, out)
+                else:
+                    out[stmt.name] = TOP
+        return out
+
+    def _edge_state(self, pred: BasicBlock, dst: BasicBlock,
+                    out_state: State) -> Optional[State]:
+        state = dict(out_state)
+        if pred.kind == "header" and pred.loop is not None:
+            loop = pred.loop
+            var = loop.var
+            bound = self._expr_interval(loop.bound, out_state)
+            start = self._expr_interval(loop.start, out_state)
+            current = state.get(var, TOP)
+            into_body = (loop.var not in pred.loop_vars
+                         and var in dst.loop_vars)
+            if into_body:
+                guard = Interval(
+                    start.lo,
+                    None if bound.hi is None else bound.hi - 1)
+                narrowed = current.meet(guard)
+                if narrowed.is_empty:
+                    return None
+                state[var] = narrowed
+            else:
+                narrowed = current.meet(Interval(bound.lo, None))
+                if narrowed.is_empty:
+                    return None
+                state[var] = narrowed
+        if dst.kind == "header" and dst.loop is not None:
+            loop = dst.loop
+            if self._is_back_edge(pred, dst):
+                state[loop.var] = state.get(loop.var, TOP).shift(
+                    loop.step)
+            else:
+                state[loop.var] = self._expr_interval(loop.start,
+                                                      out_state)
+        return state
+
+    @staticmethod
+    def _join_states(states: Sequence[State]) -> State:
+        if not states:
+            return {}
+        keys = set(states[0])
+        for s in states[1:]:
+            keys &= set(s)
+        out: State = {}
+        for k in keys:
+            r = states[0][k]
+            for s in states[1:]:
+                r = r.join(s[k])
+            out[k] = r
+        return out
+
+    def _merged(self, blk: BasicBlock,
+                block_out: Dict[int, State]) -> State:
+        incoming: List[State] = []
+        for p in blk.preds:
+            if p not in block_out:
+                continue
+            es = self._edge_state(self.cfg.block(p), blk, block_out[p])
+            if es is not None:
+                incoming.append(es)
+        return self._join_states(incoming)
+
+    def _solve(self) -> None:
+        cfg = self.cfg
+        order = cfg.rpo()
+        block_out: Dict[int, State] = {}
+        self.block_in = {cfg.entry: {}}
+        block_out[cfg.entry] = self._transfer(cfg.block(cfg.entry), {})
+        rounds = 0
+        changed = True
+        while changed:
+            changed = False
+            rounds += 1
+            for bid in order:
+                if bid == cfg.entry:
+                    continue
+                blk = cfg.block(bid)
+                merged = self._merged(blk, block_out)
+                if blk.kind == "header" and rounds > _WIDEN_AFTER \
+                        and bid in self.block_in:
+                    merged = self._widen_state(self.block_in[bid],
+                                               merged)
+                new_out = self._transfer(blk, merged)
+                if merged != self.block_in.get(bid) \
+                        or new_out != block_out.get(bid):
+                    self.block_in[bid] = merged
+                    block_out[bid] = new_out
+                    changed = True
+        for _ in range(_NARROW_ROUNDS):
+            for bid in order:
+                if bid == cfg.entry:
+                    continue
+                blk = cfg.block(bid)
+                merged = self._merged(blk, block_out)
+                self.block_in[bid] = merged
+                block_out[bid] = self._transfer(blk, merged)
+
+
+# -- reference dataflow solvers --------------------------------------------------
+
+def reference_solve_forward(cfg: Cfg, transfer: Transfer,
+                            init: Facts = NO_FACTS):
+    in_facts = {b.bid: NO_FACTS for b in cfg.blocks}
+    out_facts = {b.bid: NO_FACTS for b in cfg.blocks}
+    in_facts[cfg.entry] = init
+    out_facts[cfg.entry] = transfer(cfg.entry, init)
+    order = cfg.rpo()
+    changed = True
+    while changed:
+        changed = False
+        for bid in order:
+            if bid == cfg.entry:
+                continue
+            merged = frozenset().union(
+                *(out_facts[p] for p in cfg.block(bid).preds)) \
+                if cfg.block(bid).preds else NO_FACTS
+            new_out = transfer(bid, merged)
+            if merged != in_facts[bid] or new_out != out_facts[bid]:
+                in_facts[bid] = merged
+                out_facts[bid] = new_out
+                changed = True
+    return in_facts, out_facts
+
+
+def reference_solve_backward(cfg: Cfg, transfer: Transfer,
+                             init: Facts = NO_FACTS):
+    in_facts = {b.bid: NO_FACTS for b in cfg.blocks}
+    out_facts = {b.bid: NO_FACTS for b in cfg.blocks}
+    order = list(reversed(cfg.rpo()))
+    changed = True
+    while changed:
+        changed = False
+        for bid in order:
+            merged = frozenset().union(
+                *(in_facts[s] for s in cfg.block(bid).succs)) \
+                if cfg.block(bid).succs else init
+            new_in = transfer(bid, merged)
+            if merged != out_facts[bid] or new_in != in_facts[bid]:
+                out_facts[bid] = merged
+                in_facts[bid] = new_in
+                changed = True
+    return in_facts, out_facts
+
+
+class ReferenceLiveness(Liveness):
+    """Liveness that unions each statement's references in turn."""
+
+    def __init__(self, facts):
+        self.cfg = facts.cfg
+        self._events = facts.events
+        self.block_in, self.block_out = reference_solve_backward(
+            self.cfg, self._transfer)
+
+    def _transfer(self, bid: int, facts: Facts) -> Facts:
+        for ev_list in self._events[bid]:
+            facts = facts | self._refs(ev_list)
+        return facts
 
 
 # -- program generators -------------------------------------------------------

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.compiler import (CParseError, SemanticError, build_env,
-                            parse_source)
+                            parse_source, translate)
 from repro.compiler.affine import Affine, AffineError
 from repro.compiler.cast import (Assign, Call, ExprStmt, For, Ident, Num,
                                  VarDecl, walk_calls)
+from repro.compiler.cparser import MAX_EXPR_DEPTH
 
 
 class TestParser:
@@ -76,6 +77,112 @@ class TestParser:
     def test_malformed(self, bad):
         with pytest.raises(CParseError):
             parse_source(bad)
+
+
+class TestLoopStep:
+    @pytest.mark.parametrize("step, value", [
+        ("1", 1), ("2", 2), ("0x3", 3), ("4u", 4)])
+    def test_integer_steps(self, step, value):
+        loop = parse_source(
+            f"int i;\nfor (i = 0; i < 8; i += {step}) free(i);").stmts[1]
+        assert loop.step == value
+
+    @pytest.mark.parametrize("step", ["1.5", "1e0", "1.9f", ".5", "2."])
+    def test_non_integer_step_is_rejected(self, step):
+        source = (f"float x[8];\nint i;\nfor (i = 0; i < 4; i += {step})"
+                  "\n  cblas_saxpy(1, 1.0, &x[i], 1, &x[i], 1);\n")
+        with pytest.raises(CParseError) as info:
+            translate(source)
+        assert str(info.value) == (f"line 3: loop step must be an integer "
+                                   f"constant, got {step!r}")
+        assert info.value.code == "MEA013"
+
+
+class TestExpressionDepth:
+    """``MAX_EXPR_DEPTH`` bounds every expression the parser accepts;
+    past it the source is a CParseError, never a RecursionError."""
+
+    @staticmethod
+    def deep(form, depth):
+        """A declaration whose initialiser is ``depth`` deep."""
+        return {
+            "parens": "(" * depth + "1" + ")" * depth,
+            "chain": "+".join(["1"] * (depth + 1)),
+            "unary": "- " * depth + "1",
+            "nested subscripts": "a[" * depth + "0" + "]" * depth,
+            "chained subscripts": "a" + "[0]" * depth,
+            "calls": "f(" * depth + "1" + ")" * depth,
+            "braces": "{" * depth + "1" + "}" * depth,
+            "mixed": "-(" * (depth // 2) + "1" + ")" * (depth // 2),
+        }[form]
+
+    FORMS = ("parens", "chain", "unary", "nested subscripts",
+             "chained subscripts", "calls", "braces", "mixed")
+
+    def source(self, form, depth):
+        return f"float a[4];\nint n = {self.deep(form, depth)};\n"
+
+    @pytest.mark.parametrize("form, depth", [
+        ("parens", 3000), ("chain", 4999), ("nested subscripts", 3000),
+        ("chained subscripts", 3000), ("unary", 3000), ("calls", 3000),
+        ("braces", 3000)])
+    @pytest.mark.parametrize("phase", [parse_source, translate])
+    def test_deep_input_is_a_parse_error(self, form, depth, phase):
+        with pytest.raises(CParseError) as info:
+            phase(self.source(form, depth))
+        assert info.value.code == "MEA013"
+        assert str(info.value) == (
+            "line 2: expression nests deeper than MAX_EXPR_DEPTH = "
+            f"{MAX_EXPR_DEPTH} levels")
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_the_limit_itself_translates(self, form):
+        depth = MAX_EXPR_DEPTH + (form == "mixed")
+        translate(self.source(form, depth))
+
+    def test_longest_chain_translates(self):
+        terms = MAX_EXPR_DEPTH + 1
+        translate(f"int n = {'+'.join(['1'] * terms)};\n")
+        with pytest.raises(CParseError, match="MAX_EXPR_DEPTH"):
+            translate(f"int n = {'+'.join(['1'] * (terms + 1))};\n")
+
+    @pytest.mark.parametrize("form", ("calls", "braces"))
+    def test_the_limit_leaves_the_caller_frames(self, form):
+        # the costliest forms at the limit still translate 100 frames
+        # further down the stack than a test runs
+        def nest(frames):
+            return (translate(self.source(form, MAX_EXPR_DEPTH))
+                    if frames == 0 else nest(frames - 1))
+        nest(100)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_one_past_the_limit_is_rejected(self, form):
+        depth = MAX_EXPR_DEPTH + 1 + 2 * (form == "mixed")
+        with pytest.raises(CParseError, match="MAX_EXPR_DEPTH"):
+            parse_source(self.source(form, depth))
+
+    def test_depth_is_the_deepest_path(self):
+        # many shallow operands side by side are not deep
+        args = ", ".join(["(1) * (2)"] * (3 * MAX_EXPR_DEPTH))
+        translate(f"int n = f({args});\nint m[2] = {{{args}}};\n")
+        # a chain adds its length to its first operand's depth
+        half = MAX_EXPR_DEPTH // 2
+        head = "(" * half + "1" + ")" * half
+        parse_source(f"int n = {head}{'+1' * half};")
+        with pytest.raises(CParseError, match="MAX_EXPR_DEPTH"):
+            parse_source(f"int n = {head}{'+1' * (half + 1)};")
+
+
+class TestTruncatedSource:
+    @pytest.mark.parametrize("source", [
+        "int i;\nfor (i = 0; i < 4; i++)",
+        "#pragma omp parallel for\n",
+        "int i;\nfor (i = 0; i < 4; i++) {",
+        "int x = f(1,",
+    ])
+    def test_end_of_input_is_a_parse_error(self, source):
+        with pytest.raises(CParseError):
+            parse_source(source)
 
 
 class TestSemantics:
