@@ -53,6 +53,23 @@ _BINARY_PREC = {"<": 1, "<=": 1, ">": 1, ">=": 1, "==": 1, "!=": 1,
 #: application sources is 6 levels.
 MAX_EXPR_DEPTH = 200
 
+#: Deepest statement nesting the parser accepts: every loop body and
+#: bare block around a statement counts one level, so ``n`` nested
+#: loops are ``n`` deep (stacked pragmas mark one loop and count none).
+#: Past the limit the source is rejected with :class:`CParseError`, as
+#: for expressions: the parser and every later phase walk statements
+#: recursively, and an expression at MAX_EXPR_DEPTH may sit at the
+#: innermost level, so the two limits share one stack. Under Python's
+#: default recursion limit a call expression MAX_EXPR_DEPTH deep leaves
+#: the caller 182 frames, and each loop around it takes one more (its
+#: ``int`` initialiser fails constant evaluation, whose message is the
+#: expression's recursive repr, under one ``build_env`` frame per
+#: loop). 32 levels leave the caller 150 frames with both limits
+#: reached; loop nests with a shallow body translated up to 327 levels
+#: before this limit. The deepest nesting in the example and
+#: application sources is 4 levels.
+MAX_STMT_DEPTH = 32
+
 
 class _Parser:
     def __init__(self, tokens: List[Token]):
@@ -100,6 +117,16 @@ class _Parser:
             raise self._too_deep()
         return depth + 1
 
+    def _nested_stmt(self, level: int) -> int:
+        """The level of a statement nested in a loop body or bare block
+        at ``level``; raises before the parser recurses past the
+        limit."""
+        if level >= MAX_STMT_DEPTH:
+            line = cast(Token, self.tokens[self.pos - 1]).line
+            raise CParseError(f"line {line}: statements nest deeper than "
+                              f"MAX_STMT_DEPTH = {MAX_STMT_DEPTH} levels")
+        return level + 1
+
     def _too_deep(self) -> CParseError:
         line = cast(Token, self.tokens[self.pos - 1]).line
         return CParseError(f"line {line}: expression nests deeper than "
@@ -122,7 +149,7 @@ class _Parser:
                 seen.add(func.name)
                 functions.append(func)
             else:
-                stmts.append(self.parse_stmt())
+                stmts.append(self.parse_stmt(0))
         return Program(defines=defines, stmts=tuple(stmts),
                        functions=tuple(functions))
 
@@ -172,7 +199,7 @@ class _Parser:
                 self.advance()
         self.expect(")")
         self.expect("{")
-        body = self.parse_stmts(stop="}")
+        body = self.parse_stmts(0, stop="}")
         self.expect("}")
         return FuncDef(name=name_tok.text, params=tuple(params),
                        body=body, loc=_loc(name_tok))
@@ -197,7 +224,10 @@ class _Parser:
 
     # -- statements ----------------------------------------------------------
 
-    def parse_stmts(self, stop: Optional[str] = None) -> Tuple:
+    # Each statement method takes ``level``, the number of loop bodies
+    # and bare blocks around the statement (see MAX_STMT_DEPTH).
+
+    def parse_stmts(self, level: int, stop: Optional[str] = None) -> Tuple:
         stmts = []
         while True:
             tok = self.tokens[self.pos]
@@ -207,27 +237,33 @@ class _Parser:
                 break
             if stop is not None and tok.text == stop:
                 break
-            stmts.append(self.parse_stmt())
+            stmts.append(self.parse_stmt(level))
         return tuple(stmts)
 
-    def parse_stmt(self):
+    def parse_stmt(self, level: int):
         tok = self.tokens[self.pos]
         if tok is None:
             raise CParseError("unexpected end of input")
         if tok.kind == "pragma":
-            self.advance()
-            loop = self.parse_stmt()
+            # stacked pragmas mark the same loop, so they are consumed
+            # here rather than by one recursion each
+            pragma = tok
+            while tok is not None and tok.kind == "pragma":
+                pragma = self.advance()
+                tok = self.tokens[self.pos]
+            loop = self.parse_stmt(level)
             if not isinstance(loop, For):
                 raise CParseError(
-                    f"line {tok.line}: omp pragma must precede a for loop")
+                    f"line {pragma.line}: omp pragma must precede a for "
+                    "loop")
             return For(var=loop.var, start=loop.start, bound=loop.bound,
                        step=loop.step, body=loop.body, pragma_omp=True,
-                       loc=loop.loc or _loc(tok))
+                       loc=loop.loc or _loc(pragma))
         if tok.text == "for":
-            return self.parse_for()
+            return self.parse_for(level)
         if tok.text == "{":
             self.advance()
-            stmts = self.parse_stmts(stop="}")
+            stmts = self.parse_stmts(self._nested_stmt(level), stop="}")
             self.expect("}")
             if len(stmts) != 1:
                 raise CParseError(
@@ -302,7 +338,7 @@ class _Parser:
         self.expect(";")
         return ExprStmt(expr=expr, loc=loc)
 
-    def parse_for(self) -> For:
+    def parse_for(self, level: int) -> For:
         for_tok = self.expect("for")
         self.expect("(")
         var_tok = self.advance()
@@ -327,12 +363,13 @@ class _Parser:
         self.expect(";")
         step = self._parse_step(var)
         self.expect(")")
+        inner = self._nested_stmt(level)
         if self.at("{"):
             self.advance()
-            body = self.parse_stmts(stop="}")
+            body = self.parse_stmts(inner, stop="}")
             self.expect("}")
         else:
-            body = (self.parse_stmt(),)
+            body = (self.parse_stmt(inner),)
         return For(var=var, start=start, bound=bound, step=step,
                    body=body, loc=_loc(for_tok))
 

@@ -60,6 +60,8 @@ from repro.memmgmt.allocator import ContiguousAllocator
 from repro.metrics import ExecResult, ZERO
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.thermal.governor import PowerGovernor
     from repro.thermal.rc import ThermalModel
 
@@ -235,7 +237,8 @@ class MealibRuntime:
                  scrubber: Optional[PatrolScrubber] = None,
                  thermal: Optional["ThermalModel"] = None,
                  governor: Optional["PowerGovernor"] = None,
-                 vault_of: Optional[Callable[[int], int]] = None):
+                 vault_of: Optional[
+                     Callable[[np.ndarray], np.ndarray]] = None):
         self.space = space
         self.cu = config_unit
         self.invocation = (invocation if invocation is not None
@@ -246,7 +249,7 @@ class MealibRuntime:
         self.scrubber = scrubber
         # thermal loop (repro.thermal): the RC model is advanced with
         # each step's attributed heat and the governor re-polled after;
-        # vault_of maps a physical byte address to its vault for the
+        # vault_of maps physical byte addresses to their vaults for the
         # Arrhenius-thinned latent deposits. All None ⇒ byte-identical
         # to a thermal-free runtime.
         self.thermal = thermal

@@ -131,7 +131,7 @@ class MealibSystem:
             faults=faults, policy=policy, datapath=self.datapath,
             scrubber=self.scrubber, thermal=self.thermal,
             governor=self.governor,
-            vault_of=(self.device.mapping.unit_of
+            vault_of=(self.device.mapping.units_of
                       if self.thermal is not None else None))
         if self.governor is not None:
             # engage forced (sub-ambient) envelopes before the first

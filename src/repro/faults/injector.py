@@ -54,6 +54,7 @@ The injector is pure policy: the subsystems own small hooks
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -254,7 +255,8 @@ class FaultInjector:
             self, regions: Sequence[Tuple[int, int]],
             factors: Optional[Sequence[float]] = None,
             cap: float = 1.0,
-            vault_of: Optional[Callable[[int], int]] = None) -> int:
+            vault_of: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    ) -> int:
         """One accelerated step's worth of new latent cell flips.
 
         Draws ``Binomial(total backed bits, latent_flip_rate)`` upset
@@ -264,10 +266,14 @@ class FaultInjector:
         the number of flips deposited. Consumes the dedicated latent
         PRNG identically regardless of scrub or read activity.
 
+        ``vault_of`` maps an int64 array of byte addresses to their
+        vaults (``AddressMapping.units_of``); with it, accepted flips
+        are also counted per vault.
+
         Thermal coupling (``factors`` given) uses *thinning*: candidates
         are drawn at the capped rate ``latent_flip_rate * cap``, and a
         candidate landing on byte ``b`` is accepted iff its paired
-        uniform ``u`` satisfies ``u * cap < factors[vault_of(b)]`` — so
+        uniform ``u`` satisfies ``u * cap < factors[vault of b]`` — so
         a vault with Arrhenius factor ``f`` sees flips at exactly
         ``rate * f`` while the seeded candidate stream stays identical
         across envelope and throttle policies. Hotter vaults accept a
@@ -275,7 +281,10 @@ class FaultInjector:
         monotonicity holds by construction, not by luck. When
         ``factors`` is ``None`` the legacy single-rate path runs,
         consuming the PRNG byte-identically to earlier releases (the
-        golden-baseline guarantee).
+        golden-baseline guarantee). After the draws the candidates are
+        mapped, thinned and ORed in as arrays, in ascending position
+        order, exactly as the per-candidate loop kept in
+        ``tests/faults/helpers.py``.
         """
         rate = self.config.latent_flip_rate
         if rate <= 0.0 or not regions:
@@ -300,30 +309,36 @@ class FaultInjector:
             positions = self._latent_rng.choice(total_bits, size=k,
                                                 replace=False)
             uniforms = self._latent_rng.random(k)
+        # map the ascending positions onto their regions: a zero-size
+        # region ends where its predecessor does, so the right-sided
+        # search never lands on it
+        positions = np.sort(positions)
+        starts = np.array([start for start, _ in regions], dtype=np.int64)
+        sizes = np.array([size for _, size in regions], dtype=np.int64) * 8
+        ends = np.cumsum(sizes)
+        region = np.searchsorted(ends, positions, side="right")
+        rest = positions - (ends[region] - sizes[region])
+        byte = starts[region] + (rest >> 3)
+        vault = vault_of(byte) if vault_of is not None else None
+        if uniforms is not None:
+            # uniforms pair with the candidates in ascending order
+            factor = (np.asarray(factors, dtype=np.float64)[vault]
+                      if vault is not None else 1.0)
+            keep = uniforms * cap < factor
+            byte, rest = byte[keep], rest[keep]
+            if vault is not None:
+                vault = vault[keep]
         word_mask = ECC_WORD_BITS // 8 - 1
-        deposited = 0
-        for i, pos in enumerate(sorted(int(p) for p in positions)):
-            rest = pos
-            for start, size in regions:
-                if rest >= size * 8:
-                    rest -= size * 8
-                    continue
-                byte = start + rest // 8
-                vault = vault_of(byte) if vault_of is not None else None
-                if uniforms is not None:
-                    factor = (factors[vault] if vault is not None
-                              else 1.0)
-                    if uniforms[i] * cap >= factor:
-                        break                       # thinned away
-                word = byte & ~word_mask
-                bit = (byte - word) * 8 + rest % 8
-                self._latent[word] = self._latent.get(word, 0) \
-                    | (1 << bit)
-                deposited += 1
-                if vault is not None:
-                    self.latent_deposits_by_vault[vault] = (
-                        self.latent_deposits_by_vault.get(vault, 0) + 1)
-                break
+        bit = (byte & word_mask) * 8 + (rest & 7)
+        latent = self._latent
+        for word, b in zip((byte & ~word_mask).tolist(), bit.tolist()):
+            latent[word] = latent.get(word, 0) | (1 << b)
+        deposited = int(byte.size)
+        if vault is not None:
+            by_vault = self.latent_deposits_by_vault
+            # a Counter keeps first-seen order, as the per-flip count did
+            for v, n in Counter(vault.tolist()).items():
+                by_vault[v] = by_vault.get(v, 0) + n
         self.stats.latent_flips_deposited += deposited
         return deposited
 

@@ -112,10 +112,9 @@ class AddressMapping:
         addrs = np.asarray(addrs, dtype=np.int64)
         if addrs.size and int(addrs.min()) < 0:
             raise ValueError("negative physical address in batch")
-        block = addrs // self.interleave_bytes
-        unit = (block % self.units) ^ _fold_array(block // self.units,
-                                                  self.units)
-        block = block // self.units
+        unit = self.units_of(addrs)
+        # (a // i) // u == a // (i * u) for non-negative integers
+        block = addrs // (self.interleave_bytes * self.units)
         col = block % self.cols_per_row
         block = block // self.cols_per_row
         bank = block % self.banks
@@ -127,3 +126,10 @@ class AddressMapping:
         """Return only the unit (vault/channel) index — the hot path."""
         block = addr // self.interleave_bytes
         return (block % self.units) ^ _fold(block // self.units, self.units)
+
+    def units_of(self, addrs: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`unit_of` over non-negative int64 addresses
+        (exact: integer divisions and XOR-folds only)."""
+        block = np.asarray(addrs, dtype=np.int64) // self.interleave_bytes
+        return (block % self.units) ^ _fold_array(block // self.units,
+                                                  self.units)

@@ -35,8 +35,12 @@ too. The loop computes the same floats as the plain loop kept in
 ``tests/thermal/helpers.py``: every sum adds its terms in the same
 order; a conductance term ``g·(amb − T)`` is subtracted as
 ``g·(T − amb)``, which is the same float because round-to-nearest is
-sign-symmetric; and the lateral product, the leakage ``exp2`` and the
-logic node's pairwise sum use the same numpy kernels.
+sign-symmetric; and the lateral product (``adj.dot``, the BLAS dgemv
+``adj @ T`` calls), the leakage ``exp2`` and the logic node's pairwise
+sum use the same numpy kernels. Every ufunc operand is a same-shape
+float64 array (elementwise IEEE arithmetic gives the same float whether
+an operand is broadcast or stored), and every ufunc is bound once per
+call and given its output positionally, the cheapest dispatch.
 
 The default capacities are scaled to the simulator's sampled-window
 timescale (microsecond-class accelerated steps), giving vault time
@@ -173,6 +177,9 @@ class ThermalModel:
         #: Per-vault peak temperature seen so far (starts at ambient).
         self.peak: np.ndarray = self.temps.copy()
         self.peak_logic = float(amb)
+        #: Euler substeps run by :meth:`advance` so far (the fixed-point
+        #: exit skips the rest of a call's substeps).
+        self.substeps = 0
         # lateral adjacency (grid) as a dense matrix: A @ T sums each
         # node's neighbour temperatures, degree[i] counts them
         adj = np.zeros((vaults, vaults), dtype=np.float64)
@@ -193,6 +200,12 @@ class ThermalModel:
         g_log = config.g_logic_sink + vaults * config.g_logic
         self._dt_stable = 0.4 * min(config.c_vault / g_vault,
                                     config.c_logic / max(g_log, 1e-30))
+        # the advance loop's per-vault constants, one length-n array
+        # each: ambient, g_sink, g_lat, g_logic, p_leak_ref, doubling
+        self._consts = tuple(
+            np.full(vaults, x, dtype=np.float64)
+            for x in (amb, config.g_sink, config.g_lat, config.g_logic,
+                      config.p_leak_ref, config.leak_doubling))
 
     # -- temperature-dependent terms -----------------------------------------
 
@@ -246,48 +259,54 @@ class ThermalModel:
         g_logic, g_logic_sink = cfg.g_logic, cfg.g_logic_sink
         k_logic = dt / cfg.c_logic
         leaky = cfg.p_leak_ref > 0.0
-        # vector operands as float64 0-d arrays: the same products as
-        # with Python floats, without a scalar conversion per ufunc call
-        amb_v, g_sink_v, g_lat_v, g_logic_v, p_leak_v, doubling_v, k_v = (
-            np.array(x, dtype=np.float64)
-            for x in (amb, cfg.g_sink, cfg.g_lat, g_logic, cfg.p_leak_ref,
-                      cfg.leak_doubling, dt / cfg.c_vault))
-        adj, degree = self._adj, self._degree
+        # every ufunc operand is a length-n array (the same products as
+        # a broadcast scalar); only the vault step factor depends on
+        # the call
+        amb_v, g_sink_v, g_lat_v, g_logic_v, p_leak_v, doubling_v = (
+            self._consts)
+        k_v = np.full(n, dt / cfg.c_vault)
+        dot, degree = self._adj.dot, self._degree
+        subtract, multiply, add, divide, exp2, maximum, reduce = (
+            np.subtract, np.multiply, np.add, np.divide, np.exp2,
+            np.maximum, np.add.reduce)
         # a fresh state array: callers may hold (and write) self.temps
         temps = np.array(self.temps, dtype=np.float64)
-        nxt, d, dl, lat, flux, tmp = (np.empty(n, dtype=np.float64)
-                                      for _ in range(6))
+        nxt, d, dl, lat, flux, tmp, tl = (np.empty(n, dtype=np.float64)
+                                          for _ in range(7))
         t_logic = self.t_logic
-        for _ in range(steps):
-            np.subtract(temps, amb_v, out=d)
-            np.subtract(temps, t_logic, out=dl)
-            np.matmul(adj, temps, out=lat)
-            np.multiply(degree, temps, out=tmp)
-            np.subtract(lat, tmp, out=lat)
-            np.multiply(lat, g_lat_v, out=lat)
+        for ran in range(1, steps + 1):
+            tl.fill(t_logic)
+            subtract(temps, amb_v, d)
+            subtract(temps, tl, dl)
+            # ndarray.dot reaches the same BLAS dgemv as adj @ temps
+            dot(temps, lat)
+            multiply(degree, temps, tmp)
+            subtract(lat, tmp, lat)
+            multiply(lat, g_lat_v, lat)
             # flux = power + leakage - g_sink*d - g_logic*dl + lat: the
             # physics' sum order, each conductance term's sign flipped
-            np.multiply(d, g_sink_v, out=tmp)
+            multiply(d, g_sink_v, tmp)
             if leaky:
-                np.divide(d, doubling_v, out=flux)
-                np.exp2(flux, out=flux)
-                np.multiply(flux, p_leak_v, out=flux)
-                np.add(power, flux, out=flux)
-                np.subtract(flux, tmp, out=flux)
+                divide(d, doubling_v, flux)
+                exp2(flux, flux)
+                multiply(flux, p_leak_v, flux)
+                add(power, flux, flux)
+                subtract(flux, tmp, flux)
             else:
-                np.subtract(power, tmp, out=flux)
-            np.multiply(dl, g_logic_v, out=tmp)
-            np.subtract(flux, tmp, out=flux)
-            np.add(flux, lat, out=flux)
+                subtract(power, tmp, flux)
+            multiply(dl, g_logic_v, tmp)
+            subtract(flux, tmp, flux)
+            add(flux, lat, flux)
             # np.add.reduce is the pairwise reduction np.sum dispatches to
             logic_flux = (logic_power
-                          + g_logic * float(np.add.reduce(dl, axis=None))
+                          + g_logic * float(reduce(dl))
                           - g_logic_sink * (t_logic - amb))
-            np.multiply(flux, k_v, out=flux)
-            np.add(temps, flux, out=nxt)
+            multiply(flux, k_v, flux)
+            add(temps, flux, nxt)
             # the heatsink is an infinite reservoir at ambient: the
-            # stack cannot cool below it
-            np.maximum(nxt, amb_v, out=nxt)
+            # stack cannot cool below it (numpy deprecates a positional
+            # out for maximum alone)
+            maximum(nxt, amb_v, out=nxt)
             t_next = max(t_logic + logic_flux * k_logic, amb)
             # the step map depends on the state alone, so a bitwise
             # fixed point repeats for every remaining substep
@@ -295,6 +314,7 @@ class ThermalModel:
                 break
             temps, nxt = nxt, temps
             t_logic = t_next
+        self.substeps += ran
         self.temps = temps
         self.t_logic = t_logic
         self.elapsed += duration

@@ -12,6 +12,7 @@ exactly:
   precedence climbing;
 * :class:`ReferenceValueRanges`, the range solver that recomputes every
   edge state, join and transfer each round;
+* :func:`reference_rpo`, the recursive walk behind :meth:`Cfg.rpo`;
 * :func:`reference_solve_forward`, :func:`reference_solve_backward` and
   :class:`ReferenceLiveness`, the dataflow solvers without reuse and
   liveness with its per-statement transfer;
@@ -371,6 +372,26 @@ class ReferenceValueRanges(ValueRanges):
                 merged = self._merged(blk, block_out)
                 self.block_in[bid] = merged
                 block_out[bid] = self._transfer(blk, merged)
+
+
+# -- reference CFG order ---------------------------------------------------------
+
+def reference_rpo(cfg: Cfg) -> List[int]:
+    """Reverse post-order by a recursive depth-first walk, the form
+    :meth:`Cfg.rpo` had before it moved to an explicit stack."""
+    seen = set()
+    order: List[int] = []
+
+    def visit(bid: int) -> None:
+        if bid in seen:
+            return
+        seen.add(bid)
+        for succ in cfg.blocks[bid].succs:
+            visit(succ)
+        order.append(bid)
+
+    visit(cfg.entry)
+    return list(reversed(order))
 
 
 # -- reference dataflow solvers --------------------------------------------------

@@ -7,7 +7,7 @@ from repro.compiler import (CParseError, SemanticError, build_env,
 from repro.compiler.affine import Affine, AffineError
 from repro.compiler.cast import (Assign, Call, ExprStmt, For, Ident, Num,
                                  VarDecl, walk_calls)
-from repro.compiler.cparser import MAX_EXPR_DEPTH
+from repro.compiler.cparser import MAX_EXPR_DEPTH, MAX_STMT_DEPTH
 
 
 class TestParser:
@@ -171,6 +171,78 @@ class TestExpressionDepth:
         parse_source(f"int n = {head}{'+1' * half};")
         with pytest.raises(CParseError, match="MAX_EXPR_DEPTH"):
             parse_source(f"int n = {head}{'+1' * (half + 1)};")
+
+
+class TestStatementDepth:
+    """``MAX_STMT_DEPTH`` bounds statement nesting; past it the source
+    is a CParseError, never a RecursionError."""
+
+    SAXPY = "cblas_saxpy(8, 2.0, x, 1, y, 1);"
+
+    @staticmethod
+    def loops(depth, body, pragma=False, braces=True):
+        """``depth`` nested loops around ``body``."""
+        lines = ["float x[8];", "float y[8];"]
+        lines += [f"int i{k};" for k in range(depth)]
+        for k in range(depth):
+            if pragma:
+                lines.append("#pragma omp parallel for")
+            lines.append(f"for (i{k} = 0; i{k} < 1; i{k}++)"
+                         + (" {" if braces else ""))
+        lines.append(body)
+        lines += ["}"] * depth if braces else []
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def blocks(depth):
+        return "float x[8];\n" + "{" * depth + "free(x);" + "}" * depth
+
+    @pytest.mark.parametrize("phase", [parse_source, translate])
+    def test_deep_blocks_are_a_parse_error(self, phase):
+        with pytest.raises(CParseError) as info:
+            phase(self.blocks(3000))
+        assert info.value.code == "MEA013"
+        assert str(info.value) == (
+            "line 2: statements nest deeper than MAX_STMT_DEPTH = "
+            f"{MAX_STMT_DEPTH} levels")
+
+    @pytest.mark.parametrize("braces", [True, False])
+    def test_one_past_the_limit_is_rejected(self, braces):
+        translate(self.loops(MAX_STMT_DEPTH, self.SAXPY, braces=braces))
+        translate(self.blocks(MAX_STMT_DEPTH))
+        with pytest.raises(CParseError, match="MAX_STMT_DEPTH"):
+            parse_source(self.loops(MAX_STMT_DEPTH + 1, self.SAXPY,
+                                    braces=braces))
+        with pytest.raises(CParseError, match="MAX_STMT_DEPTH"):
+            parse_source(self.blocks(MAX_STMT_DEPTH + 1))
+
+    def test_stacked_pragmas_mark_one_loop(self):
+        source = ("float x[8];\nfloat y[8];\nint i;\n"
+                  + "#pragma omp parallel for\n" * 3000
+                  + "for (i = 0; i < 8; i++) "
+                  "cblas_saxpy(1, 2.0, &x[i], 1, &y[i], 1);\n")
+        loop = parse_source(source).stmts[-1]
+        assert isinstance(loop, For) and loop.pragma_omp
+        assert loop.loc.line == 3004
+        assert len(translate(source).items) == 1
+        with pytest.raises(CParseError, match="line 4: omp pragma must "
+                           "precede a for loop"):
+            parse_source("float x[8];\n" + "#pragma omp parallel for\n"
+                         * 3 + "free(x);\n")
+
+    @pytest.mark.parametrize("init", [
+        "int m = " + "f(" * MAX_EXPR_DEPTH + "1" + ")" * MAX_EXPR_DEPTH,
+        "int m[1] = " + "{" * MAX_EXPR_DEPTH + "1" + "}" * MAX_EXPR_DEPTH])
+    def test_both_limits_leave_the_caller_frames(self, init):
+        # the costliest expressions at MAX_EXPR_DEPTH inside the
+        # costliest loops at MAX_STMT_DEPTH still translate 100 frames
+        # further down the stack than a test runs
+        source = self.loops(MAX_STMT_DEPTH, f"{self.SAXPY}\n{init};",
+                            pragma=True)
+
+        def nest(frames):
+            return translate(source) if frames == 0 else nest(frames - 1)
+        nest(100)
 
 
 class TestTruncatedSource:

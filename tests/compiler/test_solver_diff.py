@@ -4,9 +4,11 @@ each round.
 
 The value-range solver must give identical ``block_in`` states, the
 same ``global_range`` of every variable and the same ``trip_interval``
-of every loop header; the dataflow solvers identical in/out facts. The
-inputs are every example source, the STAP and SAR programs and seeded
-random counted loop nests with constant and symbolic bounds.
+of every loop header; the dataflow solvers identical in/out facts; and
+``Cfg.rpo`` the order of the recursive walk. The inputs are every
+example source, the STAP and SAR programs and seeded random counted
+loop nests with constant and symbolic bounds (and, for ``rpo``, seeded
+random graphs).
 """
 
 import itertools
@@ -17,14 +19,15 @@ import pytest
 
 from repro.apps.sar import SarConfig, sar_source
 from repro.apps.stap import PRESETS, stap_source
-from repro.compiler import build_env, parse_source
+from repro.compiler import build_env, parse_source, translate
+from repro.compiler.analysis.cfg import Cfg, build_cfg
 from repro.compiler.analysis.dataflow import (LifecycleFacts, Liveness,
                                               solve_backward, solve_forward)
 from repro.compiler.analysis.facts import ProgramFacts
 from repro.compiler.analysis.ranges import ValueRanges, loop_headers
 from repro.compiler.recognizer import recognize
 from tests.compiler.helpers import (ReferenceLiveness, ReferenceValueRanges,
-                                    reference_solve_backward,
+                                    reference_rpo, reference_solve_backward,
                                     reference_solve_forward)
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
@@ -131,3 +134,35 @@ def test_dataflow_matches(name):
         == reference_solve_backward(facts.cfg, reference._transfer)
     assert solve_forward(facts.cfg, reference._transfer) \
         == reference_solve_forward(facts.cfg, reference._transfer)
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_rpo_matches(name):
+    program = parse_source(PROGRAMS[name])
+    cfgs = [build_cfg(program)]
+    cfgs += [build_cfg(func.body) for func in program.functions]
+    for cfg in cfgs:
+        assert cfg.rpo() == reference_rpo(cfg)
+
+
+def test_rpo_matches_on_random_graphs():
+    rng = random.Random(2015)
+    for _ in range(300):
+        cfg = Cfg()
+        n = rng.randint(1, 40)
+        for _ in range(n):
+            cfg.new_block()
+        for _ in range(rng.randint(0, 3 * n)):
+            cfg.add_edge(rng.randrange(n), rng.randrange(n))
+        cfg.entry = rng.randrange(n)
+        assert cfg.rpo() == reference_rpo(cfg)
+
+
+def test_rpo_of_a_long_program_does_not_recurse():
+    # 1500 sequential loops: a chain of ~3000 blocks, which the
+    # recursive walk could not order under the default recursion limit
+    loop = "for (i = 0; i < 2; i++) cblas_saxpy(8, 2.0, x, 1, y, 1);\n"
+    source = "float x[8];\nfloat y[8];\nint i;\n" + loop * 1500
+    with pytest.raises(RecursionError):
+        reference_rpo(build_cfg(parse_source(source)))
+    assert len(translate(source).items) == 1500

@@ -45,6 +45,26 @@ def test_unit_of_matches_decompose():
         assert MAPPING.unit_of(addr) == MAPPING.decompose(addr)[0]
 
 
+def test_units_of_matches_unit_of():
+    rng = np.random.default_rng(11)
+    top = np.iinfo(np.int64).max
+    for mapping in (MAPPING,
+                    AddressMapping(interleave_bytes=64, units=4, banks=8,
+                                   row_bytes=2048),
+                    AddressMapping(interleave_bytes=256, units=1, banks=8,
+                                   row_bytes=2048)):
+        # random addresses over the whole int64 range (high bits set)
+        # plus the edges
+        addrs = np.concatenate([
+            rng.integers(0, top, 2000, dtype=np.int64, endpoint=True),
+            rng.integers(0, 1 << 34, 500, dtype=np.int64),
+            np.array([0, 1, 255, 256, top], dtype=np.int64)])
+        units = mapping.units_of(addrs)
+        assert units.dtype == np.int64
+        assert units.tolist() == [mapping.unit_of(a)
+                                  for a in addrs.tolist()]
+
+
 def test_sequential_blocks_rotate_units():
     units = [MAPPING.decompose(i * 256)[0] for i in range(16)]
     assert sorted(units) == list(range(16))

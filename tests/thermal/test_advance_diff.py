@@ -17,34 +17,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.thermal import ThermalConfig, ThermalModel, rc
+from repro.thermal import ThermalConfig, ThermalModel
 from tests.thermal.helpers import reference_advance
 
 GRIDS = [(16, 4), (8, 4), (4, 2), (6, 3), (9, 3), (1, 1)]
 BLOCKS = 10
 TRIALS_PER_BLOCK = 30
-
-
-class CountingNumpy:
-    """numpy, counting ``matmul`` calls: ``advance`` makes exactly one
-    per Euler substep it runs."""
-
-    def __init__(self):
-        self.substeps = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def matmul(self, *args, **kwargs):
-        self.substeps += 1
-        return np.matmul(*args, **kwargs)
-
-
-@pytest.fixture
-def counter(monkeypatch):
-    counting = CountingNumpy()
-    monkeypatch.setattr(rc, "np", counting)
-    return counting
 
 
 def state(model):
@@ -123,31 +101,31 @@ def test_advance_matches_reference_bit_for_bit(block):
         run_trial(block * TRIALS_PER_BLOCK + trial)
 
 
-def test_fixed_point_exit_fires_on_a_long_constant_advance(counter):
+def test_fixed_point_exit_fires_on_a_long_constant_advance():
     model = ThermalModel(ThermalConfig())
     ref = ThermalModel(ThermalConfig())
     power = [1.0] * 16
     duration = 2e-3                       # 10000 substeps of 0.2 us
     steps = math.ceil(duration / min(model.config.dt, model._dt_stable))
     model.advance(duration, power, logic_power=1.0)
-    assert 0 < counter.substeps < steps // 2
+    assert 0 < model.substeps < steps // 2
     reference_advance(ref, duration, power, logic_power=1.0)
     assert state(model) == state(ref)
     # a call that starts on the fixed point stops after one substep
-    counter.substeps = 0
+    before = model.substeps
     model.advance(duration, power, logic_power=1.0)
     reference_advance(ref, duration, power, logic_power=1.0)
-    assert counter.substeps == 1
+    assert model.substeps - before == 1
     assert state(model) == state(ref)
 
 
-def test_fixed_point_exit_does_not_fire_on_a_short_advance(counter):
+def test_fixed_point_exit_does_not_fire_on_a_short_advance():
     model = ThermalModel(ThermalConfig())
     ref = ThermalModel(ThermalConfig())
     dt = min(model.config.dt, model._dt_stable)
     model.advance(20 * dt, [1.0] * 16, logic_power=1.0)
     reference_advance(ref, 20 * dt, [1.0] * 16, logic_power=1.0)
-    assert counter.substeps == 20
+    assert model.substeps == 20
     assert state(model) == state(ref)
 
 
