@@ -11,28 +11,39 @@ Two execution paths for the same legacy source:
   host model, and lowers each descriptor group to TDL + parameter files
   executed through the runtime and configuration unit.
 
-The two paths share nothing at execution time except the parsed AST, so
-matching outputs validate the paper's claim that translated legacy code
-computes the same results.
+Both paths reach the software library through one argument path:
+:func:`bind_args` resolves a call's arguments (constants, ``Affine``
+scalars, buffer pointers with ``Affine`` byte offsets, and plans), and
+:meth:`BoundCall.evaluate` evaluates only those integer affines under
+the loop variables before :func:`_call_function` dispatches the call.
+The translated runner binds once per host step and evaluates the
+binding on every trip; the original interpreter binds each library
+call of the program once, and a call inside an inlined user function
+each time it runs. Apart from that they share only the parsed AST, so
+matching outputs validate the paper's claim that translated legacy
+code computes the same results.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Union
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence, Set,
+                    Tuple, Union)
 
 import numpy as np
 
 from repro.accel.base import pack_strides
+from repro.compiler.affine import Affine, AffineError
 from repro.compiler.cast import (Assign, Call, Expr, ExprStmt, For,
                                  Ident, Program, Stmt, VarDecl)
 from repro.compiler.inline import inline_body
-from repro.compiler.recognizer import (AccelCallStep, AllocStep, FreeStep,
+from repro.compiler.recognizer import (MAX_NEST_DEPTH, TOO_DEEP,
+                                       AccelCallStep, AllocStep, FreeStep,
                                        HostCallStep, PlanDestroyStep)
 from repro.compiler.passes import DescriptorStep
 from repro.compiler.rewrite.ir import FusedStep
-from repro.compiler.semantics import CompileEnv, SemanticError
+from repro.compiler.semantics import CompileEnv, PlanSpec, SemanticError
 from repro.compiler.translate import (HOST_CALL_OVERHEAD_S,
                                       TranslatedProgram, host_step_profile,
                                       step_profile, translate)
@@ -182,6 +193,148 @@ _SIGNATURES = {
 }
 
 
+# -- argument binding ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Pointer:
+    """A pointer argument resolved once: its buffer, its byte offset
+    (affine in the loop variables) and the buffer's element size."""
+
+    buffer: str
+    offset: Affine
+    elem_size: int
+
+    def ref(self, bindings: Mapping[str, int],
+            array: Callable[[str], np.ndarray]) -> ArrayRef:
+        byte_off = self.offset.evaluate(bindings)
+        return ArrayRef(array(self.buffer), byte_off // self.elem_size)
+
+
+@dataclass(frozen=True)
+class _PlanArg:
+    """A plan argument: the plan and its two buffers."""
+
+    plan: PlanSpec
+    src: _Pointer
+    dst: _Pointer
+
+
+@dataclass(frozen=True)
+class _Unresolved:
+    """An argument that failed to resolve: ``error`` is raised when the
+    argument is evaluated, and a pointer's also when its buffer is
+    asked for (:meth:`BoundCall.buffers`)."""
+
+    kind: str
+    error: Exception
+
+
+#: A bound scalar: a constant or an ``Affine`` in the loop variables.
+Scalar = Union[int, float, Affine, _Unresolved]
+#: A bound argument: a scalar, a pointer or a plan.
+Bound = Union[Scalar, _Pointer, _PlanArg]
+
+
+def _bind_scalar(env: CompileEnv, expr: Expr) -> Scalar:
+    try:
+        return env.eval_const(expr)
+    except SemanticError:
+        pass
+    try:
+        return env.affine_expr(expr)
+    except (SemanticError, AffineError) as exc:
+        return _Unresolved("s", exc)
+
+
+def _bind_arg(env: CompileEnv, kind: str, expr: Expr) -> Bound:
+    if kind == "s":
+        return _bind_scalar(env, expr)
+    if kind == "p":
+        try:
+            name, offset = env.buffer_address(expr)
+        except (SemanticError, AffineError) as exc:
+            return _Unresolved("p", exc)
+        return _Pointer(name, offset, env.buffers[name].elem_size)
+    if not isinstance(expr, Ident) or expr.name not in env.plans:
+        return _Unresolved("l", InterpError("fftwf_execute needs a plan"))
+    plan = env.plans[expr.name]
+    src = _Pointer(plan.src, Affine.constant(plan.src_offset),
+                   env.buffers[plan.src].elem_size)
+    dst = _Pointer(plan.dst, Affine.constant(plan.dst_offset),
+                   env.buffers[plan.dst].elem_size)
+    return _PlanArg(plan, src, dst)
+
+
+def _value(arg: Scalar, bindings: Mapping[str, int]) -> Union[int, float]:
+    """A bound scalar's value under ``bindings``."""
+    if isinstance(arg, Affine):
+        return arg.evaluate(bindings)
+    if isinstance(arg, _Unresolved):
+        raise arg.error
+    return arg
+
+
+@dataclass(frozen=True)
+class BoundCall:
+    """One library call site with every argument resolved once.
+
+    Evaluating it under a loop variable binding only evaluates integer
+    affines, so it gives exactly the values the per-iteration
+    resolution gave, and raises the same error at the same argument.
+    """
+
+    args: Tuple[Bound, ...]
+    #: the arity error, raised before any argument is evaluated
+    arity_error: Optional[InterpError] = None
+
+    def buffers(self) -> List[str]:
+        """The buffers behind the pointer and plan arguments, in
+        argument order; raises the first pointer that did not resolve."""
+        names: List[str] = []
+        for arg in self.args:
+            if isinstance(arg, _Pointer):
+                names.append(arg.buffer)
+            elif isinstance(arg, _PlanArg):
+                names += (arg.src.buffer, arg.dst.buffer)
+            elif isinstance(arg, _Unresolved) and arg.kind == "p":
+                raise arg.error
+        return names
+
+    def evaluate(self, bindings: Mapping[str, int],
+                 array: Callable[[str], np.ndarray]) -> List:
+        """The call's arguments for :func:`_call_function`: scalars as
+        numbers, pointers as ArrayRefs (``array`` maps a buffer name to
+        its flat array), a plan as its PlanSpec and two ArrayRefs."""
+        if self.arity_error is not None:
+            raise self.arity_error
+        out: List = []
+        for arg in self.args:
+            if isinstance(arg, _Pointer):
+                out.append(arg.ref(bindings, array))
+            elif isinstance(arg, _PlanArg):
+                out += (arg.plan, arg.src.ref(bindings, array),
+                        arg.dst.ref(bindings, array))
+            else:
+                out.append(_value(arg, bindings))
+        return out
+
+
+def bind_args(env: CompileEnv, func: str,
+              args: Sequence[Expr]) -> BoundCall:
+    """Resolve a library call's arguments once per call site: each to a
+    constant, an ``Affine`` scalar, a (buffer, ``Affine`` byte offset,
+    element size) pointer or a plan. Only an unknown ``func`` raises
+    here (``KeyError``); an argument that fails to resolve raises when
+    it is evaluated."""
+    sig = _SIGNATURES[func]
+    arity_error = None
+    if len(sig) != len(args):
+        arity_error = InterpError(
+            f"{func} expects {len(sig)} arguments, got {len(args)}")
+    return BoundCall(tuple(_bind_arg(env, kind, expr)
+                           for kind, expr in zip(sig, args)), arity_error)
+
+
 # -- the original-program interpreter ---------------------------------------------
 
 class OriginalInterpreter:
@@ -197,6 +350,12 @@ class OriginalInterpreter:
         self.functions = program.function_map()
         self._call_stack: List[str] = []
         self._inline_count = 0
+        self._depth = 0                 # loops and inlined calls
+        # the bound arguments of each library call in the program
+        # itself, by node id (the program keeps its nodes alive); a
+        # call in an inlined body is a fresh node on every execution
+        # and is bound as it runs
+        self._bound: Dict[int, BoundCall] = {}
 
     # -- buffers -------------------------------------------------------------
 
@@ -210,56 +369,10 @@ class OriginalInterpreter:
             arr[: len(flat)] = flat
         self.arrays[name] = arr
 
-    # -- evaluation ------------------------------------------------------------
-
-    def _eval_scalar(self, expr: Expr) -> Union[int, float]:
-        try:
-            return self.env.eval_const(expr)
-        except SemanticError:
-            pass
-        affine = self.env.affine_expr(expr)
-        return affine.evaluate(self.bindings)
-
-    def _eval_pointer(self, expr: Expr) -> ArrayRef:
-        buf, offset = self.env.buffer_address(expr)
-        info = self.env.buffers[buf]
-        byte_off = offset.evaluate(self.bindings)
-        if buf not in self.arrays:
-            self._materialize(buf)
-        return ArrayRef(array=self.arrays[buf],
-                        offset=byte_off // info.elem_size)
-
-    def _eval_args(self, name: str, raw_args: Sequence[Expr]) -> List:
-        sig = _SIGNATURES[name]
-        if len(sig) != len(raw_args):
-            raise InterpError(
-                f"{name} expects {len(sig)} arguments, got "
-                f"{len(raw_args)}")
-        out: List = []
-        for kind, expr in zip(sig, raw_args):
-            if kind == "s":
-                out.append(self._eval_scalar(expr))
-            elif kind == "p":
-                out.append(self._eval_pointer(expr))
-            elif kind == "l":
-                if not isinstance(expr, Ident) or \
-                        expr.name not in self.env.plans:
-                    raise InterpError("fftwf_execute needs a plan")
-                plan = self.env.plans[expr.name]
-                out.append(plan)
-                src_info = self.env.buffers[plan.src]
-                dst_info = self.env.buffers[plan.dst]
-                if plan.src not in self.arrays:
-                    self._materialize(plan.src)
-                if plan.dst not in self.arrays:
-                    self._materialize(plan.dst)
-                out.append(ArrayRef(
-                    self.arrays[plan.src],
-                    plan.src_offset // src_info.elem_size))
-                out.append(ArrayRef(
-                    self.arrays[plan.dst],
-                    plan.dst_offset // dst_info.elem_size))
-        return out
+    def _array(self, name: str) -> np.ndarray:
+        if name not in self.arrays:
+            self._materialize(name)
+        return self.arrays[name]
 
     # -- statements ------------------------------------------------------------
 
@@ -299,18 +412,28 @@ class OriginalInterpreter:
             self._eval_call(call)
             return
         if isinstance(stmt, For):
-            bound = int(self._eval_scalar(stmt.bound))
-            start = int(self._eval_scalar(stmt.start))
+            bound = int(_value(_bind_scalar(self.env, stmt.bound),
+                               self.bindings))
+            start = int(_value(_bind_scalar(self.env, stmt.start),
+                               self.bindings))
             saved = self.bindings.get(stmt.var)
+            self._enter()
             for value in range(start, bound, stmt.step):
                 self.bindings[stmt.var] = value
                 self._exec_block(stmt.body)
+            self._depth -= 1
             if saved is None:
                 self.bindings.pop(stmt.var, None)
             else:
                 self.bindings[stmt.var] = saved
             return
         raise InterpError(f"unsupported statement {stmt!r}")
+
+    def _enter(self) -> None:
+        """One more loop or inlined call; the recognizer's bound."""
+        if self._depth >= MAX_NEST_DEPTH:
+            raise InterpError(TOO_DEEP)
+        self._depth += 1
 
     def _exec_user_call(self, call: Call) -> None:
         """Execute a user-defined function by splicing its body in.
@@ -322,6 +445,7 @@ class OriginalInterpreter:
         if call.func in self._call_stack:
             path = " -> ".join(self._call_stack + [call.func])
             raise InterpError(f"recursive call chain {path}")
+        self._enter()
         self._inline_count += 1
         body = inline_body(self.functions[call.func], call.args,
                            suffix=f"r{self._inline_count}")
@@ -330,10 +454,16 @@ class OriginalInterpreter:
             self._exec_block(body)
         finally:
             self._call_stack.pop()
+            self._depth -= 1
 
     def _eval_call(self, call: Call) -> None:
+        bound = self._bound.get(id(call))
+        if bound is None:
+            bound = bind_args(self.env, call.func, call.args)
+            if not self._call_stack:
+                self._bound[id(call)] = bound
         _call_function(self.env, call.func,
-                       self._eval_args(call.func, call.args))
+                       bound.evaluate(self.bindings, self._array))
 
 
 def _looped_step_buffers(step: object, env: CompileEnv) -> int:
@@ -468,16 +598,16 @@ class TranslatedRunner:
 
     def _run_host(self, step: HostCallStep) -> None:
         env = self.t.env
-        for name in set(self._pointer_buffers(step)):
+        bound = bind_args(env, step.func, step.args)
+        for name in dict.fromkeys(bound.buffers()):
             self._ensure(name)
         if self.functional:
-            interp = OriginalInterpreter(self.t.source_program, env)
-            interp.arrays = self.views      # run over the unified space
+            array = self.views.__getitem__   # the unified space
             trips = step.trips or ()
             for combo in itertools.product(*[range(t) for t in trips]):
-                interp.bindings = dict(zip(step.loop_vars, combo))
+                bindings = dict(zip(step.loop_vars, combo))
                 _call_function(env, step.func,
-                               interp._eval_args(step.func, step.args))
+                               bound.evaluate(bindings, array))
         profile = host_step_profile(step, env)
         per_call = self.system.host.run_profile(profile)
         calls = step.calls
@@ -485,20 +615,6 @@ class TranslatedRunner:
         self.system.runtime.log_host(step.func, ExecResult(
             time=per_call.time * calls + overhead_t,
             energy=per_call.energy * calls + overhead_t * per_call.power))
-
-    def _pointer_buffers(self, step: HostCallStep) -> Iterator[str]:
-        sig = _SIGNATURES[step.func]
-        for kind, expr in zip(sig, step.args):
-            if kind == "p":
-                name, _ = self.t.env.buffer_address(expr)
-                yield name
-            elif kind == "l":
-                # demoted fftwf_execute: the plan's buffers are touched
-                if isinstance(expr, Ident) \
-                        and expr.name in self.t.env.plans:
-                    plan = self.t.env.plans[expr.name]
-                    yield plan.src
-                    yield plan.dst
 
     # -- descriptors ---------------------------------------------------------------
 

@@ -50,6 +50,23 @@ class RecognizerError(CompilerError):
     default_code = "MEA013"
 
 
+#: How deep loops and inlined calls may nest together, counted across
+#: function bodies (each loop and each call site being inlined is one
+#: level). Inlining recurses about three frames a level, and the parser
+#: bounds only one body's nesting (``MAX_STMT_DEPTH``), so the bound is
+#: set from the stack it shares with ``MAX_EXPR_DEPTH``: with a
+#: 200-deep call expression as the innermost call's argument (the
+#: costliest argument), the deepest mix that translates under the
+#: default recursion limit is 194 levels (a bare call chain; 232-272
+#: with 1-31 loops per body), and 128 levels keep at least 200 frames.
+MAX_NEST_DEPTH = 128
+
+#: The error for loops and inlined calls nested past MAX_NEST_DEPTH,
+#: shared by the recognizer and the original-program interpreter.
+TOO_DEEP = (f"loops and inlined calls nest deeper than MAX_NEST_DEPTH = "
+            f"{MAX_NEST_DEPTH} levels")
+
+
 # -- schedule steps ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -243,6 +260,15 @@ class Recognizer:
 
     # -- helpers -------------------------------------------------------------
 
+    def _nest(self, loop_vars: Tuple[str, ...],
+              loc: Optional[SourceLoc]) -> None:
+        """Raise before a loop or an inlined call nests past
+        MAX_NEST_DEPTH: each loop and each call site being inlined
+        counts one level (a call splices its callee's body in like a
+        block), so the bound holds across function bodies."""
+        if len(loop_vars) + len(self._inline_stack) >= MAX_NEST_DEPTH:
+            raise self._error(TOO_DEEP, loc=loc)
+
     def _error(self, message: str, loc: Optional[SourceLoc] = None
                ) -> RecognizerError:
         return RecognizerError(message, loc=loc or self._loc)
@@ -251,7 +277,7 @@ class Recognizer:
         try:
             return self.env.eval_const(expr)
         except SemanticError as exc:
-            raise self._error(exc.message) from exc
+            raise self._error(exc.message, loc=exc.loc) from exc
 
     def _int_const(self, expr: Expr) -> int:
         """A constant that must be structurally integral (a size,
@@ -315,6 +341,7 @@ class Recognizer:
         count = bound
         if count <= 0:
             raise self._error("loop trip count must be positive")
+        self._nest(loop_vars, loop.loc)
         was_omp = self._omp
         self._omp = was_omp or loop.pragma_omp
         try:
@@ -338,6 +365,7 @@ class Recognizer:
                 f"recursive call chain {path}; effect summary "
                 "unavailable (a branchless recursive chain cannot "
                 "terminate)", loc=call.loc or self._loc, code="MEA011")
+        self._nest(loop_vars, call.loc)
         self._inline_count += 1
         body = inline_body(self.functions[name], call.args,
                            suffix=f"c{self._inline_count}")

@@ -151,7 +151,8 @@ class CompileEnv:
                 raise SemanticError(f"operator {expr.op!r} in constant "
                                     "expression")
             return ops[expr.op](left, right)
-        raise SemanticError(f"expression {expr!r} is not constant")
+        raise SemanticError(f"{_describe(expr)} is not constant",
+                            loc=getattr(expr, "loc", None))
 
     # -- affine address analysis ------------------------------------------
 
@@ -234,6 +235,24 @@ class CompileEnv:
             return self.buffers[name]
         except KeyError:
             raise SemanticError(f"unknown buffer {name!r}")
+
+
+def _describe(expr: Expr) -> str:
+    """A bounded summary of an expression for an error message: callers
+    often catch the error and drop it, so it must not format the tree.
+    A subscript or address names its base identifier (one walk down
+    the index chain), e.g. ``expression '&a[...]'``."""
+    if isinstance(expr, Call):
+        return f"call to {expr.func!r}"
+    prefix, base = "", expr
+    if isinstance(base, AddrOf):
+        prefix, base = "&", base.operand
+    subscript = ""
+    while isinstance(base, Index):
+        subscript, base = "[...]", base.base
+    if isinstance(base, Ident) and base is not expr:
+        return f"expression '{prefix}{base.name}{subscript}'"
+    return f"{type(expr).__name__} expression"
 
 
 def _affine_int(value: Number) -> int:

@@ -24,7 +24,6 @@ from repro.memmgmt.addrspace import UnifiedAddressSpace
 from repro.memmgmt.driver import MealibDriver
 from repro.memsys.dram3d import StackedDram
 from repro.metrics import ExecResult
-from repro.mkl.profiles import OpProfile
 from repro.thermal import PowerGovernor, ThermalConfig, ThermalModel
 
 
@@ -141,13 +140,6 @@ class MealibSystem:
     @property
     def ledger(self):
         return self.runtime.ledger
-
-    def run_on_host(self, label: str, profile: OpProfile) -> ExecResult:
-        """Execute a compute-bounded library call on the host CPU and
-        record it (the cherk/ctrsm path of the STAP pipeline)."""
-        result = self.host.run_profile(profile)
-        self.runtime.log_host(label, result)
-        return result
 
     def total(self) -> ExecResult:
         """End-to-end time/energy recorded so far."""

@@ -155,34 +155,45 @@ def ctrsm_left_upper(n: int, m: int, alpha: complex, a: np.ndarray,
             bmat[:j0] -= umat[:j0, j0:j1] @ bmat[j0:j1]
 
 
+def _dots(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``rows[i] @ conj(v)`` for every row, each on its own dot kernel.
+
+    A stack of 1 x k @ k x 1 matmuls runs numpy's vector-dot inner loop
+    once per row, as ``rows[i] @ conj(v)`` would, so every element comes
+    out bit-identical to that per-row loop. The 2-D ``rows @ conj(v)``
+    (a gemv) sums in a different order and does not.
+    """
+    return np.matmul(rows[:, None, :], np.conj(v)[:, None])[:, 0, 0]
+
+
 def cpotrf_lower(n: int, a: np.ndarray) -> None:
     """Cholesky factorisation A = L L^H, lower triangle in place.
 
     STAP's covariance solve needs a factorisation feeding the two ctrsm
     calls; MKL's LAPACK provides it, so our stand-in does too. Blocked
-    right-looking algorithm.
+    right-looking algorithm; within a block, each column is one sweep
+    over every row below the diagonal (:func:`_dots`).
     """
     amat = a.reshape(n, n)
     for k0 in range(0, n, BLOCK):
         k1 = min(k0 + BLOCK, n)
-        # factor the diagonal block (unblocked)
+        # factor the diagonal block (unblocked), one column at a time
         for j in range(k0, k1):
             amat[j, j] = np.sqrt(
                 (amat[j, j] - np.vdot(amat[j, k0:j], amat[j, k0:j])).real)
-            for i in range(j + 1, k1):
-                amat[i, j] = (amat[i, j]
-                              - amat[i, k0:j] @ np.conj(amat[j, k0:j])
-                              ) / amat[j, j]
+            col = amat[j + 1:k1, j]
+            col[:] = (col - _dots(amat[j + 1:k1, k0:j], amat[j, k0:j])
+                      ) / amat[j, j]
         if k1 < n:
             # panel solve: rows below, columns of this block
             panel = amat[k1:, k0:k1]
             diag = amat[k0:k1, k0:k1]
-            # panel := panel * inv(L_diag^H): solve X L^H = panel
-            lh = np.conj(diag.T)
-            for i in range(panel.shape[0]):
-                row = panel[i]
-                for j in range(k1 - k0):
-                    row[j] = (row[j] - row[:j] @ lh[:j, j]) / lh[j, j]
+            # panel := panel * inv(L_diag^H): solve X L^H = panel, one
+            # column of X at a time (L^H[:j, j] is conj(diag[j, :j]))
+            for j in range(k1 - k0):
+                col = panel[:, j]
+                col[:] = (col - _dots(panel[:, :j], diag[j, :j])
+                          ) / np.conj(diag[j, j])
             # trailing update
             amat[k1:, k1:] -= panel @ np.conj(panel.T)
     # zero the strict upper triangle for a clean L

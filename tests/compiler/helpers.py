@@ -18,7 +18,10 @@ exactly:
   liveness with its per-statement transfer;
 * the syntactic accelerator chainer the compiler used before the
   verified rewrite engine became its only chainer, for the engine's
-  fusions.
+  fusions;
+* :func:`reference_eval_args` and :class:`ReferenceInterpreter`, the
+  per-iteration argument resolution both interpreters used before
+  :func:`repro.compiler.interp.bind_args` bound each call site once.
 
 The reference tokenizer is the straightforward path: at each position
 try whitespace, an identifier, a number, the multi-character operators
@@ -48,7 +51,12 @@ from repro.compiler.cast import (AddrOf, BinOp, Call, CParseError, Expr,
                                  Sizeof, VarDecl)
 from repro.compiler.clexer import parse_number, tokenize
 from repro.compiler.cparser import TYPE_KEYWORDS, _loc, _Parser
+from repro.compiler.inline import inline_body
+from repro.compiler import interp
+from repro.compiler.interp import (_SIGNATURES, ArrayRef, InterpError,
+                                   OriginalInterpreter)
 from repro.compiler.recognizer import AccelCallStep, Schedule
+from repro.compiler.semantics import SemanticError
 
 # -- reference tokenizer -----------------------------------------------------
 
@@ -581,3 +589,62 @@ def chain_pass(schedule: Schedule) -> List[object]:
                 continue
         out.append(step)
     return out
+
+
+# -- reference argument resolution --------------------------------------------
+
+def reference_eval_args(env, name, raw_args, bindings, array):
+    """A library call's arguments resolved from the AST for one loop
+    iteration: a constant or an affine scalar evaluated, a pointer's
+    buffer and ``Affine`` address derived again, a plan looked up;
+    ``array`` maps a buffer name to its flat array."""
+    sig = _SIGNATURES[name]
+    if len(sig) != len(raw_args):
+        raise InterpError(
+            f"{name} expects {len(sig)} arguments, got {len(raw_args)}")
+    out = []
+    for kind, expr in zip(sig, raw_args):
+        if kind == "s":
+            try:
+                out.append(env.eval_const(expr))
+            except SemanticError:
+                out.append(env.affine_expr(expr).evaluate(bindings))
+        elif kind == "p":
+            buf, offset = env.buffer_address(expr)
+            byte_off = offset.evaluate(bindings)
+            out.append(ArrayRef(array(buf),
+                                byte_off // env.buffers[buf].elem_size))
+        elif kind == "l":
+            if not isinstance(expr, Ident) or expr.name not in env.plans:
+                raise InterpError("fftwf_execute needs a plan")
+            plan = env.plans[expr.name]
+            out.append(plan)
+            src, dst = array(plan.src), array(plan.dst)
+            out.append(ArrayRef(
+                src, plan.src_offset // env.buffers[plan.src].elem_size))
+            out.append(ArrayRef(
+                dst, plan.dst_offset // env.buffers[plan.dst].elem_size))
+    return out
+
+
+class ReferenceInterpreter(OriginalInterpreter):
+    """The original-program interpreter resolving every call's
+    arguments on every execution, and inlining a user call's body again
+    each time it runs."""
+
+    def _exec_user_call(self, call):
+        if call.func in self._call_stack:
+            path = " -> ".join(self._call_stack + [call.func])
+            raise InterpError(f"recursive call chain {path}")
+        self._inline_count += 1
+        body = inline_body(self.functions[call.func], call.args,
+                           suffix=f"r{self._inline_count}")
+        self._call_stack.append(call.func)
+        try:
+            self._exec_block(body)
+        finally:
+            self._call_stack.pop()
+
+    def _eval_call(self, call):
+        interp._call_function(self.env, call.func, reference_eval_args(
+            self.env, call.func, call.args, self.bindings, self._array))

@@ -5,9 +5,12 @@ import pytest
 from repro.compiler import (CParseError, SemanticError, build_env,
                             parse_source, translate)
 from repro.compiler.affine import Affine, AffineError
-from repro.compiler.cast import (Assign, Call, ExprStmt, For, Ident, Num,
-                                 VarDecl, walk_calls)
+from repro.compiler.cast import (AddrOf, Assign, Call, ExprStmt, For,
+                                 Ident, Index, Num, VarDecl, walk_calls)
 from repro.compiler.cparser import MAX_EXPR_DEPTH, MAX_STMT_DEPTH
+from repro.compiler.interp import InterpError, OriginalInterpreter
+from repro.compiler.recognizer import (MAX_NEST_DEPTH, TOO_DEEP,
+                                       RecognizerError)
 
 
 class TestParser:
@@ -245,6 +248,77 @@ class TestStatementDepth:
         nest(100)
 
 
+class TestCallDepth:
+    """Inlining splices a callee's body in like a block, so loops and
+    inlined calls together, across function bodies, are bounded by
+    ``MAX_NEST_DEPTH``; past it a call chain is a RecognizerError (and
+    an InterpError in the original-program interpreter), never a
+    RecursionError."""
+
+    SAXPY = "cblas_saxpy(8, 2.0, x, 1, y, 1);"
+    #: the costliest argument: calls nested as deep as the parser
+    #: allows inside the library call (MAX_EXPR_DEPTH levels in all)
+    DEEP_ARG = ("cblas_saxpy(" + "f(" * (MAX_EXPR_DEPTH - 1) + "8"
+                + ")" * (MAX_EXPR_DEPTH - 1) + ", 2.0, x, 1, y, 1);")
+
+    @staticmethod
+    def chain(calls, loops=0, body=SAXPY):
+        """``main`` calls ``f1``, each ``fk`` calls ``fk+1`` inside
+        ``loops`` nested loops, and the last one runs ``body``."""
+        lines = ["float x[8];", "float y[8];"]
+        for k in range(1, calls + 1):
+            lines.append(f"void f{k}(float* x, float* y) {{")
+            lines += [f"int i{j};" for j in range(loops)]
+            lines += [f"for (i{j} = 0; i{j} < 1; i{j}++) {{"
+                      for j in range(loops)]
+            lines.append(f"f{k + 1}(x, y);" if k < calls else body)
+            lines += ["}"] * loops
+            lines.append("}")
+        lines.append("f1(&x[0], &y[0]);")
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("calls, loops", [
+        (400, 0), (30, MAX_STMT_DEPTH), (MAX_NEST_DEPTH + 1, 0),
+        (MAX_NEST_DEPTH // 32, 32)])
+    def test_deep_chain_is_a_recognizer_error(self, calls, loops):
+        with pytest.raises(RecognizerError) as info:
+            translate(self.chain(calls, loops))
+        assert info.value.code == "MEA013"
+        assert info.value.message == TOO_DEEP
+
+    def test_the_limit_itself_translates(self):
+        translate(self.chain(MAX_NEST_DEPTH))
+        # four call levels of 31 loops each: 128 levels
+        translate(self.chain(MAX_NEST_DEPTH // 32, 31))
+        with pytest.raises(RecognizerError, match="MAX_NEST_DEPTH"):
+            translate(self.chain(MAX_NEST_DEPTH + 1))
+
+    @pytest.mark.parametrize("calls, loops", [
+        (MAX_NEST_DEPTH, 0), (MAX_NEST_DEPTH // 32, 31)])
+    def test_the_limit_leaves_the_caller_frames(self, calls, loops):
+        # the costliest argument at MAX_EXPR_DEPTH in the innermost call
+        # at MAX_NEST_DEPTH fails typed, at the argument, 100 frames
+        # further down the stack than a test runs
+        source = self.chain(calls, loops, self.DEEP_ARG)
+        line = source.splitlines().index(self.DEEP_ARG) + 1
+
+        def nest(frames):
+            return translate(source) if frames == 0 else nest(frames - 1)
+        with pytest.raises(RecognizerError) as info:
+            nest(100)
+        assert str(info.value) == (f"line {line}, col 13: call to 'f' "
+                                   "is not constant")
+
+    @pytest.mark.parametrize("calls", [400, MAX_NEST_DEPTH + 1])
+    def test_interpreter_applies_the_same_bound(self, calls):
+        program = parse_source(self.chain(calls))
+        interp = OriginalInterpreter(program, build_env(program))
+        with pytest.raises(InterpError, match="MAX_NEST_DEPTH"):
+            interp.execute()
+        program = parse_source(self.chain(MAX_NEST_DEPTH))
+        OriginalInterpreter(program, build_env(program)).execute()
+
+
 class TestTruncatedSource:
     @pytest.mark.parametrize("source", [
         "int i;\nfor (i = 0; i < 4; i++)",
@@ -296,6 +370,36 @@ class TestSemantics:
         env = build_env(parse_source("int x;"))
         with pytest.raises(SemanticError):
             env.eval_const(Ident("runtime_var"))
+
+    def test_non_constant_message_is_bounded(self, monkeypatch):
+        # a non-constant ``int`` initialiser is a runtime int: the
+        # error eval_const raises is caught and dropped, so building it
+        # must not walk (or repr) the expression tree
+        def no_repr(self):
+            raise AssertionError("repr of an expression")
+        monkeypatch.setattr(Call, "__repr__", no_repr)
+        depth = MAX_EXPR_DEPTH
+        source = ("int m = " + "f(" * depth + "1" + ")" * depth + ";\n"
+                  "int k = 3;\n")
+        env = build_env(parse_source(source))
+        assert "m" not in env.constants and env.constants["k"] == 3
+        with pytest.raises(SemanticError) as info:
+            env.eval_const(parse_source(source).stmts[0].init)
+        assert info.value.message == "call to 'f' is not constant"
+        assert str(info.value) == "line 1, col 9: call to 'f' is not constant"
+
+    @pytest.mark.parametrize("expr, message", [
+        (Index(Index(Ident("a"), Num(0)), Ident("i")),
+         "expression 'a[...]' is not constant"),
+        (AddrOf(Ident("a")), "expression '&a' is not constant"),
+        (AddrOf(Index(Ident("a"), Num(0))),
+         "expression '&a[...]' is not constant"),
+        (AddrOf(Call("f", ())), "AddrOf expression is not constant")])
+    def test_non_constant_message_names_the_operand(self, expr, message):
+        env = build_env(parse_source("float a[4][4];\n"))
+        with pytest.raises(SemanticError) as info:
+            env.eval_const(expr)
+        assert info.value.message == message
 
     def test_iodim_initialiser(self):
         env = build_env(parse_source(

@@ -120,8 +120,8 @@ fftwf_execute(p);
     both(src, inputs, ["interp", "image"], rtol=1e-2, atol=1e-2)
 
 
-def test_strided_cdotc_nest():
-    src = """
+#: an OpenMP nest of strided cdotc calls (STAP's adaptive weighting)
+CDOTC_NEST = """
 #define A 3
 #define B 4
 #define T 8
@@ -139,17 +139,9 @@ for (i = 0; i < A; i++)
       cblas_cdotc_sub(T, &w[i][j][0], 1, &s[i][j][0][k], C,
                       &out[i][j][k]);
 """
-    w, s = crand(3, 4, 8), crand(3, 4, 8, 6)
-    orig, trans = both(src, {"w": w, "s": s}, ["out"], rtol=1e-2,
-                       atol=1e-3)
-    # independent reference
-    ref = np.einsum("ijt,ijtk->ijk", np.conj(w), s)
-    np.testing.assert_allclose(orig.buffers["out"].reshape(3, 4, 6), ref,
-                               rtol=1e-3, atol=1e-3)
 
-
-def test_host_calls_inside_loops():
-    src = """
+#: a host (compute-bounded) call in a loop
+HOST_LOOP = """
 #define D 2
 #define N 8
 #define K 12
@@ -160,8 +152,21 @@ for (d = 0; d < D; d++) {
   cblas_cherk(N, K, 1.0, &snap[d][0][0], 0.0, &cov[d][0][0]);
 }
 """
+
+
+def test_strided_cdotc_nest():
+    w, s = crand(3, 4, 8), crand(3, 4, 8, 6)
+    orig, trans = both(CDOTC_NEST, {"w": w, "s": s}, ["out"], rtol=1e-2,
+                       atol=1e-3)
+    # independent reference
+    ref = np.einsum("ijt,ijtk->ijk", np.conj(w), s)
+    np.testing.assert_allclose(orig.buffers["out"].reshape(3, 4, 6), ref,
+                               rtol=1e-3, atol=1e-3)
+
+
+def test_host_calls_inside_loops():
     snap = crand(2, 8, 12)
-    orig, trans = both(src, {"snap": snap}, ["cov"], rtol=1e-2,
+    orig, trans = both(HOST_LOOP, {"snap": snap}, ["cov"], rtol=1e-2,
                        atol=1e-2)
     ref0 = snap[0] @ snap[0].conj().T
     got = orig.buffers["cov"].reshape(2, 8, 8)[0]

@@ -1,16 +1,23 @@
-"""The per-block cubic-spline resampler, kept as the differential
-reference for :func:`repro.mkl.resample.interpolate_rows`.
+"""Straightforward forms of batched library routines, kept as their
+differential references.
 
-This is the straightforward path: one spline fit per series and per
-real/imaginary part, with the band setup and both Thomas sweeps as
-scalar loops over the knots. The library factors the shared bands once
-per call and sweeps every row at once; both must produce the same
-bytes.
+* The per-block cubic-spline resampler, the reference for
+  :func:`repro.mkl.resample.interpolate_rows`: one spline fit per series
+  and per real/imaginary part, with the band setup and both Thomas
+  sweeps as scalar loops over the knots. The library factors the shared
+  bands once per call and sweeps every row at once.
+* The per-element Cholesky, the reference for
+  :func:`repro.mkl.blas.cpotrf_lower`: one 1-D dot per element of the
+  diagonal block and of the panel solve. The library sweeps a whole
+  column at once.
+
+Each pair must produce the same bytes.
 """
 
 import numpy as np
 
 from repro.mkl import ResampleError
+from repro.mkl.blas import BLOCK
 
 
 def reference_thomas_solve(lower, diag, upper, rhs):
@@ -90,3 +97,29 @@ def reference_interpolate_rows(x, y, sites):
         out[b] = reference_interpolate_1d(x, y[b],
                                           sites[b].astype(np.float64))
     return out
+
+
+def reference_cpotrf_lower(n, a):
+    """Blocked right-looking Cholesky ``A = L L^H`` in place, one 1-D
+    ``@`` per element of the diagonal block and of the panel solve."""
+    amat = a.reshape(n, n)
+    for k0 in range(0, n, BLOCK):
+        k1 = min(k0 + BLOCK, n)
+        for j in range(k0, k1):
+            amat[j, j] = np.sqrt(
+                (amat[j, j] - np.vdot(amat[j, k0:j], amat[j, k0:j])).real)
+            for i in range(j + 1, k1):
+                amat[i, j] = (amat[i, j]
+                              - amat[i, k0:j] @ np.conj(amat[j, k0:j])
+                              ) / amat[j, j]
+        if k1 < n:
+            panel = amat[k1:, k0:k1]
+            diag = amat[k0:k1, k0:k1]
+            lh = np.conj(diag.T)
+            for i in range(panel.shape[0]):
+                row = panel[i]
+                for j in range(k1 - k0):
+                    row[j] = (row[j] - row[:j] @ lh[:j, j]) / lh[j, j]
+            amat[k1:, k1:] -= panel @ np.conj(panel.T)
+    iu = np.triu_indices(n, 1)
+    amat[iu] = 0
