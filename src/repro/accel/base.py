@@ -109,6 +109,14 @@ class AcceleratorCore(ABC):
                 f: bases[f] + column[i] for f, column in offsets.items()}))
         return step
 
+    def run_lattice(self, space: UnifiedAddressSpace, params,
+                    strides: Optional["StrideTable"], count: int) -> bool:
+        """Run all ``count`` iterations of a one-COMP looped pass at
+        once, if that stores the same bytes as :meth:`bind`'s steps run
+        in order; return whether it ran. The default declines, and the
+        caller then runs the steps."""
+        return False
+
     # -- modelling side --------------------------------------------------------
 
     @abstractmethod
@@ -324,6 +332,24 @@ def unpack_strides(params_type: Type, blob: bytes) -> StrideTable:
         deltas[field] = struct.unpack_from(f"<{ndims}q", blob, pos)
         pos += 8 * ndims
     return StrideTable(trips=tuple(trips), deltas=deltas)
+
+
+def loop_lattice(strides: Optional[StrideTable], count: int
+                 ) -> Optional[Tuple[Tuple[int, ...], Mapping[str, tuple]]]:
+    """The ``count`` iterations as a row-major lattice ``(trips,
+    deltas)``: iteration ``i``'s offsets (as :func:`offset_columns`
+    gives them) are the deltas dotted with ``i``'s mixed-radix digits
+    over ``trips``. A one-level table is linear, so it is the lattice
+    ``(count,)``; a deeper one is a lattice only when ``count`` is its
+    total (no wrap, no cut). ``None`` when the iterations are no
+    lattice, or there are none."""
+    if strides is None or count < 1:
+        return None
+    if len(strides.trips) == 1:
+        return (count,), strides.deltas
+    if count != strides.total:
+        return None
+    return tuple(strides.trips), strides.deltas
 
 
 def offset_columns(strides: Optional[StrideTable],

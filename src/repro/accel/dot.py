@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from repro.accel.base import AcceleratorCore
+from repro.accel.base import AcceleratorCore, StrideTable, loop_lattice
 from repro.accel.synthesis import LogicBlock
 from repro.memmgmt.addrspace import UnifiedAddressSpace
+from repro.memmgmt.physmem import PhysMemError
 from repro.memsys.trace import StreamSpec
 from repro.mkl.profiles import OpProfile, cdotc_profile, dot_profile
 
@@ -24,6 +26,10 @@ _FORMAT = struct.Struct("<qqqqiiB")
 
 DTYPE_F32 = 0
 DTYPE_C64 = 1
+
+#: Largest conjugated copy of ``x`` (bytes) the lattice form of a cdotc
+#: loop makes; a larger loop runs per iteration, one row copy at a time.
+LATTICE_COPY_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -103,6 +109,57 @@ class DotAccelerator(AcceleratorCore):
             out(i).view(np_dtype)[0] = value
         return step
 
+    def run_lattice(self, space: UnifiedAddressSpace, params: DotParams,
+                    strides: Optional[StrideTable], count: int) -> bool:
+        """All ``count`` iterations as one stacked ``np.matmul`` over
+        strided lattice views of the regions: row ``i`` of ``x``, ``y``
+        and ``out`` is iteration ``i``'s window. For each row numpy
+        makes the same ``@TYPE@_dot`` BLAS call that :meth:`bind`'s step
+        makes through ``np.dot``, with the same increments: cdotc's
+        ``x`` is conjugated into a fresh C-contiguous array, so each row
+        has unit stride as ``np.conj`` of one window has, and ``y`` keeps
+        its increment. The stored bytes are therefore identical. The
+        lattice runs only when
+
+        * each window has elements, and cdotc's copy of ``x`` stays
+          within :data:`LATTICE_COPY_BYTES`;
+        * both increments are positive (``np.dot`` copies a negative-
+          stride operand to contiguous memory first; matmul walks it);
+        * each operand's whole lattice extent lies in one region, and
+          its base offset there and its deltas are whole elements (a
+          walk-off then fails in the steps, where and as it always did);
+        * no iteration reads what an earlier one stored (the ``out``
+          extent is disjoint from the ``x`` and ``y`` extents), and no
+          two iterations store to one address (the last store wins).
+        """
+        lattice = loop_lattice(strides, count)
+        n, eb = params.n, params.elem_bytes
+        conj = params.dtype == DTYPE_C64
+        if (lattice is None or n < 1 or params.incx < 1 or params.incy < 1
+                or conj and count * n * eb > LATTICE_COPY_BYTES):
+            return False
+        trips, deltas = lattice
+        zeros = (0,) * len(trips)
+        if not _distinct(trips, deltas.get("out_pa", zeros)):
+            return False
+        np_dtype = np.dtype(np.complex64 if conj else np.float32)
+        views = []
+        for field, inc, elems in (("x_pa", params.incx, n),
+                                  ("y_pa", params.incy, n),
+                                  ("out_pa", 1, 1)):
+            view = _lattice(space, getattr(params, field), trips,
+                            deltas.get(field, zeros), inc, elems, np_dtype)
+            if view is None:
+                return False
+            views.append(view)
+        (x, x_span), (y, y_span), (out, out_span) = views
+        if _overlap(out_span, x_span) or _overlap(out_span, y_span):
+            return False
+        if conj:
+            x = np.conjugate(x, out=np.empty(x.shape, np_dtype))
+        out[...] = np.matmul(x[..., None, :], y[..., :, None])[..., 0]
+        return True
+
     def profile(self, params: DotParams) -> OpProfile:
         if params.dtype == DTYPE_C64:
             return cdotc_profile(params.n)
@@ -148,3 +205,45 @@ def _window(space: UnifiedAddressSpace, pa: int,
         off = addr - start
         return backing[off:off + nbytes]
     return window
+
+
+def _lattice(space: UnifiedAddressSpace, pa: int, trips: Sequence[int],
+             deltas: Sequence[int], inc: int, n: int, dtype: np.dtype):
+    """Every iteration's window of one operand as the rows of one
+    strided view of its region, with the byte extent ``(lo, hi)`` the
+    rows cover; ``None`` when that extent leaves one region or a row is
+    not element-aligned in it."""
+    eb = dtype.itemsize
+    if any(delta % eb for delta in deltas):
+        return None
+    reaches = [delta * (trip - 1) for trip, delta in zip(trips, deltas)]
+    lo = pa + sum(r for r in reaches if r < 0)
+    hi = pa + sum(r for r in reaches if r > 0) + (1 + (n - 1) * inc) * eb
+    try:
+        start, backing = space.pa_region(lo, hi - lo)
+    except PhysMemError:
+        return None
+    if (pa - start) % eb:
+        return None
+    rows = backing[lo - start:hi - start].view(dtype)[(pa - lo) // eb:]
+    view = as_strided(rows, shape=tuple(trips) + (n,),
+                      strides=tuple(deltas) + (inc * eb,))
+    return view, (lo, hi)
+
+
+def _overlap(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
+    return a[0] < b[1] and b[0] < a[1]
+
+
+def _distinct(trips: Sequence[int], deltas: Sequence[int]) -> bool:
+    """Whether no two iterations share an offset, by a sufficient test:
+    taken by step size, each moving level's step passes the reach of all
+    finer levels, as in a mixed radix."""
+    reach = 0
+    for step, trip in sorted((abs(delta), trip)
+                             for trip, delta in zip(trips, deltas)
+                             if trip > 1):
+        if step <= reach:
+            return False
+        reach += step * (trip - 1)
+    return True

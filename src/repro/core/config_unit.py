@@ -416,9 +416,17 @@ class ConfigurationUnit:
 
         Also reused by the runtime's host-fallback path: the host
         performs the same arithmetic the accelerators would have.
-        Each COMP is bound once per :data:`LOOP_BIND_CHUNK` iterations
-        (offsets as columns, operands resolved by the core), and the
-        iterations then run COMP by COMP in order, as the tiles do."""
+        A pass of one COMP is first offered to its core whole
+        (:meth:`~repro.accel.base.AcceleratorCore.run_lattice`). Else,
+        or if the core declines, each COMP is bound once per
+        :data:`LOOP_BIND_CHUNK` iterations (offsets as columns, operands
+        resolved by the core), and the iterations then run COMP by COMP
+        in order, as the tiles do."""
+        if len(plan.comps) == 1 and plan.count <= LOOP_BIND_CHUNK:
+            comp = plan.comps[0]
+            if comp.core.run_lattice(self.space, comp.params, comp.strides,
+                                     plan.count):
+                return
         for lo in range(0, plan.count, LOOP_BIND_CHUNK):
             iterations = range(lo, min(lo + LOOP_BIND_CHUNK, plan.count))
             steps = [comp.core.bind(self.space, comp.params,

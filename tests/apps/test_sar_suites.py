@@ -19,13 +19,14 @@ class TestSar:
         assert translated.descriptor_count() == 1
 
     def test_numerics_agree(self):
+        """Byte for byte: the chained MEALib pass stores what the host
+        library's per-call kernels store."""
         cfg = SarConfig(side=64)
         baseline = run_sar_baseline(cfg)
         mealib = run_sar_mealib(cfg)
         for name in ("interp", "image"):
-            np.testing.assert_allclose(baseline.buffers[name],
-                                       mealib.buffers[name], rtol=2e-2,
-                                       atol=2e-2, err_msg=name)
+            assert (baseline.buffers[name].tobytes()
+                    == mealib.buffers[name].tobytes()), name
 
     def test_image_is_fft_of_interp(self):
         cfg = SarConfig(side=32)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.accel import DotAccelerator
 from repro.apps import (PAPER_PRESETS, PRESETS, run_stap_baseline,
                         run_stap_mealib, stap_inputs, stap_source)
 from repro.compiler import translate
@@ -30,12 +31,44 @@ def test_library_call_count(small_runs):
 
 
 def test_numerics_agree(small_runs):
+    """Byte for byte: MEALib's passes (the looped CDOTC pass as one
+    stacked matmul) store what the host library's per-call kernels
+    store."""
     _, baseline, mealib, _ = small_runs
     for name in ("pulse_major", "doppler", "cov", "wts", "prods",
                  "det_out"):
-        np.testing.assert_allclose(baseline.buffers[name],
-                                   mealib.buffers[name], rtol=2e-2,
-                                   atol=2e-2, err_msg=name)
+        assert (baseline.buffers[name].tobytes()
+                == mealib.buffers[name].tobytes()), name
+
+
+@pytest.mark.parametrize("preset", ["small", "medium"])
+def test_cdotc_pass_runs_as_one_lattice(monkeypatch, preset):
+    """STAP's looped CDOTC pass (768 iterations at the small preset)
+    runs as one lattice: no per-iteration DOT step is called."""
+    lattices, steps = [], []
+    real_lattice = DotAccelerator.run_lattice
+    real_bind = DotAccelerator.bind
+
+    def run_lattice(self, space, params, strides, count):
+        took = real_lattice(self, space, params, strides, count)
+        lattices.append((count, took))
+        return took
+
+    def bind(self, space, params, offsets):
+        step = real_bind(self, space, params, offsets)
+
+        def counted(i):
+            steps.append(i)
+            step(i)
+        return counted
+    monkeypatch.setattr(DotAccelerator, "run_lattice", run_lattice)
+    monkeypatch.setattr(DotAccelerator, "bind", bind)
+    cfg = PRESETS[preset]
+    run_stap_mealib(cfg)
+    assert lattices == [(cfg.dot_calls, True)]
+    assert steps == []
+    if preset == "small":
+        assert cfg.dot_calls == 768
 
 
 def test_corner_turn_is_real_transpose(small_runs):
