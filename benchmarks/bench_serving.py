@@ -33,8 +33,8 @@ from repro.core import CATEGORIES, MealibSystem
 from repro.eval.workloads import TABLE2
 from repro.metrics import ZERO
 from repro.serving import (BatchPolicy, QosClass, ServingRuntime,
-                           TenantConfig, TrafficConfig, coalesce,
-                           generate_trace)
+                           TenantConfig, TrafficConfig, call_sizes,
+                           coalesce, generate_trace)
 
 SCHEMA = "serving/v1"
 
@@ -70,7 +70,9 @@ def assert_single_tenant_identity(seed, requests, scale):
     direct = _system()
     direct_results = []
     for a in trace:
-        plan = coalesce(direct, [(a.op, TABLE2[a.op].params(a.scale))])
+        params = TABLE2[a.op].params(a.scale)
+        plan = coalesce(direct, [(a.op, params,
+                                  *call_sizes(direct.layer, a.op, params))])
         direct_results.append(
             direct.runtime.acc_execute(plan, functional=False))
         direct.runtime.acc_destroy(plan)

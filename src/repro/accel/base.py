@@ -229,14 +229,15 @@ class AcceleratorCore(ABC):
         spans = [span(s) for s in base_streams]
         if strides is None or not spans:
             return by_direction(spans)
-        iters = strides.total if strides.trips != (0,) else max(count, 1)
-        if iters <= 1:
-            return by_direction(spans)
+        # a one-level table is linear over the LOOP count, whatever its
+        # trip (as offset_columns runs it); a deeper one is bounded by
+        # its trips
+        trips = ((max(count, 1),) if len(strides.trips) == 1
+                 else strides.trips)
         corners = {"lo": {}, "hi": {}}
         for field, deltas in strides.deltas.items():
             lo_off = hi_off = 0
-            for level, delta in enumerate(deltas):
-                trip = strides.trips[level] or max(count, 1)
+            for trip, delta in zip(trips, deltas):
                 reach = delta * (trip - 1)
                 lo_off += min(0, reach)
                 hi_off += max(0, reach)

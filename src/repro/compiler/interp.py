@@ -48,7 +48,8 @@ from repro.compiler.translate import (HOST_CALL_OVERHEAD_S,
                                       TranslatedProgram, host_step_profile,
                                       step_profile, translate)
 from repro.core.system import MealibSystem
-from repro.core.tdl import ParamStore
+from repro.core.tdl import (Block, Comp, Loop, ParamStore, Pass,
+                            TdlProgram)
 from repro.host.cpu import CpuModel
 from repro.host.platforms import haswell
 from repro.metrics import ExecResult, ZERO
@@ -620,11 +621,11 @@ class TranslatedRunner:
 
     def _run_descriptor(self, group: DescriptorStep) -> None:
         store = ParamStore()
-        tdl_lines: List[str] = []
+        blocks: List[Block] = []
         touched: Set[str] = set()
         counter = 0
 
-        def add_comp(step: AccelCallStep, looped: bool) -> str:
+        def add_comp(step: AccelCallStep, looped: bool) -> Comp:
             nonlocal counter
             for buf in step.in_bufs + step.out_bufs:
                 self._ensure(buf)
@@ -640,7 +641,7 @@ class TranslatedRunner:
                                                 step.trips)
                 blob += pack_strides(step.proto.params_type, table)
             store.add(fname, blob)
-            return f"COMP {step.accel} {fname}"
+            return Comp(step.accel, fname)
 
         for item in group.items:
             if isinstance(item, FusedStep):
@@ -648,27 +649,19 @@ class TranslatedRunner:
                 # LOOP when the members are loop-compacted (each COMP
                 # keeps its own stride table)
                 looped = item.looped
-                comps = " ".join(add_comp(s, looped)
-                                 for s in item.steps)
-                if looped:
-                    tdl_lines.append(f"LOOP {item.iterations} "
-                                     f"{{ PASS {{ {comps} }} }}")
-                else:
-                    tdl_lines.append(f"PASS {{ {comps} }}")
+                count = item.iterations
+                body = Pass(tuple(add_comp(s, looped) for s in item.steps))
             elif isinstance(item, AccelCallStep):
-                if item.looped:
-                    comp = add_comp(item, True)
-                    tdl_lines.append(
-                        f"LOOP {item.calls} {{ PASS {{ {comp} }} }}")
-                else:
-                    comp = add_comp(item, False)
-                    tdl_lines.append(f"PASS {{ {comp} }}")
+                looped = item.looped
+                count = item.calls
+                body = Pass((add_comp(item, looped),))
             else:
                 raise InterpError(f"bad descriptor item {item!r}")
+            blocks.append(Loop(count, (body,)) if looped else body)
         working = sum(self.t.env.buffers[b].total_bytes for b in touched)
-        tdl = "\n".join(tdl_lines) + "\n"
-        plan = self.system.runtime.acc_plan(tdl, store,
-                                            in_size=working, out_size=0)
+        plan = self.system.runtime.acc_plan(TdlProgram(tuple(blocks)),
+                                            store, in_size=working,
+                                            out_size=0)
         self.system.runtime.acc_execute(plan, functional=self.functional)
         self.system.runtime.acc_destroy(plan)
 

@@ -24,8 +24,7 @@ import zlib
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.core.tdl import (Comp, Loop, ParamStore, Pass, TdlError,
-                            TdlProgram)
+from repro.core.tdl import Comp, Loop, ParamStore, TdlProgram
 
 MAGIC = 0x4D45414C            # 'MEAL'
 
@@ -95,45 +94,15 @@ class EncodedDescriptor:
         return len(self.data)
 
 
-def _lower(program: TdlProgram, params: ParamStore,
-           pr_base: int) -> Tuple[List[Instruction], bytes]:
-    instructions: List[Instruction] = []
-    pr = bytearray()
-
-    def lower_pass(p: Pass) -> None:
-        for comp in p.comps:
-            if comp.accel not in OPCODES:
-                raise DescriptorError(
-                    f"no opcode for accelerator {comp.accel!r}")
-            blob = params.get(comp.param_file)
-            addr = pr_base + len(pr)
-            pr.extend(blob)
-            instructions.append(Instruction(
-                kind=KIND_ACCEL, opcode=OPCODES[comp.accel],
-                param_size=len(blob), param_addr=addr))
-        instructions.append(Instruction(kind=KIND_ENDPASS))
-
-    for block in program.blocks:
-        if isinstance(block, Loop):
-            instructions.append(Instruction(kind=KIND_LOOP,
-                                            param_size=block.count))
-            for p in block.body:
-                lower_pass(p)
-            instructions.append(Instruction(kind=KIND_ENDLOOP))
-        else:
-            lower_pass(block)
-    return instructions, bytes(pr)
-
-
 def _instruction_count(program: TdlProgram) -> int:
     """IR length of ``program``: one instruction per COMP plus the
     control instructions (an ENDPASS per pass, LOOP/ENDLOOP per loop)."""
-    n_instr = len(program.comps())
+    n_instr = 0
     for block in program.blocks:
         if isinstance(block, Loop):
-            n_instr += 2 + len(block.body)      # LOOP, ENDLOOP, ENDPASSes
+            n_instr += 2 + sum(len(p.comps) + 1 for p in block.body)
         else:
-            n_instr += 1                         # ENDPASS
+            n_instr += len(block.comps) + 1
     return n_instr
 
 
@@ -145,26 +114,63 @@ def encoded_size(program: TdlProgram, params: ParamStore) -> int:
             + sum(len(params.get(c.param_file)) for c in program.comps()))
 
 
+def _param_blob(comp: Comp, params: ParamStore) -> Tuple[int, bytes]:
+    """(opcode, parameter bytes) of one COMP, checked in that order."""
+    opcode = OPCODES.get(comp.accel)
+    if opcode is None:
+        raise DescriptorError(f"no opcode for accelerator {comp.accel!r}")
+    return opcode, params.get(comp.param_file)
+
+
 def encode(program: TdlProgram, params: ParamStore,
            base_pa: int) -> EncodedDescriptor:
     """Lower a TDL program into descriptor bytes at ``base_pa``.
 
     The PR follows the IR immediately; parameter addresses inside the IR
-    are absolute physical addresses, as the hardware expects.
+    are absolute physical addresses, as the hardware expects. One walk
+    of the program packs every IR entry in place and collects the PR.
     """
     # sizes first: parameter addresses depend on the IR length
     n_instr = _instruction_count(program)
     pr_offset = CR_BYTES + n_instr * INSTR_BYTES
-    instructions, pr = _lower(program, params, base_pa + pr_offset)
-    if len(instructions) != n_instr:
-        raise DescriptorError("instruction count mismatch during lowering")
-    out = bytearray()
-    out.extend(_CR.pack(MAGIC, CMD_IDLE, n_instr, 0))
-    for instr in instructions:
-        out.extend(_INSTR.pack(instr.opcode, instr.kind, 0,
-                               instr.param_size, instr.param_addr))
-    out.extend(pr)
-    struct.pack_into("<I", out, CHECKSUM_OFFSET, descriptor_checksum(out))
+    out = bytearray(pr_offset)
+    _CR.pack_into(out, 0, MAGIC, CMD_IDLE, n_instr, 0)
+    pack = _INSTR.pack_into
+    pr: List[bytes] = []
+    pos = CR_BYTES
+    addr = base_pa + pr_offset
+    try:
+        for block in program.blocks:
+            looped = isinstance(block, Loop)
+            if looped:
+                pack(out, pos, 0, KIND_LOOP, 0, block.count, 0)
+                pos += INSTR_BYTES
+                passes = block.body
+            else:
+                passes = (block,)
+            for p in passes:
+                for comp in p.comps:
+                    opcode, blob = _param_blob(comp, params)
+                    pack(out, pos, opcode, KIND_ACCEL, 0, len(blob), addr)
+                    pos += INSTR_BYTES
+                    addr += len(blob)
+                    pr.append(blob)
+                pack(out, pos, 0, KIND_ENDPASS, 0, 0, 0)
+                pos += INSTR_BYTES
+            if looped:
+                pack(out, pos, 0, KIND_ENDLOOP, 0, 0, 0)
+                pos += INSTR_BYTES
+    except struct.error:
+        # a LOOP count or an address that does not fit its field: a
+        # bad COMP anywhere in the program is reported first
+        for comp in program.comps():
+            _param_blob(comp, params)
+        raise
+    out += b"".join(pr)
+    # the command and checksum words are still zero, as the checksum
+    # requires
+    struct.pack_into("<I", out, CHECKSUM_OFFSET,
+                     zlib.crc32(out) & 0xFFFFFFFF)
     return EncodedDescriptor(data=bytes(out), base_pa=base_pa,
                              n_instructions=n_instr, pr_offset=pr_offset)
 

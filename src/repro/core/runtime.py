@@ -276,7 +276,8 @@ class MealibRuntime:
 
     def acc_plan(self, tdl: Union[str, TdlProgram], params: ParamStore,
                  in_size: int, out_size: int) -> AccPlan:
-        """Lower a TDL string into a descriptor in the command space.
+        """Lower TDL text, or a program tree, into a descriptor in the
+        command space.
 
         ``in_size``/``out_size`` describe the I/O buffers (the Listing 2
         signature) and size the coherence flush at execute time.

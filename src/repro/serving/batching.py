@@ -4,7 +4,8 @@ Small AXPY/DOT calls are invocation-dominated — the wbinvd flush,
 descriptor store and doorbell cost as much as the pass itself (the
 paper's Fig 12 motivation for descriptor-level batching). The serving
 runtime therefore coalesces *adjacent* queued calls of one tenant and
-one op into a single multi-PASS descriptor::
+one op into a single multi-PASS descriptor (printed here as TDL;
+:func:`coalesce` builds the program tree directly)::
 
     PASS { COMP AXPY b0.para }
     PASS { COMP AXPY b1.para }
@@ -28,11 +29,11 @@ per member.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.core.descriptor import OPCODES
 from repro.core.runtime import AccPlan
-from repro.core.tdl import ParamStore
+from repro.core.tdl import Comp, ParamStore, Pass, TdlProgram
 from repro.serving.qos import check_positive_int
 
 
@@ -77,26 +78,30 @@ def call_sizes(layer, op: str, params: object) -> Tuple[int, int]:
             sum(s.total_bytes for s in streams if s.is_write))
 
 
-def coalesce(system, members: Sequence[Tuple[str, object]]) -> AccPlan:
-    """Lower ``members`` — ``(op, params)`` pairs — into one coalesced
+def coalesce(system, members: Sequence[Tuple[str, object, int, int]]
+             ) -> AccPlan:
+    """Lower ``members`` — ``(op, params, in_bytes, out_bytes)``, the
+    sizes as :func:`call_sizes` gives them — into one coalesced
     descriptor, one PASS per member, in member order.
 
-    A single-member "batch" is exactly the solo descriptor for that
-    call (same instruction stream, same parameter bytes); the caller
-    owns the returned plan and must ``acc_destroy`` it after use.
+    The program tree is built directly, never printed and parsed back,
+    and the sizes come from the caller (the serving runtime computes
+    them once, at admission). A single-member "batch" is exactly the
+    solo descriptor for that call (same instruction stream, same
+    parameter bytes); the caller owns the returned plan and must
+    ``acc_destroy`` it after use.
     """
     if not members:
         raise ValueError("cannot coalesce an empty batch")
     store = ParamStore()
-    lines: List[str] = []
+    passes = []
     in_size = 0
     out_size = 0
-    for i, (op, params) in enumerate(members):
+    for i, (op, params, r, w) in enumerate(members):
         name = f"b{i}.para"
         store.add(name, params.pack())
-        lines.append(f"PASS {{ COMP {op} {name} }}")
-        r, w = call_sizes(system.layer, op, params)
+        passes.append(Pass((Comp(op, name),)))
         in_size += r
         out_size += w
-    return system.runtime.acc_plan("\n".join(lines), store,
+    return system.runtime.acc_plan(TdlProgram(tuple(passes)), store,
                                    in_size=in_size, out_size=out_size)

@@ -67,6 +67,8 @@ class Request:
     seq: int                         # admission order, unique
     op: Optional[str] = None         # owned submissions
     params: Optional[object] = None
+    in_bytes: int = 0                # owned submissions' buffer sizes,
+    out_bytes: int = 0               # from call_sizes at admission
     plan: Optional[AccPlan] = None   # borrowed plan (submit_plan)
     batchable: bool = False
     shed: bool = False
@@ -158,16 +160,30 @@ class ServingRuntime:
                arrival: float = 0.0) -> Request:
         """Admit one owned call: the runtime lowers (and, policy
         permitting, coalesces) its descriptor at dispatch and destroys
-        it after execution."""
+        it after execution.
+
+        Raises :class:`ValueError` naming the op, before anything is
+        queued, unless ``op`` is a deployed accelerator and ``params``
+        an instance of its parameter type."""
         if tenant not in self.tenants:
             raise KeyError(f"unknown tenant {tenant!r}")
-        batchable = False
-        if self.batching is not None:
-            r, w = call_sizes(self.system.layer, op, params)
-            batchable = self.batching.batchable(op, r + w)
+        layer = self.system.layer
+        core = (layer.accelerators.get(op) if isinstance(op, str)
+                else None)
+        if core is None:
+            raise ValueError(f"op {op!r} is not a deployed accelerator; "
+                             f"deployed: {sorted(layer.accelerators)}")
+        if not isinstance(params, core.params_type):
+            raise ValueError(
+                f"op {op!r} takes {core.params_type.__name__} params, "
+                f"got {type(params).__name__}")
+        in_bytes, out_bytes = call_sizes(layer, op, params)
+        batchable = (self.batching is not None and
+                     self.batching.batchable(op, in_bytes + out_bytes))
         self._seq += 1
         return self._admit(Request(tenant=tenant, arrival=arrival,
                                    seq=self._seq, op=op, params=params,
+                                   in_bytes=in_bytes, out_bytes=out_bytes,
                                    batchable=batchable))
 
     def submit_plan(self, tenant: str, plan: AccPlan,
@@ -245,8 +261,8 @@ class ServingRuntime:
         if unit[0].plan is not None:
             plan = unit[0].plan
         else:
-            plan = coalesce(self.system,
-                            [(r.op, r.params) for r in unit])
+            plan = coalesce(self.system, [(r.op, r.params, r.in_bytes,
+                                           r.out_bytes) for r in unit])
             owned = plan
         ledger = self.system.ledger
         n0 = len(ledger.entries)

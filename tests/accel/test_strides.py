@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel import AxpyParams, DotParams
+from repro.accel import AxpyParams, DotAccelerator, DotParams
 from repro.accel.base import (StrideTable, linear_strides, offset_columns,
                               pack_strides, unpack_strides)
+from repro.core import DescriptorError
+from repro.core.config_unit import CompInstance, _checked_plan
 from tests.accel.helpers import offsets, shift_params
 
 
@@ -146,3 +148,38 @@ def test_offset_columns_do_not_wrap_at_int64(table):
     columns = offset_columns(table, range(9))
     assert max(abs(v) for v in columns["x_pa"]) >= 1 << 63
     assert_columns_match(table, range(9))
+
+
+def one_level_dot(trip, delta):
+    """A DOT of 16 floats whose operands advance ``delta`` bytes per
+    iteration under a one-level table of trip ``trip``."""
+    params = DotParams(n=16, x_pa=0x10000, y_pa=0x20000, out_pa=0x30000)
+    table = StrideTable(trips=(trip,), deltas={
+        "x_pa": (delta,), "y_pa": (delta,), "out_pa": (4,)})
+    return CompInstance(core=DotAccelerator(), params=params,
+                        strides=table)
+
+
+@pytest.mark.parametrize("trip", [0, 1, 2])
+def test_operand_spans_widen_one_level_table_over_count(trip):
+    """A one-level table is linear over the LOOP count whatever its
+    trip, as ``offset_columns`` runs it: 8 iterations of 64-byte
+    windows 64 bytes apart read 512 bytes of each operand, and the
+    decoded plan's ``reads`` (what the datapath ECC adjudicates) cover
+    them all."""
+    comp = one_level_dot(trip, 64)
+    columns = offset_columns(comp.strides, range(8))
+    assert columns["x_pa"] == [64 * i for i in range(8)]
+    reads, _ = comp.core.operand_spans(comp.params, 8, comp.strides)
+    assert reads == [(0x10000, 512), (0x20000, 512)]
+    assert _checked_plan((comp,), 8).reads == ((0x10000, 512),
+                                               (0x20000, 512))
+
+
+def test_checked_plan_rejects_linear_reach_past_addr_limit():
+    """A one-level loop whose linear reach leaves the physical address
+    range is a malformed descriptor, whatever its table's trip."""
+    comp = one_level_dot(1, 1 << 60)
+    assert _checked_plan((comp,), 8).count == 8     # 7 * 2**60 fits
+    with pytest.raises(DescriptorError, match="physical address range"):
+        _checked_plan((comp,), 16)

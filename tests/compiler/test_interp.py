@@ -7,8 +7,14 @@ accelerators without reimplementation *and computes the same results*.
 import numpy as np
 import pytest
 
+from repro.apps import PRESETS, SarConfig
+from repro.apps.sar import sar_source
+from repro.apps.stap import stap_source
 from repro.compiler import run_original, run_translated, translate
 from repro.compiler.interp import baseline_timing
+from repro.core import Loop, TdlProgram, format_tdl, parse_tdl
+from repro.core.runtime import MealibRuntime
+from tests.core.helpers import reference_encode
 
 RNG = np.random.default_rng(5)
 
@@ -217,3 +223,37 @@ for (i = 0; i < R; i++)
     out = run_translated(src, functional=False)
     assert out.library_calls == 16
     assert out.descriptors == 1
+
+
+@pytest.mark.parametrize("app", ["stap", "sar"])
+def test_descriptors_lower_without_text(monkeypatch, app):
+    """The interpreter hands ``acc_plan`` a program tree, and every
+    descriptor it lowers is byte-equal to the one its TDL text form
+    encodes to: STAP's looped passes and SAR's chained pass."""
+    source = (stap_source(PRESETS["small"]) if app == "stap"
+              else sar_source(SarConfig(side=64)))
+    lowered = []
+    acc_plan = MealibRuntime.acc_plan
+
+    def spy(self, tdl, params, in_size, out_size):
+        plan = acc_plan(self, tdl, params, in_size, out_size)
+        lowered.append((tdl, params, plan.descriptor))
+        return plan
+
+    monkeypatch.setattr(MealibRuntime, "acc_plan", spy)
+    run_translated(source, functional=False)
+    assert lowered
+    for program, params, descriptor in lowered:
+        assert isinstance(program, TdlProgram)
+        reparsed = parse_tdl(format_tdl(program))
+        assert reparsed == program
+        assert (reference_encode(reparsed, params, descriptor.base_pa)
+                == descriptor)
+    passes = [p for program, _, _ in lowered for b in program.blocks
+              for p in (b.body if isinstance(b, Loop) else (b,))]
+    loops = [b.count for program, _, _ in lowered for b in program.blocks
+             if isinstance(b, Loop)]
+    if app == "stap":
+        assert 768 in loops
+    else:
+        assert any(p.chained for p in passes)

@@ -1,4 +1,15 @@
-"""Shared test helpers for the configuration unit's execution records."""
+"""Shared test helpers: the configuration unit's execution records and
+the reference descriptor encoder."""
+
+import struct
+
+from repro.core.descriptor import (_CR, _INSTR, CHECKSUM_OFFSET, CMD_IDLE,
+                                   CR_BYTES, INSTR_BYTES, KIND_ACCEL,
+                                   KIND_ENDLOOP, KIND_ENDPASS, KIND_LOOP,
+                                   MAGIC, OPCODES, DescriptorError,
+                                   EncodedDescriptor, Instruction,
+                                   descriptor_checksum)
+from repro.core.tdl import Loop
 
 
 def record_executions(monkeypatch, system):
@@ -20,3 +31,69 @@ def ledger_entries(system, category):
     """The results of ``system``'s ledger entries in ``category``."""
     return [e.result for e in system.ledger.entries
             if e.category == category]
+
+
+# -- reference descriptor encoder ----------------------------------------------
+#
+# :func:`repro.core.descriptor.encode` packs each IR entry in place in
+# one walk of the program. This is the encoder it replaced: lower every
+# COMP to an ``Instruction`` record and the PR to one buffer, then pack
+# the records. The differential tests hold the two byte-equal.
+
+
+def _reference_lower(program, params, pr_base):
+    instructions = []
+    pr = bytearray()
+
+    def lower_pass(p):
+        for comp in p.comps:
+            if comp.accel not in OPCODES:
+                raise DescriptorError(
+                    f"no opcode for accelerator {comp.accel!r}")
+            blob = params.get(comp.param_file)
+            addr = pr_base + len(pr)
+            pr.extend(blob)
+            instructions.append(Instruction(
+                kind=KIND_ACCEL, opcode=OPCODES[comp.accel],
+                param_size=len(blob), param_addr=addr))
+        instructions.append(Instruction(kind=KIND_ENDPASS))
+
+    for block in program.blocks:
+        if isinstance(block, Loop):
+            instructions.append(Instruction(kind=KIND_LOOP,
+                                            param_size=block.count))
+            for p in block.body:
+                lower_pass(p)
+            instructions.append(Instruction(kind=KIND_ENDLOOP))
+        else:
+            lower_pass(block)
+    return instructions, bytes(pr)
+
+
+def _reference_instruction_count(program):
+    n_instr = len(program.comps())
+    for block in program.blocks:
+        if isinstance(block, Loop):
+            n_instr += 2 + len(block.body)
+        else:
+            n_instr += 1
+    return n_instr
+
+
+def reference_encode(program, params, base_pa):
+    """Descriptor bytes of ``program`` at ``base_pa``, through
+    per-instruction records (the differential reference)."""
+    n_instr = _reference_instruction_count(program)
+    pr_offset = CR_BYTES + n_instr * INSTR_BYTES
+    instructions, pr = _reference_lower(program, params,
+                                        base_pa + pr_offset)
+    assert len(instructions) == n_instr
+    out = bytearray()
+    out.extend(_CR.pack(MAGIC, CMD_IDLE, n_instr, 0))
+    for instr in instructions:
+        out.extend(_INSTR.pack(instr.opcode, instr.kind, 0,
+                               instr.param_size, instr.param_addr))
+    out.extend(pr)
+    struct.pack_into("<I", out, CHECKSUM_OFFSET, descriptor_checksum(out))
+    return EncodedDescriptor(data=bytes(out), base_pa=base_pa,
+                             n_instructions=n_instr, pr_offset=pr_offset)

@@ -30,6 +30,7 @@ from repro.eval.workloads import TABLE2
 from repro.serving import (BatchPolicy, ServingRuntime, TenantConfig,
                            coalesce)
 from repro.thermal import AMBIENT_K, ThermalConfig
+from tests.serving.helpers import member
 
 N_CALLS = 6
 VECTOR_N = 4096
@@ -180,7 +181,8 @@ def _serve_plan_lockstep(build, op, scale, hazards):
     for cache in (True, False):
         system = build(cache)
         serving = _cached_serving(system)
-        plan = coalesce(system, [(op, TABLE2[op].params(scale))])
+        plan = coalesce(system,
+                        [member(system, op, TABLE2[op].params(scale))])
         for i, hazard in enumerate([None, *hazards]):
             if hazard is not None:
                 hazard(system)
@@ -235,7 +237,8 @@ def test_tenants_share_cache_entries():
     serving = ServingRuntime(system,
                              [TenantConfig("a"), TenantConfig("b")],
                              max_concurrency=1, functional=False)
-    plan = coalesce(system, [("AXPY", TABLE2["AXPY"].params(SCALE))])
+    plan = coalesce(system, [member(system, "AXPY",
+                                    TABLE2["AXPY"].params(SCALE))])
     for i in range(4):
         serving.submit_plan("a" if i % 2 == 0 else "b", plan,
                             arrival=float(i))

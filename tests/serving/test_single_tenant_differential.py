@@ -21,6 +21,7 @@ from repro.faults import FaultInjector, ScrubConfig
 from repro.metrics import ZERO
 from repro.serving import ServingRuntime, TenantConfig, coalesce
 from repro.thermal import AMBIENT_K, ThermalConfig
+from tests.serving.helpers import member
 
 SCALE = 0.016
 FAULT_SEED = 4
@@ -53,7 +54,8 @@ def _build(config):
 def _run_direct(system):
     results = []
     for op in CALLS:
-        plan = coalesce(system, [(op, TABLE2[op].params(SCALE))])
+        plan = coalesce(system,
+                        [member(system, op, TABLE2[op].params(SCALE))])
         results.append(system.runtime.acc_execute(plan,
                                                   functional=False))
         system.runtime.acc_destroy(plan)
@@ -107,7 +109,7 @@ def test_served_repeated_plan_is_byte_identical(config):
     params = TABLE2["AXPY"].params(SCALE)
 
     direct = _build(config)
-    plan_a = coalesce(direct, [("AXPY", params)])
+    plan_a = coalesce(direct, [member(direct, "AXPY", params)])
     direct_results = [direct.runtime.acc_execute(plan_a,
                                                  functional=False)
                       for _ in range(executes)]
@@ -115,7 +117,7 @@ def test_served_repeated_plan_is_byte_identical(config):
     served = _build(config)
     serving = ServingRuntime(served, [TenantConfig("solo")],
                              max_concurrency=1, functional=False)
-    plan_b = coalesce(served, [("AXPY", params)])
+    plan_b = coalesce(served, [member(served, "AXPY", params)])
     for i in range(executes):
         serving.submit_plan("solo", plan_b, arrival=float(i))
     serving.run()
