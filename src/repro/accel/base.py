@@ -127,6 +127,12 @@ class AcceleratorCore(ABC):
     def streams(self, params) -> List[StreamSpec]:
         """Concrete DRAM access streams of this invocation."""
 
+    def footprint_streams(self, params) -> List[StreamSpec]:
+        """Every DRAM range this invocation touches, for the datapath
+        guard: its timed :meth:`streams` unless a core touches bytes it
+        does not time."""
+        return self.streams(params)
+
     def compute_rate(self, freq_hz: Optional[float] = None,
                      tiles: Optional[int] = None) -> float:
         """Peak-achievable flops/second of the deployed lanes."""
@@ -194,7 +200,7 @@ class AcceleratorCore(ABC):
                       ) -> Tuple[List[Tuple[int, int]],
                                  List[Tuple[int, int]]]:
         """Physical ``(start, size)`` byte extents of this invocation's
-        DRAM streams, as ``(reads, writes)``.
+        :meth:`footprint_streams`, as ``(reads, writes)``.
 
         This is the operand footprint the in-datapath ECC layer
         (:class:`~repro.faults.datapath.DatapathEcc`) adjudicates before
@@ -218,7 +224,7 @@ class AcceleratorCore(ABC):
             return lo, abs(reach) + stream.elem_bytes
 
         def live(p) -> List[StreamSpec]:
-            return [s for s in self.streams(p) if s.n_elems > 0]
+            return [s for s in self.footprint_streams(p) if s.n_elems > 0]
 
         def by_direction(spans):
             return ([sp for sp, s in zip(spans, base_streams)

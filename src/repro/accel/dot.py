@@ -184,6 +184,13 @@ class DotAccelerator(AcceleratorCore):
                                       stride=abs(inc) * eb))
         return out
 
+    def footprint_streams(self, params: DotParams) -> List[StreamSpec]:
+        # the result cell is written too; it has no timed stream, so
+        # guarding it leaves modelled time unchanged
+        return self.streams(params) + [StreamSpec(
+            base=params.out_pa, n_elems=1, elem_bytes=params.elem_bytes,
+            is_write=True)]
+
 
 def _window(space: UnifiedAddressSpace, pa: int,
             column: Optional[Sequence[int]], inc: int, n: int,

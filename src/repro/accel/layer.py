@@ -85,7 +85,8 @@ class AcceleratorLayer:
         tiles inside the largest mesh-connected group of healthy tiles
         (routers of dead tiles still forward traffic, so only *link*
         failures can split the group). Ascending vault order."""
-        healthy = sorted(v for v, t in self.tiles.items() if not t.failed)
+        # make_tiles keys the tiles in ascending vault order
+        healthy = [v for v, t in self.tiles.items() if not t.failed]
         if not healthy or not self.noc.degraded:
             return healthy
         healthy_set = set(healthy)

@@ -18,10 +18,10 @@ accelerators. The pipeline is::
           ──► rule engine ──► Diagnostics (MEA001..MEA017)
           ──► rewrite-safety certificates for every offloaded step
 
-One compile computes the CFG, value ranges, effect summaries and
-statement events once, in a shared :class:`ProgramFacts` bundle
-(:mod:`.facts`) that the checker, the certifier and the rewrite engine
-all read.
+One compile computes the CFG, value ranges, effect summaries,
+statement events and each accelerated step's dependence and bounds
+proof once, in a shared :class:`ProgramFacts` bundle (:mod:`.facts`)
+that the checker, the certifier and the rewrite engine all read.
 
 ``error`` findings on accelerated call sites demote the call to host
 execution (``HostCallStep``) instead of producing a wrong offload;
@@ -32,8 +32,8 @@ that demotes.
 """
 
 from repro.compiler.analysis.alias import (FieldAccess, READ_FIELDS,
-                                           WRITE_FIELDS, cross_iteration,
-                                           same_iteration, step_accesses,
+                                           WRITE_FIELDS, StepProof,
+                                           prove_step, step_accesses,
                                            step_ranges)
 from repro.compiler.analysis.callgraph import (MAIN, CallGraph,
                                                build_call_graph)
@@ -68,7 +68,7 @@ from repro.compiler.diagnostics import (Diagnostic, DiagnosticReport,
 
 __all__ = [
     "FieldAccess", "READ_FIELDS", "WRITE_FIELDS", "step_accesses",
-    "step_ranges", "same_iteration", "cross_iteration",
+    "step_ranges", "StepProof", "prove_step",
     "MAIN", "CallGraph", "build_call_graph",
     "CertFact", "SafetyCertificate", "certify_schedule", "certify_step",
     "BasicBlock", "Cfg", "build_cfg", "LifecycleFacts", "Liveness",

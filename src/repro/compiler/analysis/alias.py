@@ -17,18 +17,25 @@ GCD lattices, Banerjee direction vectors) run first and bounded
 enumeration is only a flagged fallback. This module supplies the
 footprints (field -> buffer, affine offset, byte extent) and the
 per-step variable ranges the tester consumes.
+
+:func:`prove_step` asks every such question of one step once, together
+with each field's footprint against its buffer's allocation, and
+records the answers in a :class:`StepProof`. The rule engine's
+findings and the step's safety certificate both read that record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.compiler.affine import Affine
 from repro.compiler.analysis.deptest import (DepVerdict,
                                              cross_iteration_verdict,
                                              same_iteration_verdict)
-from repro.compiler.analysis.ranges import TOP, Interval, ValueRanges
+from repro.compiler.analysis.ranges import (TOP, Interval, ValueRanges,
+                                            affine_interval)
+from repro.compiler.recognizer import AccelCallStep
 from repro.compiler.semantics import CompileEnv
 
 #: Address fields each accelerator writes / reads.
@@ -165,23 +172,100 @@ def step_ranges(step, vranges: Optional[ValueRanges] = None
     return loop_ranges, invariant
 
 
-# -- verdict adapters ---------------------------------------------------------
+# -- the per-step proof --------------------------------------------------------
 
-def same_iteration(a: FieldAccess, b: FieldAccess,
-                   loop_ranges: Dict[str, Interval],
-                   invariant: Optional[Dict[str, Interval]] = None
-                   ) -> DepVerdict:
-    """Full verdict for two fields within one invocation."""
-    ranges = {**(invariant or {}), **loop_ranges}
-    return same_iteration_verdict(a.offset, a.extent,
-                                  b.offset, b.extent, ranges)
+class PairProof(NamedTuple):
+    """A written field against another field of the same buffer."""
+
+    write: FieldAccess
+    other: FieldAccess
+    verdict: DepVerdict
 
 
-def cross_iteration(w: FieldAccess, f: FieldAccess,
-                    loop_ranges: Dict[str, Interval],
-                    invariant: Optional[Dict[str, Interval]] = None
-                    ) -> DepVerdict:
-    """Full verdict for ``w`` vs ``f`` across distinct iterations."""
-    return cross_iteration_verdict(w.offset, w.extent,
-                                   f.offset, f.extent,
-                                   loop_ranges, invariant or {})
+@dataclass(frozen=True)
+class Footprint:
+    """A field's bytes ``[lo, hi]`` over the step's ranges (``None``
+    where unbounded), against its buffer's ``total`` allocated bytes.
+
+    ``exact`` holds when every variable of the offset is a loop
+    variable: the bounds are then attained at corners of the iteration
+    box, so a footprint outside the allocation is provable.
+    """
+
+    access: FieldAccess
+    lo: Optional[int]
+    hi: Optional[int]
+    total: int
+    exact: bool
+
+    @property
+    def inside(self) -> bool:
+        return self.lo is not None and self.hi is not None \
+            and self.lo >= 0 and self.hi < self.total
+
+
+@dataclass(frozen=True)
+class StepProof:
+    """Every dependence and bounds verdict of one accelerated step.
+
+    ``same`` holds, for every written field, its verdict within one
+    invocation against each other field of its buffer; ``cross`` (only
+    for a looped step) each unordered (written, other) pair on a shared
+    buffer across distinct iterations, the field against itself
+    included; ``footprints`` one entry per field whose allocation size
+    is known. All in field order.
+    """
+
+    step: AccelCallStep
+    ranges: Dict[str, Interval]  # invariant and loop ranges together
+    same: Tuple[PairProof, ...]
+    cross: Tuple[PairProof, ...]
+    footprints: Tuple[Footprint, ...]
+
+
+def inplace_ok(accel: str, verdict: DepVerdict) -> bool:
+    """Does a same-iteration verdict allow the offload: disjoint, or
+    exactly coincident under an in-place transform?"""
+    return verdict.relation == "disjoint" or (
+        verdict.relation == "exact" and accel in INPLACE_EXACT_OK)
+
+
+def prove_step(step: AccelCallStep, env: CompileEnv,
+               vranges: Optional[ValueRanges] = None) -> StepProof:
+    """Build one step's accesses and ranges once and answer every
+    same-iteration, cross-iteration and bounds question about them."""
+    accesses = step_accesses(step, env)
+    loop_ranges, invariant = step_ranges(step, vranges)
+    ranges = {**invariant, **loop_ranges}
+    writes = [a for a in accesses if a.writes]
+    same = tuple(
+        PairProof(w, other, same_iteration_verdict(
+            w.offset, w.extent, other.offset, other.extent, ranges))
+        for w in writes for other in accesses
+        if other.field != w.field and other.buffer == w.buffer)
+    cross: List[PairProof] = []
+    if step.looped:
+        checked = set()
+        for w in writes:
+            for other in accesses:
+                key = (w.buffer,) + tuple(sorted({w.field, other.field}))
+                if other.buffer != w.buffer or key in checked:
+                    continue
+                checked.add(key)
+                cross.append(PairProof(w, other, cross_iteration_verdict(
+                    w.offset, w.extent, other.offset, other.extent,
+                    loop_ranges, invariant)))
+    footprints = []
+    for acc in accesses:
+        info = env.buffers.get(acc.buffer)
+        if info is None or info.count <= 0 or acc.extent <= 0:
+            continue                # allocation size unknown
+        span = affine_interval(acc.offset, ranges)
+        footprints.append(Footprint(
+            access=acc, lo=span.lo,
+            hi=None if span.hi is None else span.hi + acc.extent - 1,
+            total=info.total_bytes,
+            exact=all(not coef or var in loop_ranges
+                      for var, coef in acc.offset.coefs.items())))
+    return StepProof(step=step, ranges=ranges, same=same,
+                     cross=tuple(cross), footprints=tuple(footprints))

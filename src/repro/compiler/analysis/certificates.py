@@ -23,9 +23,12 @@ before fusing, splitting, or reordering passes:
     the step's whole footprint provably stays inside the buffer's
     allocated byte interval.
 
-``certify_step`` returns ``None`` when any required fact cannot be
-proven — by construction that never happens for a step the rule
-engine left offloaded, and the invariant is pinned by tests.
+The rule engine and ``certify_step`` read one
+:class:`~repro.compiler.analysis.alias.StepProof` per step, memoized
+on the compile's :class:`ProgramFacts`. ``certify_step`` returns
+``None`` exactly when an obligation fails that the rule engine turns,
+from the same verdict, into a demoting finding (MEA002, MEA005,
+MEA008–MEA010), so it is never ``None`` for a step left offloaded.
 """
 
 from __future__ import annotations
@@ -33,19 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.compiler.analysis.alias import (INPLACE_EXACT_OK,
-                                           cross_iteration,
-                                           same_iteration,
-                                           step_accesses, step_ranges)
+from repro.compiler.analysis.alias import StepProof, inplace_ok
 from repro.compiler.analysis.facts import ProgramFacts
-from repro.compiler.analysis.ranges import (Interval, ValueRanges,
-                                            affine_interval)
-from repro.compiler.analysis.races import (is_recognized_reduction,
-                                           shared_interval)
+from repro.compiler.analysis.races import reduction_pair
 from repro.compiler.cast import Program
 from repro.compiler.diagnostics import SourceLoc
 from repro.compiler.recognizer import AccelCallStep, Schedule
-from repro.compiler.semantics import CompileEnv
 
 
 @dataclass(frozen=True)
@@ -88,91 +84,55 @@ class SafetyCertificate:
         return out
 
 
-def certify_step(step: AccelCallStep, step_index: int,
-                 env: CompileEnv,
-                 vranges: Optional[ValueRanges] = None
+def certify_step(proof: StepProof, step_index: int
                  ) -> Optional[SafetyCertificate]:
-    """Prove the offload-safety facts for one accelerated step.
+    """Turn one step's discharged obligations into facts.
 
-    Returns ``None`` when a required fact cannot be established — the
-    caller must not offload such a step (the rule engine will have
-    demoted or rejected it already).
+    Returns ``None`` when a required obligation failed: a
+    same-iteration pair that is neither disjoint nor an allowed
+    in-place transform, or, across the iterations of a multi-iteration
+    loop, a pair that is neither disjoint nor a recognized reduction.
+    Each is a verdict the rule engine reads from the same proof to
+    demote the step.
     """
-    accesses = step_accesses(step, env)
-    loop_ranges, invariant = step_ranges(step, vranges)
-    writes = [a for a in accesses if a.writes]
+    step = proof.step
     facts: List[CertFact] = []
 
     # within one invocation: the written field vs every other field
-    for w in writes:
-        for other in accesses:
-            if other.field == w.field or other.buffer != w.buffer:
-                continue
-            verdict = same_iteration(w, other, loop_ranges, invariant)
-            pair = f"{w.field} vs {other.field} on {w.buffer!r}"
+    for w, other, verdict in proof.same:
+        if not inplace_ok(step.accel, verdict):
+            return None
+        kind = ("in-place-disjoint" if verdict.relation == "disjoint"
+                else "in-place-exact")
+        facts.append(CertFact(kind, verdict.prover,
+                              f"{w.field} vs {other.field} on "
+                              f"{w.buffer!r}"))
+
+    # across iterations of the collapsed nest
+    if step.calls > 1:
+        kind = ("iteration-disjoint" if step.omp
+                else "carried-dependence-free")
+        for w, other, verdict in proof.cross:
+            name = (w.field if other.field == w.field
+                    else f"{w.field} vs {other.field}")
             if verdict.relation == "disjoint":
-                facts.append(CertFact("in-place-disjoint",
-                                      verdict.prover, pair))
-            elif verdict.relation == "exact" \
-                    and step.accel in INPLACE_EXACT_OK:
-                facts.append(CertFact("in-place-exact",
-                                      verdict.prover, pair))
+                facts.append(CertFact(kind, verdict.prover,
+                                      f"{name} on {w.buffer!r}"))
+            elif step.omp and reduction_pair(step, w, other):
+                facts.append(CertFact(
+                    "recognized-reduction", "loop-serialisation",
+                    f"{name} on {w.buffer!r}"))
             else:
                 return None
 
-    # across iterations of the collapsed nest
-    space = 1
-    for t in step.trips:
-        space *= t
-    if step.looped and space > 1:
-        kind = ("iteration-disjoint" if step.omp
-                else "carried-dependence-free")
-        checked = set()
-        for w in writes:
-            for other in accesses:
-                if other.buffer != w.buffer:
-                    continue
-                pair_key = (w.buffer,) + tuple(
-                    sorted({w.field, other.field}))
-                if pair_key in checked:
-                    continue
-                checked.add(pair_key)
-                verdict = cross_iteration(w, other, loop_ranges,
-                                          invariant)
-                pair = (w.field if other.field == w.field
-                        else f"{w.field} vs {other.field}")
-                if verdict.relation == "disjoint":
-                    facts.append(CertFact(
-                        kind, verdict.prover,
-                        f"{pair} on {w.buffer!r}"))
-                    continue
-                if step.omp and w.field == other.field \
-                        and shared_interval(w, step.loop_vars) \
-                        and is_recognized_reduction(step):
-                    facts.append(CertFact(
-                        "recognized-reduction", "loop-serialisation",
-                        f"{pair} on {w.buffer!r}"))
-                    continue
-                return None
-
-    # the whole footprint stays inside each buffer's allocation
-    ranges = {**invariant, **loop_ranges}
-    for acc in accesses:
-        info = env.buffers.get(acc.buffer)
-        if info is None or info.count <= 0 or acc.extent <= 0:
-            continue                # size unknown: no claim made
-        span = affine_interval(acc.offset, ranges)
-        footprint = Interval(span.lo,
-                             None if span.hi is None
-                             else span.hi + acc.extent - 1)
-        if footprint.is_bounded and footprint.lo is not None \
-                and footprint.hi is not None \
-                and footprint.lo >= 0 \
-                and footprint.hi < info.total_bytes:
+    # the whole footprint stays inside each buffer's allocation (an
+    # empty footprint proves nothing)
+    for fp in proof.footprints:
+        if fp.inside and fp.lo <= fp.hi:
             facts.append(CertFact(
                 "bounds-respected", "interval-bounds",
-                f"{acc.field} within {acc.buffer!r} "
-                f"[0, {info.total_bytes})"))
+                f"{fp.access.field} within {fp.access.buffer!r} "
+                f"[0, {fp.total})"))
 
     return SafetyCertificate(step_index=step_index, accel=step.accel,
                              loc=step.loc, facts=tuple(facts))
@@ -193,12 +153,11 @@ def certify_schedule(program: Program, schedule: Schedule,
         facts = ProgramFacts(program, schedule.env)
     assert facts.program is program and facts.env is schedule.env
     skipped = set(skip)
-    vranges = facts.ranges
     certs: List[SafetyCertificate] = []
     for idx, step in enumerate(schedule.steps):
         if idx in skipped or not isinstance(step, AccelCallStep):
             continue
-        cert = certify_step(step, idx, schedule.env, vranges)
+        cert = certify_step(facts.step_proof(idx, step), idx)
         if cert is not None:
             certs.append(cert)
     return tuple(certs)

@@ -30,15 +30,12 @@ gave up so silent precision losses are visible in reports.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Tuple
 
-from repro.compiler.analysis.alias import (FieldAccess, cross_iteration,
-                                           step_accesses, step_ranges)
+from repro.compiler.analysis.alias import FieldAccess, StepProof
 from repro.compiler.analysis.deptest import DepVerdict
-from repro.compiler.analysis.ranges import ValueRanges
 from repro.compiler.diagnostics import Diagnostic, Severity
 from repro.compiler.recognizer import AccelCallStep
-from repro.compiler.semantics import CompileEnv
 
 #: Accelerators whose write field accumulates associatively, making a
 #: shared output a *reduction* rather than a lost-update race.
@@ -85,9 +82,16 @@ def fallback_note(verdict: DepVerdict, w: FieldAccess,
             "enumeration infeasible); assuming a dependence")
 
 
-def classify_races(step: AccelCallStep, step_index: int,
-                   env: CompileEnv,
-                   vranges: Optional[ValueRanges] = None
+def reduction_pair(step: AccelCallStep, w: FieldAccess,
+                   other: FieldAccess) -> bool:
+    """Do the iterations of an omp-collapsed step deposit written
+    field ``w`` (paired with itself) into one shared interval through
+    a recognized reduction?"""
+    return (w.field == other.field and shared_interval(w, step.loop_vars)
+            and is_recognized_reduction(step))
+
+
+def classify_races(proof: StepProof, step_index: int
                    ) -> List[Diagnostic]:
     """Race findings for one omp-collapsed accelerated step.
 
@@ -96,18 +100,10 @@ def classify_races(step: AccelCallStep, step_index: int,
     MEA009 / MEA010) for everything racy. INFO MEA017 findings ride
     along whenever a verdict needed the enumeration fallback.
     """
+    step = proof.step
     findings: List[Diagnostic] = []
-    if not step.looped:
+    if step.calls <= 1:
         return findings
-    space = 1
-    for t in step.trips:
-        space *= t
-    if space <= 1:
-        return findings
-
-    accesses = step_accesses(step, env)
-    loop_ranges, invariant = step_ranges(step, vranges)
-    writes = [a for a in accesses if a.writes]
 
     def emit(code: str, severity: Severity, message: str,
              buffers: Tuple[str, ...], prover: str = "") -> None:
@@ -116,73 +112,45 @@ def classify_races(step: AccelCallStep, step_index: int,
             loc=step.loc, buffers=buffers, step_index=step_index,
             chain=step.chain, prover=prover))
 
-    noted_fallbacks: Set[Tuple[str, str]] = set()
-
-    def note_fallback(verdict: DepVerdict, w: FieldAccess,
-                      other: FieldAccess) -> None:
-        if not verdict.fallback:
-            return
-        key = tuple(sorted({w.field, other.field}))
-        pair_key = (w.buffer, "/".join(key))
-        if pair_key in noted_fallbacks:
-            return
-        noted_fallbacks.add(pair_key)
-        emit("MEA017", Severity.INFO, fallback_note(verdict, w, other),
-             (w.buffer,), prover=verdict.prover)
-
-    seen_pairs: set = set()
-    for w in writes:
-        # -- write vs write (including the field against itself) ----------
-        for other in writes:
-            if other.buffer != w.buffer:
-                continue
-            pair = (w.buffer,) + tuple(sorted({w.field, other.field}))
-            if pair in seen_pairs:
-                continue
-            seen_pairs.add(pair)
-            verdict = cross_iteration(w, other, loop_ranges, invariant)
-            note_fallback(verdict, w, other)
-            if verdict.relation == "disjoint":
-                continue
-            shared = (w.field == other.field
-                      and shared_interval(w, step.loop_vars))
-            if shared and is_recognized_reduction(step):
-                emit("MEA010", Severity.INFO,
-                     f"{step.accel} accumulates into the shared "
-                     f"interval of buffer {w.buffer!r}: recognized "
-                     "reduction; the LOOP descriptor serialises "
-                     "iterations, so the offload is safe",
-                     (w.buffer,), prover=verdict.prover)
-                continue
-            if shared:
-                emit("MEA010", Severity.ERROR,
-                     f"{step.accel} overwrites the shared interval of "
-                     f"buffer {w.buffer!r} from every iteration and "
-                     "the update is not a recognized reduction; "
-                     "parallel iterations race on the final value",
-                     (w.buffer,), prover=verdict.prover)
-                continue
-            detail = ("overlap" if verdict.relation == "overlap"
-                      else "cannot be proven disjoint")
-            emit("MEA008", Severity.ERROR,
-                 f"{step.accel} writes to {w.field} on buffer "
-                 f"{w.buffer!r} {detail} across parallel iterations "
-                 "(write-write race)", (w.buffer,),
+    # write-vs-write pairs (the field against itself included) first,
+    # then writes against pure reads of other fields
+    for w, other, verdict in sorted(proof.cross,
+                                    key=lambda pair: not pair.other.writes):
+        if verdict.fallback:
+            emit("MEA017", Severity.INFO,
+                 fallback_note(verdict, w, other), (w.buffer,),
                  prover=verdict.prover)
-        # -- write vs pure reads of other fields --------------------------
-        for other in accesses:
-            if other.writes or other.buffer != w.buffer \
-                    or other.field == w.field:
-                continue
-            verdict = cross_iteration(w, other, loop_ranges, invariant)
-            note_fallback(verdict, w, other)
-            if verdict.relation == "disjoint":
-                continue
+        if verdict.relation == "disjoint":
+            continue
+        if not other.writes:
             detail = ("overlaps" if verdict.relation == "overlap"
                       else "cannot be proven disjoint from")
             emit("MEA009", Severity.ERROR,
                  f"{step.accel} write to {w.field} {detail} the "
                  f"{other.field} read of another iteration on buffer "
                  f"{w.buffer!r} (read-write race)", (w.buffer,),
+                 prover=verdict.prover)
+        elif reduction_pair(step, w, other):
+            emit("MEA010", Severity.INFO,
+                 f"{step.accel} accumulates into the shared "
+                 f"interval of buffer {w.buffer!r}: recognized "
+                 "reduction; the LOOP descriptor serialises "
+                 "iterations, so the offload is safe",
+                 (w.buffer,), prover=verdict.prover)
+        elif w.field == other.field \
+                and shared_interval(w, step.loop_vars):
+            emit("MEA010", Severity.ERROR,
+                 f"{step.accel} overwrites the shared interval of "
+                 f"buffer {w.buffer!r} from every iteration and "
+                 "the update is not a recognized reduction; "
+                 "parallel iterations race on the final value",
+                 (w.buffer,), prover=verdict.prover)
+        else:
+            detail = ("overlap" if verdict.relation == "overlap"
+                      else "cannot be proven disjoint")
+            emit("MEA008", Severity.ERROR,
+                 f"{step.accel} writes to {w.field} on buffer "
+                 f"{w.buffer!r} {detail} across parallel iterations "
+                 "(write-write race)", (w.buffer,),
                  prover=verdict.prover)
     return findings

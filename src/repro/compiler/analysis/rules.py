@@ -53,17 +53,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.compiler.analysis.alias import (INPLACE_EXACT_OK,
-                                           cross_iteration,
-                                           same_iteration,
-                                           step_accesses, step_ranges)
+from repro.compiler.analysis.alias import StepProof, inplace_ok
 from repro.compiler.analysis.certificates import SafetyCertificate
 from repro.compiler.analysis.dataflow import LifecycleFacts, Liveness
-from repro.compiler.analysis.deptest import DepVerdict
 from repro.compiler.analysis.events import BufferEvent
 from repro.compiler.analysis.facts import ProgramFacts
 from repro.compiler.analysis.races import classify_races, fallback_note
-from repro.compiler.analysis.ranges import TOP, ValueRanges, affine_interval
+from repro.compiler.analysis.ranges import TOP
 from repro.compiler.cast import Program
 from repro.compiler.diagnostics import (Diagnostic, DiagnosticReport,
                                         Severity)
@@ -180,14 +176,9 @@ def _escaped_buffers(facts: ProgramFacts) -> Dict[str, Tuple[str, ...]]:
 
 # -- alias / dependence rules (MEA002/005/017) --------------------------------
 
-def _check_step_aliasing(step: AccelCallStep, step_index: int,
-                         schedule: Schedule,
-                         report: DiagnosticReport,
-                         vranges: Optional[ValueRanges] = None) -> None:
-    env = schedule.env
-    accesses = step_accesses(step, env)
-    loop_ranges, invariant = step_ranges(step, vranges)
-    writes = [a for a in accesses if a.writes]
+def _check_step_aliasing(proof: StepProof, step_index: int,
+                         report: DiagnosticReport) -> None:
+    step = proof.step
     seen: Set[Tuple] = set()
 
     def emit(code: str, severity: Severity, message: str,
@@ -202,65 +193,49 @@ def _check_step_aliasing(step: AccelCallStep, step_index: int,
                               buffers=buffers, step_index=step_index,
                               prover=prover))
 
-    def note_fallback(verdict: DepVerdict, w, other) -> None:
+    def note_fallback(verdict, w, other) -> None:
         if verdict.fallback:
             emit("MEA017", Severity.INFO,
                  fallback_note(verdict, w, other),
                  (w.field, other.field), (w.buffer,),
                  prover=verdict.prover)
 
-    for w in writes:
-        for other in accesses:
-            if other.field == w.field or other.buffer != w.buffer:
-                continue
-            verdict = same_iteration(w, other, loop_ranges, invariant)
-            note_fallback(verdict, w, other)
-            rel = verdict.relation
-            if rel == "exact" and step.accel in INPLACE_EXACT_OK:
-                continue
-            if rel in ("exact", "overlap", "unknown"):
-                detail = ("aliases" if rel != "unknown"
-                          else "may alias")
-                emit("MEA002", Severity.ERROR,
-                     f"{step.accel} output {w.field} {detail} "
-                     f"{other.field} on buffer {w.buffer!r} "
-                     "(in-place operation is not supported by this "
-                     "accelerator)", (w.field, other.field),
-                     (w.buffer,), prover=verdict.prover)
+    for w, other, verdict in proof.same:
+        note_fallback(verdict, w, other)
+        if inplace_ok(step.accel, verdict):
+            continue
+        detail = ("aliases" if verdict.relation != "unknown"
+                  else "may alias")
+        emit("MEA002", Severity.ERROR,
+             f"{step.accel} output {w.field} {detail} "
+             f"{other.field} on buffer {w.buffer!r} "
+             "(in-place operation is not supported by this "
+             "accelerator)", (w.field, other.field),
+             (w.buffer,), prover=verdict.prover)
 
-    if not step.looped or step.omp:
+    if step.omp:
         # omp-collapsed steps answer to the race detector (MEA008-010)
         # instead of the serial loop-compaction rule below
         return
-    for w in writes:
-        checked: Set[Tuple] = set()
-        for other in accesses:
-            if other.buffer != w.buffer:
-                continue
-            pair_key = tuple(sorted({w.field, other.field}))
-            if pair_key in checked:
-                continue
-            checked.add(pair_key)
-            verdict = cross_iteration(w, other, loop_ranges, invariant)
-            note_fallback(verdict, w, other)
-            if verdict.relation == "disjoint":
-                continue
-            detail = ("carries a dependence across iterations"
-                      if verdict.relation == "overlap"
-                      else "cannot be proven iteration-independent")
-            fields = (w.field,) if other.field == w.field \
-                else (w.field, other.field)
-            emit("MEA005", Severity.ERROR,
-                 f"{step.accel} write to {w.field} on buffer "
-                 f"{w.buffer!r} {detail}; OpenMP collapse is unsafe",
-                 fields, (w.buffer,), prover=verdict.prover)
+    for w, other, verdict in proof.cross:
+        note_fallback(verdict, w, other)
+        if verdict.relation == "disjoint":
+            continue
+        detail = ("carries a dependence across iterations"
+                  if verdict.relation == "overlap"
+                  else "cannot be proven iteration-independent")
+        fields = (w.field,) if other.field == w.field \
+            else (w.field, other.field)
+        emit("MEA005", Severity.ERROR,
+             f"{step.accel} write to {w.field} on buffer "
+             f"{w.buffer!r} {detail}; OpenMP collapse is unsafe",
+             fields, (w.buffer,), prover=verdict.prover)
 
 
 # -- static bounds rules (MEA015/016) -----------------------------------------
 
-def _check_step_bounds(step: AccelCallStep, step_index: int,
-                       schedule: Schedule, report: DiagnosticReport,
-                       vranges: Optional[ValueRanges] = None) -> None:
+def _check_step_bounds(proof: StepProof, step_index: int,
+                       report: DiagnosticReport) -> None:
     """Footprint-vs-allocation check for every address field.
 
     The footprint of a field is ``[min offset, max offset + extent)``
@@ -272,28 +247,12 @@ def _check_step_bounds(step: AccelCallStep, step_index: int,
     unbounded symbolic ranges the step is only *possibly* out of
     bounds (MEA016: demote with a warning).
     """
-    env = schedule.env
-    accesses = step_accesses(step, env)
-    loop_ranges, invariant = step_ranges(step, vranges)
-    ranges = {**invariant, **loop_ranges}
-    seen: Set[str] = set()
-    for acc in accesses:
-        if acc.field in seen:
+    step = proof.step
+    for fp in proof.footprints:
+        if fp.inside:
             continue
-        seen.add(acc.field)
-        info = env.buffers.get(acc.buffer)
-        if info is None or info.count <= 0 or acc.extent <= 0:
-            continue                # allocation size unknown
-        span = affine_interval(acc.offset, ranges)
-        total = info.total_bytes
-        lo = span.lo
-        hi = None if span.hi is None else span.hi + acc.extent - 1
-        if lo is not None and hi is not None \
-                and lo >= 0 and hi < total:
-            continue                # provably inside
-        exact = all(not coef or var in loop_ranges
-                    for var, coef in acc.offset.coefs.items())
-        if exact and lo is not None and hi is not None:
+        acc, lo, hi, total = fp.access, fp.lo, fp.hi, fp.total
+        if fp.exact and lo is not None and hi is not None:
             report.add(Diagnostic(
                 code="MEA015", severity=Severity.ERROR,
                 message=f"{step.accel} field {acc.field} touches "
@@ -305,7 +264,7 @@ def _check_step_bounds(step: AccelCallStep, step_index: int,
             continue
         unbounded = sorted(
             var for var, coef in acc.offset.coefs.items()
-            if coef and not ranges.get(var, TOP).is_bounded)
+            if coef and not proof.ranges.get(var, TOP).is_bounded)
         why = (f"the range of {', '.join(unbounded)!s} is unbounded"
                if unbounded else "the derived ranges are inexact")
         report.add(Diagnostic(
@@ -332,15 +291,15 @@ def check_program(program: Program, schedule: Schedule,
         facts = ProgramFacts(program, schedule.env)
     assert facts.program is program and facts.env is schedule.env
     report = DiagnosticReport()
-    vranges = facts.ranges
     _check_lifecycle(facts, report)
     _check_dead_buffers(facts, report)
     escaped = _escaped_buffers(facts)
     for idx, step in enumerate(schedule.steps):
         if not isinstance(step, AccelCallStep):
             continue
-        _check_step_aliasing(step, idx, schedule, report, vranges)
-        _check_step_bounds(step, idx, schedule, report, vranges)
+        proof = facts.step_proof(idx, step)
+        _check_step_aliasing(proof, idx, report)
+        _check_step_bounds(proof, idx, report)
         if not step.omp:
             continue
         touched = [b for b in dict.fromkeys(step.in_bufs
@@ -357,7 +316,7 @@ def check_program(program: Program, schedule: Schedule,
                 loc=step.loc, buffers=tuple(touched), step_index=idx,
                 chain=escaped[buf]))
             continue
-        report.extend(classify_races(step, idx, schedule.env, vranges))
+        report.extend(classify_races(proof, idx))
     return report.sort()
 
 

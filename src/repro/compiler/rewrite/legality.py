@@ -47,10 +47,11 @@ from typing import Dict, List, Optional, Set, Tuple, cast
 
 from repro.compiler.affine import Affine, AffineError
 from repro.compiler.analysis.alias import (cross_iteration_verdict,
+                                           prove_step,
                                            same_iteration_verdict,
                                            step_accesses, step_ranges)
 from repro.compiler.analysis.certificates import CertFact
-from repro.compiler.analysis.ranges import Interval, ValueRanges
+from repro.compiler.analysis.ranges import ValueRanges
 from repro.compiler.cast import Ident
 from repro.compiler.recognizer import (AccelCallStep, AllocStep, FreeStep,
                                        HostCallStep, PlanDestroyStep)
@@ -372,7 +373,8 @@ def split_step(step: AccelCallStep, parts: int, env: CompileEnv,
     """Tile a non-looped AXPY into ``parts`` LOOP iterations.
 
     The partition must be exact; the tiled step then re-proves its
-    carried-dependence freedom like any looped step, which makes the
+    carried-dependence freedom like any looped step (its
+    cross-iteration verdicts from :func:`prove_step`), which makes the
     rewrite's certificate self-contained.
     """
     if step.accel != "AXPY":
@@ -407,25 +409,16 @@ def split_step(step: AccelCallStep, parts: int, env: CompileEnv,
         "split-exact-partition", "constant-distance",
         f"n={n} into {parts} tiles of {chunk}")]
 
-    acc = step_accesses(tiled, env)
-    loop_ranges = {var: Interval.bounded(0, parts - 1)}
-    _, invariant = step_ranges(tiled, vranges)
-    for w in (a for a in acc if a.writes):
-        for other in acc:
-            if other.buffer != w.buffer:
-                continue
-            verdict = cross_iteration_verdict(
-                w.offset, w.extent, other.offset, other.extent,
-                loop_ranges, invariant)
-            if verdict.relation != "disjoint":
-                return LegalityVerdict(
-                    ok=False, prover=verdict.prover,
-                    buffers=(w.buffer,),
-                    reason=f"tiled {w.field} carries a dependence "
-                           f"across tiles ({verdict.relation})"), None
-            facts.append(CertFact(
-                "carried-dependence-free", verdict.prover,
-                f"{w.field} vs {other.field} on {w.buffer!r} "
-                "across tiles"))
+    for w, other, verdict in prove_step(tiled, env, vranges).cross:
+        if verdict.relation != "disjoint":
+            return LegalityVerdict(
+                ok=False, prover=verdict.prover,
+                buffers=(w.buffer,),
+                reason=f"tiled {w.field} carries a dependence "
+                       f"across tiles ({verdict.relation})"), None
+        facts.append(CertFact(
+            "carried-dependence-free", verdict.prover,
+            f"{w.field} vs {other.field} on {w.buffer!r} "
+            "across tiles"))
     return LegalityVerdict(ok=True, prover=facts[-1].prover,
                            facts=tuple(facts)), tiled

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union, cast
+from typing import List, Tuple, Union, cast
 
+from repro.accel.layer import ACCELERATOR_TYPES
 from repro.compiler.analysis.facts import ProgramFacts
 from repro.compiler.analysis.rules import (AnalysisResult,
                                            apply_demotions,
@@ -30,13 +31,10 @@ from repro.compiler.diagnostics import DiagnosticReport
 from repro.compiler.errors import AnalysisRejected
 from repro.compiler.passes import DescriptorStep, optimize
 from repro.compiler.recognizer import (AccelCallStep, HostCallStep,
-                                       RecognizerError, Schedule,
-                                       recognize)
+                                       ParamsProto, RecognizerError,
+                                       Schedule, recognize)
 from repro.compiler.semantics import CompileEnv
-from repro.mkl.profiles import (OpProfile, axpy_profile, cdotc_profile,
-                                cherk_profile, ctrsm_profile, dot_profile,
-                                fft_profile, gemv_profile, reshp_profile,
-                                resmp_profile)
+from repro.mkl.profiles import OpProfile, cherk_profile, ctrsm_profile
 
 #: Fixed host cost per library-call invocation (dispatch, OpenMP
 #: scheduling); what makes 16M tiny cdotc calls expensive even on the
@@ -152,53 +150,27 @@ def translate(source: Union[str, Program],
 
 # -- profiles -----------------------------------------------------------------
 
-def _dim(s: Dict[str, object], key: str) -> int:
-    """A scalar from a recognised parameter record, as the int it is.
-
-    ``PrototypeRecord.scalars`` is typed ``Dict[str, object]`` because
-    records also carry non-dimension payloads; every *dimension* the
-    recognizer stores is an int, which this narrows for the profiles.
-    """
-    return cast(int, s[key])
+#: one core of each accelerator, for the operation profiles
+_CORES = {cls.name: cls() for cls in ACCELERATOR_TYPES}
 
 
-def _accel_profile(accel: str, s: Dict[str, object]) -> OpProfile:
-    """Profile of one invocation of an accelerator parameter record."""
-    if accel == "AXPY":
-        return axpy_profile(_dim(s, "n"))
-    if accel == "DOT":
-        if s.get("dtype", 0):
-            return cdotc_profile(_dim(s, "n"))
-        return dot_profile(_dim(s, "n"))
-    if accel == "GEMV":
-        return gemv_profile(_dim(s, "m"), _dim(s, "n"))
-    if accel == "SPMV":
-        nnz, rows = _dim(s, "nnz"), _dim(s, "rows")
-        return OpProfile(
-            "SPMV", flops=2.0 * nnz,
-            bytes_read=nnz * 16 + (rows + 1) * 8,
-            bytes_written=rows * 4, pattern="gather")
-    if accel == "RESMP":
-        return resmp_profile(_dim(s, "n_in"), _dim(s, "n_out"),
-                             _dim(s, "blocks"))
-    if accel == "FFT":
-        return fft_profile(_dim(s, "n"), _dim(s, "batch"))
-    if accel == "RESHP":
-        return reshp_profile(_dim(s, "rows"), _dim(s, "cols"),
-                             _dim(s, "elem_bytes"))
-    raise RecognizerError(f"no profile for accelerator {accel!r}")
-
-
-def accel_step_profile(step: AccelCallStep, env: CompileEnv) -> OpProfile:
-    """Profile of ONE invocation of an accelerated call site."""
-    return _accel_profile(step.accel, step.proto.scalars)
+def accel_step_profile(step: Union[AccelCallStep, HostCallStep],
+                       env: CompileEnv) -> OpProfile:
+    """Profile of ONE invocation of an accelerated call site, or of a
+    demoted one, from the accelerator core itself (no profile reads an
+    address, so every one is zero)."""
+    proto = cast(ParamsProto, step.proto)
+    params = proto.instantiate(
+        {buf: 0 for buf, _ in proto.addrs.values()},
+        {var: 0 for _, off in proto.addrs.values() for var in off.coefs})
+    return _CORES[step.accel].profile(params)
 
 
 def host_step_profile(step: HostCallStep, env: CompileEnv) -> OpProfile:
     """Profile of ONE invocation of a host (compute-bounded) call."""
     if step.demoted:
         # a demoted accelerated call: same operation, host library
-        return _accel_profile(step.accel, step.proto.scalars)
+        return accel_step_profile(step, env)
     if step.func == "cblas_cherk":
         n = int(env.eval_const(step.args[0]))
         k = int(env.eval_const(step.args[1]))

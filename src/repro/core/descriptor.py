@@ -237,3 +237,8 @@ def set_command(data: bytearray, command: int) -> None:
     The integrity checksum deliberately excludes this word, so ringing
     the doorbell leaves a sealed descriptor valid."""
     struct.pack_into("<I", data, COMMAND_OFFSET, command)
+
+
+def command_word(command: int) -> bytes:
+    """The bytes of the command word stored at ``COMMAND_OFFSET``."""
+    return struct.pack("<I", command)

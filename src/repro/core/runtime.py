@@ -44,11 +44,11 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
 
 from repro.accel.tile import TileFailedError
 from repro.core.config_unit import ConfigurationUnit
-from repro.core.descriptor import (CMD_IDLE, CMD_START,
+from repro.core.descriptor import (CMD_IDLE, CMD_START, COMMAND_OFFSET,
                                    DescriptorError,
                                    DescriptorIntegrityError,
-                                   EncodedDescriptor, encode, encoded_size,
-                                   set_command)
+                                   EncodedDescriptor, command_word, encode,
+                                   encoded_size, set_command)
 from repro.core.invocation import InvocationModel
 from repro.core.tdl import ParamStore, TdlProgram, parse_tdl
 from repro.faults.datapath import DatapathEcc
@@ -352,7 +352,7 @@ class MealibRuntime:
         while True:
             # (re-)deliver the golden descriptor image and ring START:
             # this is also what repairs in-DRAM descriptor corruption
-            self._write_descriptor(plan, CMD_START)
+            self._write_descriptor(plan)
             try:
                 execution = self.cu.run_descriptor(
                     plan.descriptor.base_pa, plan.descriptor.size,
@@ -361,7 +361,7 @@ class MealibRuntime:
                     UncorrectableEccError, CuHangError) as exc:
                 # no tile can serve: straight to the host; a detected
                 # fault: retry until the budget is spent
-                self._write_descriptor(plan, CMD_IDLE)
+                self._ring_idle(plan)
                 total = total.plus(self._drain_correction_costs())
                 total = total.plus(self._account_fault(exc))
                 if (isinstance(exc, TileFailedError)
@@ -372,7 +372,7 @@ class MealibRuntime:
                 attempt += 1
                 total = total.plus(self._account_retry(plan, attempt))
             else:
-                self._write_descriptor(plan, CMD_IDLE)
+                self._ring_idle(plan)
                 total = total.plus(self._drain_correction_costs())
                 for accel_name, share in execution.by_accelerator.items():
                     self.ledger.log("accelerator", accel_name, share)
@@ -395,12 +395,18 @@ class MealibRuntime:
 
     # -- hardened-execution internals ----------------------------------------
 
-    def _write_descriptor(self, plan: AccPlan, command: int) -> None:
-        """Store the full golden descriptor image with ``command`` in its
-        CR (descriptor delivery + doorbell)."""
+    def _write_descriptor(self, plan: AccPlan) -> None:
+        """Store the full golden descriptor image with START in its CR
+        (descriptor delivery + doorbell)."""
         buf = bytearray(plan.descriptor.data)
-        set_command(buf, command)
+        set_command(buf, CMD_START)
         self.space.pa_write(plan.descriptor.base_pa, bytes(buf))
+
+    def _ring_idle(self, plan: AccPlan) -> None:
+        """Return the CR to IDLE: only the command word changes; the
+        next START delivers the whole image again."""
+        self.space.pa_write(plan.descriptor.base_pa + COMMAND_OFFSET,
+                            command_word(CMD_IDLE))
 
     def _drain_correction_costs(self) -> ExecResult:
         """Charge ECC costs accumulated since the last drain to the

@@ -164,16 +164,19 @@ def one_level_dot(trip, delta):
 def test_operand_spans_widen_one_level_table_over_count(trip):
     """A one-level table is linear over the LOOP count whatever its
     trip, as ``offset_columns`` runs it: 8 iterations of 64-byte
-    windows 64 bytes apart read 512 bytes of each operand, and the
-    decoded plan's ``reads`` (what the datapath ECC adjudicates) cover
+    windows 64 bytes apart read 512 bytes of each operand, the eight
+    result cells 4 bytes apart are written, and the decoded plan's
+    ``reads``/``writes`` (what the datapath ECC adjudicates) cover
     them all."""
     comp = one_level_dot(trip, 64)
     columns = offset_columns(comp.strides, range(8))
     assert columns["x_pa"] == [64 * i for i in range(8)]
-    reads, _ = comp.core.operand_spans(comp.params, 8, comp.strides)
+    reads, writes = comp.core.operand_spans(comp.params, 8, comp.strides)
     assert reads == [(0x10000, 512), (0x20000, 512)]
-    assert _checked_plan((comp,), 8).reads == ((0x10000, 512),
-                                               (0x20000, 512))
+    assert writes == [(0x30000, 32)]
+    plan = _checked_plan((comp,), 8)
+    assert plan.reads == ((0x10000, 512), (0x20000, 512))
+    assert plan.writes == ((0x30000, 32),)
 
 
 def test_checked_plan_rejects_linear_reach_past_addr_limit():

@@ -21,7 +21,12 @@ exactly:
   fusions;
 * :func:`reference_eval_args` and :class:`ReferenceInterpreter`, the
   per-iteration argument resolution both interpreters used before
-  :func:`repro.compiler.interp.bind_args` bound each call site once.
+  :func:`repro.compiler.interp.bind_args` bound each call site once;
+* :func:`reference_check_step_aliasing`,
+  :func:`reference_check_step_bounds`, :func:`reference_classify_races`,
+  :func:`reference_certify_step` and :func:`reference_split_step`, each
+  proving a step on its own before they all read one
+  :func:`repro.compiler.analysis.alias.prove_step` record.
 
 The reference tokenizer is the straightforward path: at each position
 try whitespace, an identifier, a number, the multi-character operators
@@ -36,16 +41,29 @@ hex last, so ``0x10`` lexed as ``0`` then ``x10``. ``hex_first=True``
 ``hex_first=False`` is the old lexer exactly.
 """
 
+import dataclasses
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, cast
 
+from repro.compiler.affine import Affine
+from repro.compiler.analysis.alias import (INPLACE_EXACT_OK,
+                                           FieldAccess,
+                                           cross_iteration_verdict,
+                                           same_iteration_verdict,
+                                           step_accesses, step_ranges)
+from repro.compiler.analysis.certificates import (CertFact,
+                                                  SafetyCertificate)
 from repro.compiler.analysis.cfg import BasicBlock, Cfg
 from repro.compiler.analysis.dataflow import (EMPTY as NO_FACTS, Facts,
                                               Liveness, Transfer)
+from repro.compiler.analysis.deptest import DepVerdict
+from repro.compiler.analysis.races import (fallback_note,
+                                           is_recognized_reduction,
+                                           shared_interval)
 from repro.compiler.analysis.ranges import (_NARROW_ROUNDS, _WIDEN_AFTER,
                                             TOP, Interval, State,
-                                            ValueRanges)
+                                            ValueRanges, affine_interval)
 from repro.compiler.cast import (AddrOf, BinOp, Call, CParseError, Expr,
                                  Ident, Index, InitList, Num, Program,
                                  Sizeof, VarDecl)
@@ -55,8 +73,11 @@ from repro.compiler.inline import inline_body
 from repro.compiler import interp
 from repro.compiler.interp import (_SIGNATURES, ArrayRef, InterpError,
                                    OriginalInterpreter)
+from repro.compiler.diagnostics import (Diagnostic, DiagnosticReport,
+                                        Severity)
 from repro.compiler.recognizer import AccelCallStep, Schedule
-from repro.compiler.semantics import SemanticError
+from repro.compiler.rewrite.legality import LegalityVerdict
+from repro.compiler.semantics import CompileEnv, SemanticError
 
 # -- reference tokenizer -----------------------------------------------------
 
@@ -648,3 +669,427 @@ class ReferenceInterpreter(OriginalInterpreter):
     def _eval_call(self, call):
         interp._call_function(self.env, call.func, reference_eval_args(
             self.env, call.func, call.args, self.bindings, self._array))
+
+
+# -- reference per-step proofs ------------------------------------------------
+#
+# The rule engine's alias, bounds and race checks, the certifier and
+# the split primitive as they were when each built the step's accesses
+# and ranges and asked every dependence question itself. The library
+# answers them once per step (``prove_step``); every finding,
+# certificate and split verdict must come out the same.
+
+def same_iteration(a: FieldAccess, b: FieldAccess,
+                   loop_ranges: Dict[str, Interval],
+                   invariant: Optional[Dict[str, Interval]] = None
+                   ) -> DepVerdict:
+    """Full verdict for two fields within one invocation."""
+    ranges = {**(invariant or {}), **loop_ranges}
+    return same_iteration_verdict(a.offset, a.extent,
+                                  b.offset, b.extent, ranges)
+
+
+def cross_iteration(w: FieldAccess, f: FieldAccess,
+                    loop_ranges: Dict[str, Interval],
+                    invariant: Optional[Dict[str, Interval]] = None
+                    ) -> DepVerdict:
+    """Full verdict for ``w`` vs ``f`` across distinct iterations."""
+    return cross_iteration_verdict(w.offset, w.extent,
+                                   f.offset, f.extent,
+                                   loop_ranges, invariant or {})
+
+
+def reference_check_step_aliasing(step: AccelCallStep, step_index: int,
+                                  schedule: Schedule,
+                                  report: DiagnosticReport,
+                                  vranges: Optional[ValueRanges] = None) -> None:
+    env = schedule.env
+    accesses = step_accesses(step, env)
+    loop_ranges, invariant = step_ranges(step, vranges)
+    writes = [a for a in accesses if a.writes]
+    seen: Set[Tuple] = set()
+
+    def emit(code: str, severity: Severity, message: str,
+             fields: Tuple[str, ...], buffers: Tuple[str, ...],
+             prover: str = "") -> None:
+        key = (code, step_index, tuple(sorted(fields)))
+        if key in seen:
+            return
+        seen.add(key)
+        report.add(Diagnostic(code=code, severity=severity,
+                              message=message, loc=step.loc,
+                              buffers=buffers, step_index=step_index,
+                              prover=prover))
+
+    def note_fallback(verdict: DepVerdict, w, other) -> None:
+        if verdict.fallback:
+            emit("MEA017", Severity.INFO,
+                 fallback_note(verdict, w, other),
+                 (w.field, other.field), (w.buffer,),
+                 prover=verdict.prover)
+
+    for w in writes:
+        for other in accesses:
+            if other.field == w.field or other.buffer != w.buffer:
+                continue
+            verdict = same_iteration(w, other, loop_ranges, invariant)
+            note_fallback(verdict, w, other)
+            rel = verdict.relation
+            if rel == "exact" and step.accel in INPLACE_EXACT_OK:
+                continue
+            if rel in ("exact", "overlap", "unknown"):
+                detail = ("aliases" if rel != "unknown"
+                          else "may alias")
+                emit("MEA002", Severity.ERROR,
+                     f"{step.accel} output {w.field} {detail} "
+                     f"{other.field} on buffer {w.buffer!r} "
+                     "(in-place operation is not supported by this "
+                     "accelerator)", (w.field, other.field),
+                     (w.buffer,), prover=verdict.prover)
+
+    if not step.looped or step.omp:
+        # omp-collapsed steps answer to the race detector (MEA008-010)
+        # instead of the serial loop-compaction rule below
+        return
+    for w in writes:
+        checked: Set[Tuple] = set()
+        for other in accesses:
+            if other.buffer != w.buffer:
+                continue
+            pair_key = tuple(sorted({w.field, other.field}))
+            if pair_key in checked:
+                continue
+            checked.add(pair_key)
+            verdict = cross_iteration(w, other, loop_ranges, invariant)
+            note_fallback(verdict, w, other)
+            if verdict.relation == "disjoint":
+                continue
+            detail = ("carries a dependence across iterations"
+                      if verdict.relation == "overlap"
+                      else "cannot be proven iteration-independent")
+            fields = (w.field,) if other.field == w.field \
+                else (w.field, other.field)
+            emit("MEA005", Severity.ERROR,
+                 f"{step.accel} write to {w.field} on buffer "
+                 f"{w.buffer!r} {detail}; OpenMP collapse is unsafe",
+                 fields, (w.buffer,), prover=verdict.prover)
+
+
+
+def reference_check_step_bounds(step: AccelCallStep, step_index: int,
+                                schedule: Schedule, report: DiagnosticReport,
+                                vranges: Optional[ValueRanges] = None) -> None:
+    """Footprint-vs-allocation check for every address field.
+
+    The footprint of a field is ``[min offset, max offset + extent)``
+    over the derived variable ranges. An affine attains its interval
+    bounds at corners of the iteration box, so when every variable in
+    the offset is an exact loop variable a violation is *provable*
+    (MEA015: reject — some iteration really touches bytes outside the
+    allocation). When the interval involves over-approximated or
+    unbounded symbolic ranges the step is only *possibly* out of
+    bounds (MEA016: demote with a warning).
+    """
+    env = schedule.env
+    accesses = step_accesses(step, env)
+    loop_ranges, invariant = step_ranges(step, vranges)
+    ranges = {**invariant, **loop_ranges}
+    seen: Set[str] = set()
+    for acc in accesses:
+        if acc.field in seen:
+            continue
+        seen.add(acc.field)
+        info = env.buffers.get(acc.buffer)
+        if info is None or info.count <= 0 or acc.extent <= 0:
+            continue                # allocation size unknown
+        span = affine_interval(acc.offset, ranges)
+        total = info.total_bytes
+        lo = span.lo
+        hi = None if span.hi is None else span.hi + acc.extent - 1
+        if lo is not None and hi is not None \
+                and lo >= 0 and hi < total:
+            continue                # provably inside
+        exact = all(not coef or var in loop_ranges
+                    for var, coef in acc.offset.coefs.items())
+        if exact and lo is not None and hi is not None:
+            report.add(Diagnostic(
+                code="MEA015", severity=Severity.ERROR,
+                message=f"{step.accel} field {acc.field} touches "
+                        f"bytes [{lo}, {hi}] of buffer "
+                        f"{acc.buffer!r}, outside its allocated "
+                        f"[0, {total}) byte interval",
+                loc=step.loc, buffers=(acc.buffer,),
+                step_index=step_index, prover="interval-bounds"))
+            continue
+        unbounded = sorted(
+            var for var, coef in acc.offset.coefs.items()
+            if coef and not ranges.get(var, TOP).is_bounded)
+        why = (f"the range of {', '.join(unbounded)!s} is unbounded"
+               if unbounded else "the derived ranges are inexact")
+        report.add(Diagnostic(
+            code="MEA016", severity=Severity.WARNING,
+            message=f"{step.accel} field {acc.field} cannot be "
+                    f"proven inside buffer {acc.buffer!r}'s "
+                    f"[0, {total}) byte interval ({why}); demoting "
+                    "the call to the host",
+            loc=step.loc, buffers=(acc.buffer,),
+            step_index=step_index, prover="interval-bounds"))
+
+
+
+def reference_classify_races(step: AccelCallStep, step_index: int,
+                             env: CompileEnv,
+                             vranges: Optional[ValueRanges] = None
+                             ) -> List[Diagnostic]:
+    """Race findings for one omp-collapsed accelerated step.
+
+    Returns an empty list for iteration-disjoint steps, a single INFO
+    MEA010 for a recognized reduction, and ERROR findings (MEA008 /
+    MEA009 / MEA010) for everything racy. INFO MEA017 findings ride
+    along whenever a verdict needed the enumeration fallback.
+    """
+    findings: List[Diagnostic] = []
+    if not step.looped:
+        return findings
+    space = 1
+    for t in step.trips:
+        space *= t
+    if space <= 1:
+        return findings
+
+    accesses = step_accesses(step, env)
+    loop_ranges, invariant = step_ranges(step, vranges)
+    writes = [a for a in accesses if a.writes]
+
+    def emit(code: str, severity: Severity, message: str,
+             buffers: Tuple[str, ...], prover: str = "") -> None:
+        findings.append(Diagnostic(
+            code=code, severity=severity, message=message,
+            loc=step.loc, buffers=buffers, step_index=step_index,
+            chain=step.chain, prover=prover))
+
+    noted_fallbacks: Set[Tuple[str, str]] = set()
+
+    def note_fallback(verdict: DepVerdict, w: FieldAccess,
+                      other: FieldAccess) -> None:
+        if not verdict.fallback:
+            return
+        key = tuple(sorted({w.field, other.field}))
+        pair_key = (w.buffer, "/".join(key))
+        if pair_key in noted_fallbacks:
+            return
+        noted_fallbacks.add(pair_key)
+        emit("MEA017", Severity.INFO, fallback_note(verdict, w, other),
+             (w.buffer,), prover=verdict.prover)
+
+    seen_pairs: set = set()
+    for w in writes:
+        # -- write vs write (including the field against itself) ----------
+        for other in writes:
+            if other.buffer != w.buffer:
+                continue
+            pair = (w.buffer,) + tuple(sorted({w.field, other.field}))
+            if pair in seen_pairs:
+                continue
+            seen_pairs.add(pair)
+            verdict = cross_iteration(w, other, loop_ranges, invariant)
+            note_fallback(verdict, w, other)
+            if verdict.relation == "disjoint":
+                continue
+            shared = (w.field == other.field
+                      and shared_interval(w, step.loop_vars))
+            if shared and is_recognized_reduction(step):
+                emit("MEA010", Severity.INFO,
+                     f"{step.accel} accumulates into the shared "
+                     f"interval of buffer {w.buffer!r}: recognized "
+                     "reduction; the LOOP descriptor serialises "
+                     "iterations, so the offload is safe",
+                     (w.buffer,), prover=verdict.prover)
+                continue
+            if shared:
+                emit("MEA010", Severity.ERROR,
+                     f"{step.accel} overwrites the shared interval of "
+                     f"buffer {w.buffer!r} from every iteration and "
+                     "the update is not a recognized reduction; "
+                     "parallel iterations race on the final value",
+                     (w.buffer,), prover=verdict.prover)
+                continue
+            detail = ("overlap" if verdict.relation == "overlap"
+                      else "cannot be proven disjoint")
+            emit("MEA008", Severity.ERROR,
+                 f"{step.accel} writes to {w.field} on buffer "
+                 f"{w.buffer!r} {detail} across parallel iterations "
+                 "(write-write race)", (w.buffer,),
+                 prover=verdict.prover)
+        # -- write vs pure reads of other fields --------------------------
+        for other in accesses:
+            if other.writes or other.buffer != w.buffer \
+                    or other.field == w.field:
+                continue
+            verdict = cross_iteration(w, other, loop_ranges, invariant)
+            note_fallback(verdict, w, other)
+            if verdict.relation == "disjoint":
+                continue
+            detail = ("overlaps" if verdict.relation == "overlap"
+                      else "cannot be proven disjoint from")
+            emit("MEA009", Severity.ERROR,
+                 f"{step.accel} write to {w.field} {detail} the "
+                 f"{other.field} read of another iteration on buffer "
+                 f"{w.buffer!r} (read-write race)", (w.buffer,),
+                 prover=verdict.prover)
+    return findings
+
+
+def reference_certify_step(step: AccelCallStep, step_index: int,
+                           env: CompileEnv,
+                           vranges: Optional[ValueRanges] = None
+                           ) -> Optional[SafetyCertificate]:
+    """Prove the offload-safety facts for one accelerated step.
+
+    Returns ``None`` when a required fact cannot be established — the
+    caller must not offload such a step (the rule engine will have
+    demoted or rejected it already).
+    """
+    accesses = step_accesses(step, env)
+    loop_ranges, invariant = step_ranges(step, vranges)
+    writes = [a for a in accesses if a.writes]
+    facts: List[CertFact] = []
+
+    # within one invocation: the written field vs every other field
+    for w in writes:
+        for other in accesses:
+            if other.field == w.field or other.buffer != w.buffer:
+                continue
+            verdict = same_iteration(w, other, loop_ranges, invariant)
+            pair = f"{w.field} vs {other.field} on {w.buffer!r}"
+            if verdict.relation == "disjoint":
+                facts.append(CertFact("in-place-disjoint",
+                                      verdict.prover, pair))
+            elif verdict.relation == "exact" \
+                    and step.accel in INPLACE_EXACT_OK:
+                facts.append(CertFact("in-place-exact",
+                                      verdict.prover, pair))
+            else:
+                return None
+
+    # across iterations of the collapsed nest
+    space = 1
+    for t in step.trips:
+        space *= t
+    if step.looped and space > 1:
+        kind = ("iteration-disjoint" if step.omp
+                else "carried-dependence-free")
+        checked = set()
+        for w in writes:
+            for other in accesses:
+                if other.buffer != w.buffer:
+                    continue
+                pair_key = (w.buffer,) + tuple(
+                    sorted({w.field, other.field}))
+                if pair_key in checked:
+                    continue
+                checked.add(pair_key)
+                verdict = cross_iteration(w, other, loop_ranges,
+                                          invariant)
+                pair = (w.field if other.field == w.field
+                        else f"{w.field} vs {other.field}")
+                if verdict.relation == "disjoint":
+                    facts.append(CertFact(
+                        kind, verdict.prover,
+                        f"{pair} on {w.buffer!r}"))
+                    continue
+                if step.omp and w.field == other.field \
+                        and shared_interval(w, step.loop_vars) \
+                        and is_recognized_reduction(step):
+                    facts.append(CertFact(
+                        "recognized-reduction", "loop-serialisation",
+                        f"{pair} on {w.buffer!r}"))
+                    continue
+                return None
+
+    # the whole footprint stays inside each buffer's allocation
+    ranges = {**invariant, **loop_ranges}
+    for acc in accesses:
+        info = env.buffers.get(acc.buffer)
+        if info is None or info.count <= 0 or acc.extent <= 0:
+            continue                # size unknown: no claim made
+        span = affine_interval(acc.offset, ranges)
+        footprint = Interval(span.lo,
+                             None if span.hi is None
+                             else span.hi + acc.extent - 1)
+        if footprint.is_bounded and footprint.lo is not None \
+                and footprint.hi is not None \
+                and footprint.lo >= 0 \
+                and footprint.hi < info.total_bytes:
+            facts.append(CertFact(
+                "bounds-respected", "interval-bounds",
+                f"{acc.field} within {acc.buffer!r} "
+                f"[0, {info.total_bytes})"))
+
+    return SafetyCertificate(step_index=step_index, accel=step.accel,
+                             loc=step.loc, facts=tuple(facts))
+
+
+def reference_split_step(step: AccelCallStep, parts: int, env: CompileEnv,
+                         vranges: Optional[ValueRanges] = None
+                         ) -> Tuple[LegalityVerdict, Optional[AccelCallStep]]:
+    """Tile a non-looped AXPY into ``parts`` LOOP iterations.
+
+    The partition must be exact; the tiled step then re-proves its
+    carried-dependence freedom like any looped step, which makes the
+    rewrite's certificate self-contained.
+    """
+    if step.accel != "AXPY":
+        return LegalityVerdict(
+            ok=False,
+            reason=f"split is defined for elementwise AXPY, not "
+                   f"{step.accel}"), None
+    if step.looped:
+        return LegalityVerdict(
+            ok=False, reason="step is already loop-compacted"), None
+    n = cast(int, step.proto.scalars["n"])
+    if parts < 2 or n % parts != 0:
+        return LegalityVerdict(
+            ok=False, prover="constant-distance",
+            reason=f"n={n} does not partition exactly into "
+                   f"{parts} tiles"), None
+    chunk = n // parts
+    var = "__tile"
+    while any(var in off.coefs
+              for _, off in step.proto.addrs.values()):
+        var += "_"
+    addrs: Dict[str, Tuple[str, Affine]] = {}
+    for fld, (buf, off) in step.proto.addrs.items():
+        stride = chunk * env.buffers[buf].elem_size
+        addrs[fld] = (buf, off.add(Affine(coefs={var: stride})))
+    proto = dataclasses.replace(
+        step.proto, scalars={**step.proto.scalars, "n": chunk},
+        addrs=addrs)
+    tiled = dataclasses.replace(step, proto=proto, trips=(parts,),
+                                loop_vars=(var,))
+    facts: List[CertFact] = [CertFact(
+        "split-exact-partition", "constant-distance",
+        f"n={n} into {parts} tiles of {chunk}")]
+
+    acc = step_accesses(tiled, env)
+    loop_ranges = {var: Interval.bounded(0, parts - 1)}
+    _, invariant = step_ranges(tiled, vranges)
+    for w in (a for a in acc if a.writes):
+        for other in acc:
+            if other.buffer != w.buffer:
+                continue
+            verdict = cross_iteration_verdict(
+                w.offset, w.extent, other.offset, other.extent,
+                loop_ranges, invariant)
+            if verdict.relation != "disjoint":
+                return LegalityVerdict(
+                    ok=False, prover=verdict.prover,
+                    buffers=(w.buffer,),
+                    reason=f"tiled {w.field} carries a dependence "
+                           f"across tiles ({verdict.relation})"), None
+            facts.append(CertFact(
+                "carried-dependence-free", verdict.prover,
+                f"{w.field} vs {other.field} on {w.buffer!r} "
+                "across tiles"))
+    return LegalityVerdict(ok=True, prover=facts[-1].prover,
+                           facts=tuple(facts)), tiled

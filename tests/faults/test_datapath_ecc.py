@@ -333,3 +333,19 @@ def test_write_reencode_drops_latent_flips_without_cost():
     assert system.faults.stats.words_uncorrectable == 0
     assert system.runtime.counters.retries == 0
     assert word not in dict(system.faults.all_latent_words())
+
+
+def test_dot_result_write_drops_latent_flips():
+    # DOT's result cell has no timed stream, but the execute overwrites
+    # it: a double planted there is re-encoded away like any output
+    system = make_system(FaultInjector(seed=11))
+    plan, out = _build_functional(system, "DOT")
+    params = _params_of(system, plan, DotParams)
+    word = system.faults.plant_latent_flips(params.out_pa, [7, 9])
+    system.runtime.acc_execute(plan)
+    assert system.faults.latent_word_count == 0
+    assert system.faults.stats.words_rewritten == 1
+    assert system.faults.stats.words_uncorrectable == 0
+    assert system.runtime.counters.retries == 0
+    assert word not in dict(system.faults.all_latent_words())
+    np.testing.assert_allclose(out[0], 2048.0, rtol=1e-5)
