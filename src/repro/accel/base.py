@@ -170,13 +170,7 @@ class AcceleratorCore(ABC):
         # A tile only drives its own vault's TSV bus: deploying fewer
         # tiles than the device has vaults proportionally limits the
         # reachable bandwidth (a Fig 11 design-space axis).
-        if n_tiles < device.units:
-            stretched = mem.time * device.units / n_tiles
-            mem = MemResult(
-                time=stretched,
-                energy=mem.energy + device.static_power()
-                * (stretched - mem.time),
-                bytes_moved=mem.bytes_moved)
+        mem = device.stretch_for_tiles(mem, n_tiles)
         rate = self.compute_rate(freq, tiles)
         t_compute = prof.flops / rate if prof.flops else 0.0
         time = max(mem.time, t_compute, 1e-12)
@@ -261,14 +255,6 @@ class AcceleratorCore(ABC):
                 start = min(old_start, start)
                 spans[idx] = (start, end - start)
         return by_direction(spans)
-
-    # -- descriptor plumbing --------------------------------------------------
-
-    def pack_params(self, params) -> bytes:
-        return params.pack()
-
-    def unpack_params(self, data: bytes):
-        return self.params_type.unpack(data)
 
 
 # -- LOOP stride tables -------------------------------------------------------

@@ -313,7 +313,7 @@ class ConfigurationUnit:
         strides = None
         base_size = core.params_type.SIZE
         try:
-            params = core.unpack_params(blob)
+            params = core.params_type.unpack(blob)
             if instr.param_size > base_size:
                 strides = unpack_strides(core.params_type,
                                          blob[base_size:])
@@ -507,13 +507,7 @@ class ConfigurationUnit:
         tiles also stretch the DRAM time (each tile drives only its own
         vault's TSV bus) and shrink the deployed compute lanes.
         """
-        if n_serve < self.device.units:
-            stretched = mem.time * self.device.units / n_serve
-            mem = MemResult(
-                time=stretched,
-                energy=mem.energy + self.device.static_power()
-                * (stretched - mem.time),
-                bytes_moved=mem.bytes_moved)
+        mem = self.device.stretch_for_tiles(mem, n_serve)
         compute_times = {}
         for comp in plan.comps:
             prof = comp.core.profile(comp.params)

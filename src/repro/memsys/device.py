@@ -2,9 +2,10 @@
 
 A *device* is a set of parallel units (HMC vaults or DDR channels), each a
 :class:`~repro.memsys.vault.VaultController`. A request trace is split by
-the address mapping across units, each unit drains its share concurrently,
-and the device-level drain time is the slowest unit. Energy is assembled
-from the per-bank event counters plus static power over the drain time.
+the address mapping across units, each unit drains its share concurrently
+from a quiescent vault (a drain holds no state), and the device-level
+drain time is the slowest unit. Energy is assembled from the drains'
+event counters plus static power over the drain time.
 """
 
 from __future__ import annotations
@@ -14,14 +15,10 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.memsys.address import AddressMapping
-from repro.memsys.bank import BankStats
 from repro.memsys.energy import DramEnergy
-from repro.memsys.result import MemResult
+from repro.memsys.result import BankStats, MemResult
 from repro.memsys.timing import DramTiming
 from repro.memsys.vault import VaultController, VaultResult
-
-#: A device-level request: (physical address, is_write).
-Request = Tuple[int, bool]
 
 
 class MemoryDevice:
@@ -30,6 +27,13 @@ class MemoryDevice:
     def __init__(self, timing: DramTiming, energy: DramEnergy, units: int,
                  interleave_bytes: int, reorder_window: int = 8,
                  name: str = "dram", ecc=None):
+        if (isinstance(reorder_window, bool)
+                or not isinstance(reorder_window, int)):
+            raise TypeError("reorder_window must be an int, got "
+                            f"{type(reorder_window).__name__}")
+        if reorder_window < 1:
+            raise ValueError(
+                f"reorder_window must be >= 1, got {reorder_window}")
         self.timing = timing
         self.energy = energy
         self.units = units
@@ -64,6 +68,21 @@ class MemoryDevice:
         """Background power of the whole device in watts."""
         return self.total_banks * self.energy.p_static_per_bank
 
+    def stretch_for_tiles(self, mem: MemResult, tiles: int) -> MemResult:
+        """``mem`` as reached by ``tiles`` accelerator tiles.
+
+        A tile only drives its own unit's bus, so fewer tiles than units
+        stretch the drain time by ``units / tiles``, and the stretch is
+        priced at static power. The result carries no event counters.
+        """
+        if tiles >= self.units:
+            return mem
+        stretched = mem.time * self.units / tiles
+        return MemResult(
+            time=stretched,
+            energy=mem.energy + self.static_power() * (stretched - mem.time),
+            bytes_moved=mem.bytes_moved)
+
     def run_trace_arrays(self, addrs: np.ndarray,
                          writes: np.ndarray) -> MemResult:
         """Drain a trace of parallel (address, is_write) arrays and
@@ -72,12 +91,12 @@ class MemoryDevice:
         Each request moves ``request_bytes`` of payload. The batch
         decompose and the per-unit split are vectorized (one stable
         argsort of the unit column keeps the trace order within each
-        unit, a ``bincount`` sizes each unit's share). Each unit drains
-        its share on a fresh controller (a drain models one operation
-        executing from a quiescent device), so units whose
-        (bank, row, is_write) columns are byte-identical drain to the
-        same result: each distinct column triple is drained once, keyed
-        in a dict that lives only for this call. Results are
+        unit, a ``bincount`` sizes each unit's share). A drain is a pure
+        function of its columns (it models one operation executing from
+        a quiescent device), so units whose (bank, row, is_write)
+        columns are byte-identical drain to the same result: each
+        distinct column triple is drained once, keyed in a dict that
+        lives only for this call. Results are
         element-for-element identical to the scalar reference walk
         (``tests/memsys/test_vectorized_diff.py``).
         """
@@ -89,6 +108,7 @@ class MemoryDevice:
             narrow = units.astype(np.min_scalar_type(self.units - 1))
             order = np.argsort(narrow, kind="stable")
             banks, rows, writes = banks[order], rows[order], writes[order]
+            controller = VaultController(self.timing, self.reorder_window)
             drained: Dict[Tuple[bytes, ...], VaultResult] = {}
             stop = 0
             for size in np.bincount(units, minlength=self.units).tolist():
@@ -100,8 +120,6 @@ class MemoryDevice:
                 key = tuple(c.tobytes() for c in columns)
                 result = drained.get(key)
                 if result is None:
-                    controller = VaultController(self.timing,
-                                                 self.reorder_window)
                     result = controller.service_arrays(*columns)
                     drained[key] = result
                 finish = max(finish, result.finish_time)

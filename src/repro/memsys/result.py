@@ -1,10 +1,35 @@
-"""Result record returned by every memory-device simulation."""
+"""Result records returned by every memory-device simulation."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.memsys.bank import BankStats
+
+@dataclass
+class BankStats:
+    """Event counters used by the energy model."""
+
+    activates: int = 0
+    row_hits: int = 0
+    row_misses: int = 0
+    reads: int = 0
+    writes: int = 0
+
+    def merge(self, other: "BankStats") -> None:
+        self.activates += other.activates
+        self.row_hits += other.row_hits
+        self.row_misses += other.row_misses
+        self.reads += other.reads
+        self.writes += other.writes
+
+    @property
+    def accesses(self) -> int:
+        return self.reads + self.writes
+
+    @property
+    def row_hit_rate(self) -> float:
+        total = self.row_hits + self.row_misses
+        return self.row_hits / total if total else 0.0
 
 
 @dataclass

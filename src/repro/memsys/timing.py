@@ -4,7 +4,7 @@ All times are in seconds. Each parameter set describes one *data bus*
 (a DDR channel or an HMC-style vault) and the banks behind it. The values
 are drawn from public DDR3-1600 datasheets and from the CACTI-3DD /
 HMC-gen1 ballpark the paper cites; they are inputs to the cycle-level bank
-model in :mod:`repro.memsys.bank`, not fitted constants.
+model in :mod:`repro.memsys.vault`, not fitted constants.
 """
 
 from __future__ import annotations

@@ -21,11 +21,11 @@ per-touch coalescer and gang loop they replace are the references in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.memsys.device import MemoryDevice, Request
+from repro.memsys.device import MemoryDevice
 from repro.memsys.result import MemResult
 
 #: Default number of elements sampled per simulation across all streams.
@@ -209,18 +209,6 @@ def _merge_window_arrays(streams: Sequence[StreamSpec],
     order = np.argsort(gang_start / np.repeat(sizes, sizes), kind="stable")
     writes = np.repeat([s.is_write for s in streams], sizes)
     return np.concatenate(windows)[order], writes[order]
-
-
-def merge_streams(streams: Sequence[StreamSpec], n_samples: Sequence[int],
-                  burst_bytes: int) -> List[Request]:
-    """Interleave per-stream request windows in proportional round-robin.
-
-    Each stream issues a gang of requests, then the stream that is least
-    far through its window goes next — modeling concurrent stream buffers
-    draining at matched rates.
-    """
-    addrs, writes = _merge_window_arrays(streams, n_samples, burst_bytes)
-    return [(int(a), bool(w)) for a, w in zip(addrs, writes)]
 
 
 def simulate_streams(device: MemoryDevice, streams: Sequence[StreamSpec],

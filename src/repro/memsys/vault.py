@@ -6,29 +6,33 @@ that hits an already-open row, falling back to the oldest request. This is
 the scheduling policy real vault controllers (and the paper's in-house
 simulator) use to recover row-buffer locality from interleaved streams.
 
-The drain loop here is the flattened twin of :meth:`Bank.access`: bank
-state lives in local lists and the per-access arithmetic is inlined, so
-a 64K-request window drains without any per-request attribute or method
-dispatch. Each input column becomes a Python list once (numpy
-``tolist``), with no per-element conversion. Most requests are row hits
-at the head of the queue, so the head is tested first and the rest of
-the reorder window is scanned only when the head misses. Every float
-operation happens in exactly the order (and with exactly the operands)
-of the reference bank FSM — the timing recurrence
-``finish = max(col + t_cas, bus_free) + t_burst`` is a genuine serial
-dependence and must not be reassociated, which is why it stays a lean
-loop instead of a numpy kernel (see DESIGN.md). The rest of the FSM's
-bookkeeping is exact by monotonicity, given the non-negative delays
-:class:`DramTiming` enforces: a reorder swap only permutes requests, so
-per-bank request and write counts are ``bincount``s of the input and
-the loop counts only misses; ``done`` never decreases, so the drain
-finishes at the last burst; ``ready_pre`` never decreases and an
-open-row miss activates after ``ready_pre + t_rp`` anyway, so
-``ready_act = max(ready_act, ready_pre + t_rp)`` is folded once per
-touched bank after the loop; and a hit issues at ``col_at >=
-ready_col``, so it sets ``ready_col = col_at + t_ccd`` uncompared.
-Bit-identity against the reference :class:`Bank` FSM drain, which lives
-in the tests, is pinned by ``tests/memsys/test_vectorized_diff.py``.
+A drain is a pure function of its columns: every bank starts closed,
+every ready time and the bus start at 0, and nothing outlives the call
+(a drain models one operation executing from a quiescent device). The
+drain loop is the flattened twin of the per-bank row-buffer FSM that
+the tests keep as the reference: bank state lives in local lists and
+the per-access arithmetic is inlined, so a 64K-request window drains
+without any per-request attribute or method dispatch. Each input column
+becomes a Python list once (numpy ``tolist``), with no per-element
+conversion. Most requests are row hits at the head of the queue, so the
+head is tested first and the rest of the reorder window is scanned only
+when the head misses. Every float operation happens in exactly the
+order (and with exactly the operands) of the reference FSM — the timing
+recurrence ``finish = max(col + t_cas, bus_free) + t_burst`` is a
+genuine serial dependence and must not be reassociated, which is why it
+stays a lean loop instead of a numpy kernel (see DESIGN.md). The rest
+of the FSM's bookkeeping is exact by monotonicity, given the
+non-negative delays :class:`DramTiming` enforces: every ready time
+starts at 0 and only grows, so the FSM's ``max(now, ready)`` with
+``now = 0`` is the ready time itself; ``ready_pre`` never decreases
+and an open-row miss activates after ``ready_pre + t_rp`` anyway, so
+the FSM's running ``ready_act`` never binds and a closed row activates
+at 0; a reorder swap only permutes requests, so request and write
+counts are totals of the input and the loop counts only misses; the
+bus time never decreases, so the drain finishes at the last burst; and
+a hit issues at ``col_at = ready_col``, so it sets ``ready_col = col_at
++ t_ccd`` uncompared. Bit-identity against the reference FSM drain is
+pinned by ``tests/memsys/test_vectorized_diff.py``.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.memsys.bank import Bank, BankStats
+from repro.memsys.result import BankStats
 from repro.memsys.timing import DramTiming
 
 
@@ -58,41 +62,31 @@ class VaultController:
             raise ValueError("reorder window must be >= 1")
         self.timing = timing
         self.window = window
-        self.banks = [Bank(timing) for _ in range(timing.banks)]
-        self._bus_free_at = 0.0
 
     def service_arrays(self, req_banks: Sequence[int],
                        req_rows: Sequence[int],
-                       req_writes: Sequence[bool],
-                       start: float = 0.0) -> VaultResult:
-        """Drain parallel (bank, row, is_write) columns starting no
-        earlier than ``start``.
+                       req_writes: Sequence[bool]) -> VaultResult:
+        """Drain parallel (bank, row, is_write) columns from a quiescent
+        vault.
 
         Accepts numpy arrays or lists; each column is converted to a
-        Python list exactly once (``tolist``). Bank state is loaded from
-        (and stored back to) the :class:`Bank` objects, so successive
-        calls on one controller carry open rows, timing constraints and
-        the bus across calls. Returns the completion time of the last
-        data burst plus merged bank statistics.
+        Python list exactly once (``tolist``). Returns the completion
+        time of the last data burst (0 for no requests) plus the
+        drain's event counters.
         """
         (t_rcd, t_cas, t_rp, t_ras, t_wr, t_ccd,
          t_burst) = self.timing.drain_constants
-        bank_objs = self.banks
-        n_banks = len(bank_objs)
-        banks = np.asarray(req_banks, dtype=np.int64)
+        n_banks = self.timing.banks
         writes = np.asarray(req_writes, dtype=bool)
-        n_total = np.bincount(banks, minlength=n_banks).tolist()
-        n_writes = np.bincount(banks[writes], minlength=n_banks).tolist()
-        open_row = [b.open_row for b in bank_objs]
-        ready_act = [b._ready_act for b in bank_objs]
-        ready_col = [b._ready_col for b in bank_objs]
-        ready_pre = [b._ready_pre for b in bank_objs]
-        n_miss = [0] * n_banks
-        pending_b = banks.tolist()
+        n_writes = int(np.count_nonzero(writes))
+        open_row = [-1] * n_banks
+        ready_col = [0.0] * n_banks
+        ready_pre = [0.0] * n_banks
+        misses = 0
+        pending_b = np.asarray(req_banks).tolist()
         pending_r = np.asarray(req_rows).tolist()
         pending_w = writes.tolist()
-        bus = self._bus_free_at
-        now = start if start > bus else bus
+        bus = 0.0
         head = 0
         n = len(pending_b)
         window = self.window
@@ -117,22 +111,14 @@ class VaultController:
                         break
                     i += 1
             head += 1
-            # inlined Bank.access (same operations, same order)
+            # the reference FSM's access (same operations, same order)
             if hit:
-                rc = ready_col[bank]
-                col_at = now if now > rc else rc
+                col_at = ready_col[bank]
                 ready_col[bank] = col_at + t_ccd
             else:
-                n_miss[bank] += 1
-                ra = ready_act[bank]
-                if open_row[bank] >= 0:
-                    rp = ready_pre[bank]
-                    pre_at = now if now > rp else rp
-                    act_at = pre_at + t_rp
-                    if act_at < ra:
-                        act_at = ra
-                else:
-                    act_at = now if now > ra else ra
+                misses += 1
+                act_at = (ready_pre[bank] + t_rp if open_row[bank] >= 0
+                          else 0.0)
                 open_row[bank] = row
                 ready_pre[bank] = act_at + t_ras
                 col_at = act_at + t_rcd
@@ -145,18 +131,7 @@ class VaultController:
             rp = bus + t_wr if is_write else cas_at
             if rp > ready_pre[bank]:
                 ready_pre[bank] = rp
-        self._bus_free_at = bus
-        stats = BankStats()
-        for idx, b in enumerate(bank_objs):
-            b.open_row = open_row[idx]
-            b._ready_col = ready_col[idx]
-            b._ready_pre = ready_pre[idx]
-            if n_total[idx]:
-                ra = ready_pre[idx] + t_rp
-                if ra > b._ready_act:
-                    b._ready_act = ra
-            misses = n_miss[idx]
-            b.stats.add_counts(n_total[idx] - misses, misses,
-                               n_total[idx] - n_writes[idx], n_writes[idx])
-            stats.merge(b.stats)
-        return VaultResult(finish_time=bus if n else now, stats=stats)
+        stats = BankStats(activates=misses, row_hits=n - misses,
+                          row_misses=misses, reads=n - n_writes,
+                          writes=n_writes)
+        return VaultResult(finish_time=bus, stats=stats)

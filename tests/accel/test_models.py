@@ -34,9 +34,9 @@ def sample_params(name):
 def test_params_pack_roundtrip(accel_type):
     core = accel_type()
     params = sample_params(core.name)
-    packed = core.pack_params(params)
+    packed = params.pack()
     assert isinstance(packed, bytes)
-    assert core.unpack_params(packed) == params
+    assert core.params_type.unpack(packed) == params
 
 
 @pytest.mark.parametrize("accel_type", ACCELERATOR_TYPES)

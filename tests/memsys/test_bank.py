@@ -1,9 +1,11 @@
-"""Unit tests for the per-bank row-buffer FSM."""
+"""Unit tests for the reference per-bank row-buffer FSM and the event
+counters."""
 
 import pytest
 
-from repro.memsys.bank import Bank, BankStats
+from repro.memsys.result import BankStats
 from repro.memsys.timing import HMC_VAULT
+from tests.memsys.helpers import Bank
 
 
 @pytest.fixture

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.memsys import (DdrMemory, StackedDram, haswell_memory,
-                          msas_memory)
+from repro.memsys import (HMC_ENERGY, HMC_VAULT, DdrMemory, MemoryDevice,
+                          StackedDram, haswell_memory, msas_memory)
 from tests.memsys.helpers import run_trace
 
 
@@ -87,3 +87,30 @@ def test_memresult_scaled_linearity():
     assert doubled.energy == pytest.approx(2 * res.energy)
     assert doubled.bytes_moved == 2 * res.bytes_moved
     assert doubled.bandwidth == pytest.approx(res.bandwidth)
+
+
+@pytest.mark.parametrize("window, error", [
+    (0, ValueError), (-1, ValueError), (2.5, TypeError), (8.0, TypeError),
+    (True, TypeError), ("8", TypeError), (None, TypeError)])
+def test_reorder_window_rejected_at_construction(window, error):
+    with pytest.raises(error, match="reorder_window"):
+        MemoryDevice(HMC_VAULT, HMC_ENERGY, units=4, interleave_bytes=256,
+                     reorder_window=window)
+
+
+def test_reorder_window_of_one_is_accepted():
+    dev = MemoryDevice(HMC_VAULT, HMC_ENERGY, units=4, interleave_bytes=256,
+                       reorder_window=1)
+    res = run_trace(dev, seq_trace(1 << 12, dev.request_bytes))
+    assert res.bytes_moved == 1 << 12
+
+
+def test_stretch_for_tiles_prices_the_stretch_at_static_power():
+    dev = StackedDram()
+    res = run_trace(dev, seq_trace(1 << 16, dev.request_bytes))
+    assert dev.stretch_for_tiles(res, dev.units) is res
+    quarter = dev.stretch_for_tiles(res, dev.units // 4)
+    assert quarter.time == res.time * 4
+    assert quarter.energy == pytest.approx(
+        res.energy + dev.static_power() * 3 * res.time)
+    assert quarter.bytes_moved == res.bytes_moved

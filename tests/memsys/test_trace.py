@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from repro.memsys import (StackedDram, StreamSpec, haswell_memory, seq_read,
                           seq_write, simulate_streams)
-from repro.memsys.trace import merge_streams
-from tests.memsys.helpers import emit_stream_window
+from tests.memsys.helpers import emit_stream_window, merge_streams
 
 
 def test_seq_stream_addresses():

@@ -70,9 +70,3 @@ def test_bank_parallelism_beats_single_bank():
     r1 = service(VaultController(HMC_VAULT), one_bank)
     r2 = service(VaultController(HMC_VAULT), many_banks)
     assert r2.finish_time <= r1.finish_time
-
-
-def test_start_time_respected():
-    vc = VaultController(HMC_VAULT)
-    res = service(vc, [(0, 0, False)], start=1e-3)
-    assert res.finish_time > 1e-3

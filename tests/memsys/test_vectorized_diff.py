@@ -2,15 +2,14 @@
 
 Every numpy'd kernel is pinned against a scalar reference implemented
 here from the retained per-element primitives (`StreamSpec.element_addr`,
-`AddressMapping.decompose`, `Bank.access`): randomized inputs, exact
-(bit-identical) equality. The reference FR-FCFS drain over the
-:class:`Bank` FSM lives only here; the library keeps one drain loop.
+`AddressMapping.decompose`, and the reference `Bank.access` FSM in
+`tests/memsys/helpers.py`): randomized inputs, exact (bit-identical)
+equality. The reference FR-FCFS drain over that FSM lives only here;
+the library keeps one drain loop.
 Floats are compared with ``==`` on purpose — the vectorized paths must
 perform the same IEEE operations in the same order, not merely
 approximate them.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -19,16 +18,16 @@ from repro.accel.layer import ACCELERATOR_TYPES
 from repro.eval.workloads import TABLE2
 from repro.memsys import StackedDram, haswell_memory
 from repro.memsys.address import AddressMapping
-from repro.memsys.bank import Bank, BankStats
 from repro.memsys.device import MemoryDevice
 from repro.memsys.energy import HMC_ENERGY
+from repro.memsys.result import BankStats
 from repro.memsys.timing import DDR3_1600_CHANNEL, HMC_VAULT
 from repro.memsys.trace import (DEFAULT_WINDOW_ELEMS, GANG_ELEMS,
                                 StreamSpec, _element_addrs,
-                                _emit_window_array, _merge_window_arrays,
-                                merge_streams)
+                                _emit_window_array, _merge_window_arrays)
 from repro.memsys.vault import VaultController
-from tests.memsys.helpers import (emit_stream_window, reference_merge_arrays,
+from tests.memsys.helpers import (Bank, emit_stream_window, merge_streams,
+                                  reference_merge_arrays,
                                   reference_window_array, run_trace,
                                   service)
 
@@ -246,16 +245,14 @@ def test_decompose_batch_rejects_negative():
 # -- vault controller drain ----------------------------------------------------
 
 
-def reference_service(timing, window, requests, banks=None, bus=0.0,
-                      start=0.0):
-    """The reference FR-FCFS drain over the scalar :class:`Bank` FSM:
-    among the oldest ``window`` pending requests, prefer a row hit,
-    fall back to the oldest (swap-deferring the displaced head)."""
-    if banks is None:
-        banks = [Bank(timing) for _ in range(timing.banks)]
+def reference_service(timing, window, requests):
+    """The reference FR-FCFS drain over the scalar :class:`Bank` FSM,
+    from quiescent banks and bus: among the oldest ``window`` pending
+    requests, prefer a row hit, fall back to the oldest (swap-deferring
+    the displaced head)."""
+    banks = [Bank(timing) for _ in range(timing.banks)]
     pending = list(requests)
-    now = start if start > bus else bus
-    finish = now
+    now = bus = finish = 0.0
     head = 0
     while head < len(pending):
         limit = min(head + window, len(pending))
@@ -275,7 +272,7 @@ def reference_service(timing, window, requests, banks=None, bus=0.0,
     stats = BankStats()
     for b in banks:
         stats.merge(b.stats)
-    return finish, stats, banks, bus
+    return finish, stats
 
 
 def random_requests(rng, timing, n):
@@ -291,79 +288,28 @@ def test_vault_drain_matches_bank_fsm_reference(timing, window):
         reqs = random_requests(rng, timing, int(rng.integers(1, 600)))
         vc = VaultController(timing, window=window)
         got = service(vc, reqs)
-        finish, stats, _, _ = reference_service(timing, window, reqs)
+        finish, stats = reference_service(timing, window, reqs)
         assert got.finish_time == finish
         assert got.stats == stats
 
 
-def test_vault_drain_cumulative_across_service_calls():
-    """Interleaved service calls on one controller must carry bank and
-    bus state across calls exactly like the scalar FSM."""
+def test_drain_holds_no_state():
+    """A drain is a pure function of its columns: a controller that has
+    drained other columns in between drains A exactly as a fresh one
+    does, and an empty drain finishes at 0."""
     timing = HMC_VAULT
     rng = np.random.default_rng(RNG_SEED + 5)
-    vc = VaultController(timing, window=8)
-    banks = None
-    bus = 0.0
-    for call in range(4):
-        reqs = random_requests(rng, timing, 200)
-        got = service(vc, reqs, start=call * 1e-6)
-        finish, stats, banks, bus = reference_service(
-            timing, 8, reqs, banks=banks, bus=bus, start=call * 1e-6)
-        assert got.finish_time == finish
-        assert got.stats == stats            # stats are cumulative
-    # the persisted per-bank state must match the reference FSM's
-    for b_new, b_ref in zip(vc.banks, banks):
-        assert b_new.open_row == b_ref.open_row
-        assert b_new._ready_act == b_ref._ready_act
-        assert b_new._ready_col == b_ref._ready_col
-        assert b_new._ready_pre == b_ref._ready_pre
-
-
-def bank_state(bank):
-    return (bank.open_row, bank._ready_act, bank._ready_col,
-            bank._ready_pre, dataclasses.replace(bank.stats))
-
-
-@pytest.mark.parametrize("timing", [HMC_VAULT, DDR3_1600_CHANNEL])
-def test_partial_drain_leaves_every_bank_like_the_fsm(timing):
-    """A drain that touches only some banks, after an earlier call that
-    touched others, leaves every bank, touched or not, in the reference
-    FSM's state; banks no call touched keep their initial state."""
-    rng = np.random.default_rng(RNG_SEED + 11)
-    vc = VaultController(timing, window=8)
-    banks, bus = None, 0.0
-    for call, used in enumerate(([0, 1, 2], [2, 3], [1])):
-        reqs = [(int(rng.choice(used)), int(rng.integers(4)),
-                 bool(rng.integers(2))) for _ in range(150)]
-        start = call * 2e-7
-        got = service(vc, reqs, start=start)
-        finish, stats, banks, bus = reference_service(
-            timing, 8, reqs, banks=banks, bus=bus, start=start)
-        assert got.finish_time == finish
-        assert got.stats == stats
-        assert [bank_state(b) for b in vc.banks] == [
-            bank_state(b) for b in banks]
-    assert bank_state(vc.banks[timing.banks - 1]) == bank_state(
-        Bank(timing))
-
-
-@pytest.mark.parametrize("start", [0.0, 1e-9, 1.0])
-def test_empty_drain_returns_now_and_keeps_state(start):
-    timing = HMC_VAULT
-    fresh = VaultController(timing)
-    got = service(fresh, [], start=start)
-    assert got.finish_time == start
-    assert [bank_state(b) for b in fresh.banks] == [
-        bank_state(Bank(timing))] * timing.banks
+    a = random_requests(rng, timing, 300)
+    b = random_requests(rng, timing, 200)
+    fresh = service(VaultController(timing), a)
     vc = VaultController(timing)
-    service(vc, random_requests(np.random.default_rng(RNG_SEED), timing,
-                                50))
-    bus = vc._bus_free_at
-    before = [bank_state(b) for b in vc.banks]
-    got = service(vc, [], start=start)
-    assert got.finish_time == max(start, bus)
-    assert vc._bus_free_at == bus
-    assert [bank_state(b) for b in vc.banks] == before
+    first = service(vc, a)
+    service(vc, b)
+    again = service(vc, a)
+    assert first == fresh
+    assert again == fresh
+    assert service(vc, []) == service(VaultController(timing), [])
+    assert service(vc, []).finish_time == 0.0
 
 
 def test_service_arrays_accepts_numpy_columns():
@@ -406,39 +352,9 @@ def test_lean_drain_windows_and_column_forms(timing, window, form):
                 for _ in range(int(rng.integers(1, 400)))]
         got = VaultController(timing, window=window).service_arrays(
             *drain_columns(reqs, form))
-        finish, stats, _, _ = reference_service(timing, window, reqs)
+        finish, stats = reference_service(timing, window, reqs)
         assert got.finish_time == finish
         assert got.stats == stats
-
-
-def test_lean_drain_head_hits_rows_opened_by_earlier_call():
-    """A later call with ``start > 0`` sees the rows an earlier call left
-    open: its leading requests hit at the head of the queue, and timing
-    continues from the carried bank and bus state."""
-    timing = HMC_VAULT
-    rng = np.random.default_rng(RNG_SEED + 9)
-    vc = VaultController(timing, window=8)
-    first = random_requests(rng, timing, 300)
-    vc.service_arrays(*drain_columns(first, "int64"))
-    _, _, banks, bus = reference_service(timing, 8, first)
-    opened = [(b, bank.open_row) for b, bank in enumerate(banks)
-              if bank.open_row >= 0]
-    assert opened
-    second = [(b, row, bool(rng.integers(2)))
-              for b, row in opened for _ in range(3)]
-    second += random_requests(rng, timing, 100)
-    hits_before = sum(bank.stats.row_hits for bank in banks)
-    start = bus + 5e-7
-    got = vc.service_arrays(*drain_columns(second, "int64"), start=start)
-    finish, stats, banks, _ = reference_service(
-        timing, 8, second, banks=banks, bus=bus, start=start)
-    assert got.finish_time == finish
-    assert got.stats == stats
-    assert stats.row_hits - hits_before >= 3 * len(opened)
-    for b_new, b_ref in zip(vc.banks, banks):
-        assert (b_new.open_row, b_new._ready_act, b_new._ready_col,
-                b_new._ready_pre) == (b_ref.open_row, b_ref._ready_act,
-                                      b_ref._ready_col, b_ref._ready_pre)
 
 
 # -- whole-device drain --------------------------------------------------------
@@ -456,9 +372,8 @@ def reference_run_trace(device, requests):
     for unit in range(device.units):
         if unit not in per_unit:
             continue
-        t, s, _, _ = reference_service(device.timing,
-                                       device.reorder_window,
-                                       per_unit[unit])
+        t, s = reference_service(device.timing, device.reorder_window,
+                                 per_unit[unit])
         finish = max(finish, t)
         stats.merge(s)
     bytes_moved = len(requests) * device.request_bytes
