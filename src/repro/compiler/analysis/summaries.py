@@ -29,20 +29,18 @@ recognizer separately rejects such programs with code MEA011.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler.affine import Affine, AffineError
 from repro.compiler.analysis.callgraph import build_call_graph
-from repro.compiler.analysis.events import CALL_EFFECTS
 from repro.compiler.cast import (AddrOf, Assign, BinOp, Call, Expr,
                                  ExprStmt, For, FuncDef, Ident, Index,
                                  Program, Stmt, VarDecl)
 from repro.compiler.cparser import TYPE_KEYWORDS
 from repro.compiler.diagnostics import SourceLoc
+from repro.compiler.library import (LIBRARY, Target, call_effects,
+                                    plan_captures)
 from repro.compiler.semantics import CompileEnv, SemanticError
-
-#: A summary target: ("param", name) | ("buffer", name) | ("plan", name).
-Target = Tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -86,38 +84,15 @@ class FunctionSummary:
     def writes(self) -> Tuple[Target, ...]:
         return tuple(e.target for e in self.events if e.kind == "write")
 
-
-#: Byte extent of selected library-call pointer arguments, as a
-#: function of the (const-resolved) scalar arguments. ``None`` entries
-#: in the result mark extents the summary cannot bound.
-def _extent_of(func: str, idx: int, consts: List[Optional[int]],
-               elem: int) -> Optional[int]:
-    def c(i: int) -> Optional[int]:
-        return consts[i] if i < len(consts) else None
-
-    n = c(0)
-    if func == "cblas_saxpy":
-        return None if n is None else n * elem
-    if func in ("cblas_sdot_sub", "cblas_cdotc_sub"):
-        if idx == 5:
-            return elem
-        inc = c(2) if idx == 1 else c(4)
-        if n is None or inc is None:
-            return None
-        return ((n - 1) * abs(inc) + 1) * elem
-    if func == "cblas_sgemv":
-        m, cols = c(2), c(3)
-        if m is None or cols is None:
-            return None
-        return {5: m * cols * elem, 7: cols * elem,
-                10: m * elem}.get(idx)
-    if func == "mkl_simatcopy":
-        r, cl = c(0), c(1)
-        return None if r is None or cl is None else r * cl * elem
-    if func == "mkl_somatcopy":
-        r, cl = c(0), c(1)
-        return None if r is None or cl is None else r * cl * elem
-    return None
+    def rebind(self, args: Sequence[Expr],
+               resolve: Callable[[Expr], Optional[Target]]
+               ) -> Callable[[Target], Optional[Target]]:
+        """Map this function's targets to a call site's: a pointer
+        parameter to ``resolve`` of its argument (None if that does not
+        resolve), a global buffer or plan to itself."""
+        binding = {name: resolve(arg) for (name, pointer), arg
+                   in zip(self.params, args) if pointer}
+        return lambda t: binding.get(t[1]) if t[0] == "param" else t
 
 
 class _Summarizer:
@@ -234,110 +209,59 @@ class _Summarizer:
         if value.func == "fftwf_plan_guru_dft":
             self.events.append(
                 SummaryEvent("plan_make", ("plan", name), stmt.loc))
-            for idx in (4, 5):
-                if idx >= len(value.args):
-                    continue
-                target = self.resolve_target(value.args[idx])
-                if target is None:
-                    continue
-                self.events.append(
-                    SummaryEvent("ref", target, stmt.loc))
-                self.events.append(
-                    SummaryEvent("escape", target, stmt.loc))
+            for target in plan_captures(value, self.resolve_target):
+                self.events += [SummaryEvent("ref", target, stmt.loc),
+                                SummaryEvent("escape", target, stmt.loc)]
                 if target[0] == "param":
                     self.escapes.append(target[1])
 
     def _call(self, call: Call,
               loc: Optional[SourceLoc]) -> None:
-        name = call.func
-        if name == "free":
-            if call.args:
-                target = self.resolve_target(call.args[0])
-                if target is not None:
-                    self.events.append(
-                        SummaryEvent("free", target, loc))
-            return
-        if name == "fftwf_destroy_plan":
-            if call.args and isinstance(call.args[0], Ident):
-                self.events.append(SummaryEvent(
-                    "plan_kill", ("plan", call.args[0].name), loc))
-            return
-        if name == "fftwf_execute":
-            arg = call.args[0] if call.args else None
-            if isinstance(arg, Ident) and arg.name in self.env.plans:
-                plan = self.env.plans[arg.name]
-                self.events.append(SummaryEvent(
-                    "plan_use", ("plan", arg.name), loc))
-                self.events.append(SummaryEvent(
-                    "read", ("buffer", plan.src), loc))
-                self.events.append(SummaryEvent(
-                    "write", ("buffer", plan.dst), loc))
-            return
-        if name in self.done:           # nested user call: splice
+        if call.func in self.done:      # nested user call: splice
             self._splice(call, loc)
             return
-        effects = CALL_EFFECTS.get(name)
-        if effects is None:
-            return
-        consts = [self._const(a) for a in call.args]
-        for idx, mode in effects.items():
-            if idx >= len(call.args):
-                continue
-            target = self.resolve_target(call.args[idx])
-            if target is None:
+        entry = LIBRARY.get(call.func)
+        args = call.args
+
+        def const(i: int) -> Optional[int]:
+            return self._const(args[i]) if i < len(args) else None
+
+        for kind, target, idx in call_effects(
+                call, self.env, lambda _, expr: self.resolve_target(expr)):
+            self.events.append(SummaryEvent(kind, target, loc))
+            if idx is None:             # not a pointer argument's access
                 continue
             if target[0] == "param":
                 elem = TYPE_KEYWORDS.get(
                     self.pointer_params[target[1]].ctype, 0)
             else:
                 elem = self.env.buffers[target[1]].elem_size
-            offset = self._offset_affine(call.args[idx], target)
-            extent = _extent_of(name, idx, consts, elem)
-            if "r" in mode:
-                self.events.append(SummaryEvent("read", target, loc))
-                self.intervals.append(IntervalEffect(
-                    target, "r", offset, extent))
-            if "w" in mode:
-                self.events.append(SummaryEvent("write", target, loc))
-                self.intervals.append(IntervalEffect(
-                    target, "w", offset, extent))
+            extent = (entry.extent(idx, const, elem)
+                      if entry.extent is not None else None)
+            self.intervals.append(IntervalEffect(
+                target, kind[0], self._offset_affine(args[idx], target),
+                extent))
 
     def _splice(self, call: Call,
                 loc: Optional[SourceLoc]) -> None:
         callee = self.done[call.func]
-        binding = self._binding(callee, call)
+        target_of = callee.rebind(call.args, self.resolve_target)
         for ev in callee.events:
-            target = ev.target
-            if target[0] == "param":
-                resolved = binding.get(target[1])
-                if resolved is None:
-                    continue
-                target = resolved
+            target = target_of(ev.target)
+            if target is None:
+                continue
             self.events.append(SummaryEvent(
                 ev.kind, target, loc,
                 chain=(callee.name,) + ev.chain))
             if ev.kind == "escape" and target[0] == "param":
                 self.escapes.append(target[1])
         for iv in callee.intervals:
-            target = iv.target
-            if target[0] == "param":
-                resolved = binding.get(target[1])
-                if resolved is None:
-                    continue
-                target = resolved
-            # offsets are affine in the *callee's* frame; the caller
-            # keeps only the extent (interval base unknown here).
-            self.intervals.append(IntervalEffect(
-                target, iv.mode, None, iv.extent))
-
-    def _binding(self, callee: FunctionSummary,
-                 call: Call) -> Dict[str, Optional[Target]]:
-        """Map the callee's pointer-parameter names to caller targets."""
-        out: Dict[str, Optional[Target]] = {}
-        for (pname, pointer), arg in zip(callee.params, call.args):
-            if pointer:
-                out[pname] = self.resolve_target(arg)
-        return out
+            target = target_of(iv.target)
+            if target is not None:
+                # offsets are affine in the *callee's* frame; the caller
+                # keeps only the extent (interval base unknown here).
+                self.intervals.append(IntervalEffect(
+                    target, iv.mode, None, iv.extent))
 
 
 def compute_summaries(program: Program,

@@ -41,6 +41,10 @@ class CompilerError(Exception):
         return self.diagnostic.message
 
 
+class InterpError(Exception):
+    """Raised on runtime problems in either interpreter."""
+
+
 class AnalysisRejected(CompilerError):
     """The safety checker proved the program unsafe to run at all."""
 

@@ -15,7 +15,8 @@ Both paths reach the software library through one argument path:
 :func:`bind_args` resolves a call's arguments (constants, ``Affine``
 scalars, buffer pointers with ``Affine`` byte offsets, and plans), and
 :meth:`BoundCall.evaluate` evaluates only those integer affines under
-the loop variables before :func:`_call_function` dispatches the call.
+the loop variables before :func:`_call_function` runs the call's host
+kernel (declared in :mod:`repro.compiler.library`).
 The translated runner binds once per host step and evaluates the
 binding on every trip; the original interpreter binds each library
 call of the program once, and a call inside an inlined user function
@@ -37,7 +38,9 @@ from repro.accel.base import pack_strides
 from repro.compiler.affine import Affine, AffineError
 from repro.compiler.cast import (Assign, Call, Expr, ExprStmt, For,
                                  Ident, Program, Stmt, VarDecl)
+from repro.compiler.errors import InterpError
 from repro.compiler.inline import inline_body
+from repro.compiler.library import LIBRARY, POINTER_KINDS
 from repro.compiler.recognizer import (MAX_NEST_DEPTH, TOO_DEEP,
                                        AccelCallStep, AllocStep, FreeStep,
                                        HostCallStep, PlanDestroyStep)
@@ -53,18 +56,10 @@ from repro.core.tdl import (Block, Comp, Loop, ParamStore, Pass,
 from repro.host.cpu import CpuModel
 from repro.host.platforms import haswell
 from repro.metrics import ExecResult, ZERO
-from repro.mkl import blas, fftw
-from repro.mkl.resample import interpolate_rows
-from repro.mkl.sparse import CsrMatrix, scsrgemv
-from repro.mkl.transpose import simatcopy, somatcopy
 
 _DTYPES = {"float": np.float32, "double": np.float64,
            "complex": np.complex64, "int": np.int32, "long": np.int64,
            "size_t": np.int64, "char": np.uint8}
-
-
-class InterpError(Exception):
-    """Raised on runtime problems in either interpreter."""
 
 
 @dataclass(frozen=True)
@@ -96,102 +91,13 @@ class RunOutcome:
 
 # -- shared functional dispatch -------------------------------------------------
 
-def _as_csr(m: int, data: ArrayRef, ia: ArrayRef, ja: ArrayRef
-            ) -> CsrMatrix:
-    indptr = ia.take(m + 1).astype(np.int64)
-    nnz = int(indptr[-1])
-    return CsrMatrix(indptr=indptr, indices=ja.take(nnz).astype(np.int64),
-                     data=data.take(nnz), shape=(m, m))
-
-
-def _rows(ref: ArrayRef, rows: int, cols: int) -> np.ndarray:
-    """The ``rows x cols`` matrix stored contiguously at ``ref``."""
-    if rows < 0 or cols < 0:
-        raise InterpError(f"negative extent {rows}x{cols}")
-    flat = ref.take(rows * cols)
-    if len(flat) != rows * cols:
-        raise InterpError(f"buffer too short for {rows}x{cols} elements")
-    return flat.reshape(rows, cols)
-
-
 def _call_function(env: CompileEnv, name: str, args: List) -> None:
     """Execute one library call functionally. ``args`` are evaluated:
     scalars as numbers, pointers as ArrayRefs, plans as PlanSpec."""
-    if name == "cblas_saxpy":
-        n, alpha, x, incx, y, incy = args
-        blas.saxpy(n, alpha, x.tail(), incx, y.tail(), incy)
-    elif name == "cblas_sdot_sub":
-        n, x, incx, y, incy, out = args
-        out.array[out.offset] = blas.sdot(n, x.tail(), incx, y.tail(),
-                                          incy)
-    elif name == "cblas_cdotc_sub":
-        n, x, incx, y, incy, out = args
-        out.array[out.offset] = blas.cdotc(n, x.tail(), incx, y.tail(),
-                                           incy)
-    elif name == "cblas_sgemv":
-        _, _, m, n, alpha, a, lda, x, incx, beta, y, incy = args
-        blas.sgemv(False, m, n, alpha, a.tail(), lda, x.tail(), incx,
-                   beta, y.tail(), incy)
-    elif name == "mkl_scsrgemv":
-        m, a, ia, ja, x, y = args
-        scsrgemv(_as_csr(m, a, ia, ja), x.tail(), y.tail())
-    elif name == "dfsInterpolate1D":
-        blocks, n_in, knots, series, n_out, sites, out = args
-        src = _rows(series, blocks, n_in)
-        dst = _rows(out, blocks, n_out)
-        dst[:] = interpolate_rows(knots.take(n_in), src,
-                                  _rows(sites, blocks, n_out))
-    elif name == "mkl_simatcopy":
-        rows, cols, alpha, ab = args
-        simatcopy(rows, cols, alpha, ab.tail())
-    elif name == "mkl_somatcopy":
-        rows, cols, alpha, a, b = args
-        somatcopy(rows, cols, alpha, a.tail(), b.tail())
-    elif name == "fftwf_execute":
-        (plan_spec, src_ref, dst_ref) = args
-        dims = [fftw.IoDim(d.n, d.istride, d.ostride)
-                for d in plan_spec.dims]
-        howmany = [fftw.IoDim(d.n, d.istride, d.ostride)
-                   for d in plan_spec.howmany]
-        plan = fftw.plan_guru_dft(plan_spec.rank, dims or None,
-                                  len(howmany), howmany, src_ref.tail(),
-                                  dst_ref.tail(), plan_spec.sign)
-        fftw.execute(plan)
-    elif name == "cblas_cherk":
-        n, k, alpha, a, beta, c = args
-        blas.cherk(False, n, k, alpha, a.take(n * k), beta,
-                   c.take(n * n))
-    elif name == "cblas_ctrsm_lower":
-        n, m, a, b = args
-        blas.ctrsm_left_lower(n, m, 1.0, a.take(n * n), b.take(n * m))
-    elif name == "cblas_ctrsm_upper":
-        n, m, a, b = args
-        blas.ctrsm_left_upper(n, m, 1.0, a.take(n * n), b.take(n * m))
-    elif name == "cpotrf_lower":
-        n, a = args
-        blas.cpotrf_lower(n, a.take(n * n))
-    else:
+    entry = LIBRARY.get(name)
+    if entry is None:
         raise InterpError(f"no functional implementation for {name!r}")
-
-
-#: Argument kinds per function: 'p' pointer, 's' scalar, 'plan' plan.
-_SIGNATURES = {
-    "cblas_saxpy": "sspsps",
-    "cblas_sdot_sub": "spspsp",
-    "cblas_cdotc_sub": "spspsp",
-    # order trans m n alpha a lda x incx beta y incy
-    "cblas_sgemv": "ssssspspssps",
-    "mkl_scsrgemv": "sppppp",
-    # blocks n_in knots series n_out sites out
-    "dfsInterpolate1D": "ssppspp",
-    "mkl_simatcopy": "sssp",
-    "mkl_somatcopy": "ssspp",
-    "fftwf_execute": "l",
-    "cblas_cherk": "ssspsp",
-    "cblas_ctrsm_lower": "sspp",
-    "cblas_ctrsm_upper": "sspp",
-    "cpotrf_lower": "sp",
-}
+    entry.kernel(*args)
 
 
 # -- argument binding ---------------------------------------------------------
@@ -250,7 +156,7 @@ def _bind_scalar(env: CompileEnv, expr: Expr) -> Scalar:
 def _bind_arg(env: CompileEnv, kind: str, expr: Expr) -> Bound:
     if kind == "s":
         return _bind_scalar(env, expr)
-    if kind == "p":
+    if kind in POINTER_KINDS:
         try:
             name, offset = env.buffer_address(expr)
         except (SemanticError, AffineError) as exc:
@@ -327,7 +233,7 @@ def bind_args(env: CompileEnv, func: str,
     element size) pointer or a plan. Only an unknown ``func`` raises
     here (``KeyError``); an argument that fails to resolve raises when
     it is evaluated."""
-    sig = _SIGNATURES[func]
+    sig = LIBRARY[func].signature
     arity_error = None
     if len(sig) != len(args):
         arity_error = InterpError(

@@ -28,6 +28,7 @@ from repro.compiler.cast import (Assign, Call, Expr, ExprStmt, For, Ident,
 from repro.compiler.diagnostics import SourceLoc
 from repro.compiler.errors import CompilerError
 from repro.compiler.inline import inline_body
+from repro.compiler.library import LIBRARY
 from repro.compiler.semantics import (BufferInfo, CompileEnv, IoDimSpec,
                                       PlanSpec, SemanticError, build_env)
 
@@ -234,16 +235,6 @@ class Schedule:
         return total
 
 
-#: Functions executed on the host (compute-bounded, Table 4).
-HOST_FUNCTIONS = {"cblas_cherk", "cblas_ctrsm_lower", "cblas_ctrsm_upper",
-                  "cpotrf_lower"}
-
-#: Functions recognised as accelerator targets (Table 1).
-ACCEL_FUNCTIONS = {"cblas_saxpy", "cblas_sdot_sub", "cblas_cdotc_sub",
-                   "cblas_sgemv", "mkl_scsrgemv", "dfsInterpolate1D",
-                   "fftwf_execute", "mkl_simatcopy", "mkl_somatcopy"}
-
-
 class Recognizer:
     """Builds a :class:`Schedule` from a parsed program."""
 
@@ -302,8 +293,9 @@ class Recognizer:
     def _buffer(self, name: str) -> BufferInfo:
         return self.env.buffers[name]
 
-    def _args(self, call: Call, count: int) -> Tuple[Expr, ...]:
-        """The call's arguments, which must number exactly ``count``."""
+    def _args(self, call: Call) -> Tuple[Expr, ...]:
+        """The call's arguments, which must number exactly its arity."""
+        count = LIBRARY[call.func].arity
         if len(call.args) != count:
             raise self._error(f"{call.func} takes {count} arguments, "
                               f"got {len(call.args)}", loc=call.loc)
@@ -476,13 +468,14 @@ class Recognizer:
             self.schedule.steps.append(
                 PlanDestroyStep(plan=target.name, loc=loc))
             return
-        if name in HOST_FUNCTIONS:
+        entry = LIBRARY.get(name)
+        if entry is None:
+            raise self._error(f"unknown library call {name!r}")
+        if not entry.accel:
             self.schedule.steps.append(HostCallStep(
                 func=name, args=call.args, trips=trips,
                 loop_vars=loop_vars, loc=loc))
             return
-        if name not in ACCEL_FUNCTIONS:
-            raise self._error(f"unknown library call {name!r}")
         builder = getattr(self, f"_build_{name}", None)
         if builder is None:
             raise self._error(f"no builder for {name!r}")
@@ -508,7 +501,7 @@ class Recognizer:
 
     def _build_cblas_saxpy(self, call: Call, loop_vars: Tuple[str, ...],
                             trips: Tuple[int, ...]) -> AccelCallStep:
-        n, alpha, x, incx, y, incy = self._args(call, 6)
+        n, alpha, x, incx, y, incy = self._args(call)
         if self._int_const(incx) != 1 or self._int_const(incy) != 1:
             raise self._error("accelerated saxpy requires unit "
                                   "strides")
@@ -524,7 +517,7 @@ class Recognizer:
 
     def _dot_step(self, call: Call, loop_vars: Tuple[str, ...],
                    trips: Tuple[int, ...], dtype: int) -> AccelCallStep:
-        n, x, incx, y, incy, out = self._args(call, 6)
+        n, x, incx, y, incy, out = self._args(call)
         xbuf, xoff = self._addr(x)
         ybuf, yoff = self._addr(y)
         obuf, ooff = self._addr(out)
@@ -549,7 +542,7 @@ class Recognizer:
     def _build_cblas_sgemv(self, call: Call, loop_vars: Tuple[str, ...],
                             trips: Tuple[int, ...]) -> AccelCallStep:
         (order, trans, m, n, alpha, a, lda, x, incx, beta, y,
-         incy) = self._args(call, 12)
+         incy) = self._args(call)
         if self._int_const(order) != 101 or self._int_const(trans) != 111:
             raise self._error("accelerated sgemv supports row-major "
                                   "no-transpose only")
@@ -574,7 +567,7 @@ class Recognizer:
 
     def _build_mkl_scsrgemv(self, call: Call, loop_vars: Tuple[str, ...],
                              trips: Tuple[int, ...]) -> AccelCallStep:
-        m, a, ia, ja, x, y = self._args(call, 6)
+        m, a, ia, ja, x, y = self._args(call)
         rows = self._int_const(m)
         abuf, _ = self._addr(a)
         ibuf, ioff = self._addr(ia)
@@ -595,8 +588,7 @@ class Recognizer:
 
     def _build_dfsInterpolate1D(self, call: Call, loop_vars: Tuple[str, ...],
                                  trips: Tuple[int, ...]) -> AccelCallStep:
-        blocks, n_in, knots, series, n_out, sites, out = self._args(call,
-                                                                   7)
+        blocks, n_in, knots, series, n_out, sites, out = self._args(call)
         kbuf, koff = self._addr(knots)
         ibuf, ioff = self._addr(series)
         sbuf, soff = self._addr(sites)
@@ -613,7 +605,7 @@ class Recognizer:
 
     def _build_mkl_simatcopy(self, call: Call, loop_vars: Tuple[str, ...],
                               trips: Tuple[int, ...]) -> AccelCallStep:
-        rows, cols, alpha, ab = self._args(call, 4)
+        rows, cols, alpha, ab = self._args(call)
         if float(self._const(alpha)) != 1.0:
             raise self._error("accelerated simatcopy requires "
                                   "alpha == 1")
@@ -629,7 +621,7 @@ class Recognizer:
 
     def _build_mkl_somatcopy(self, call: Call, loop_vars: Tuple[str, ...],
                               trips: Tuple[int, ...]) -> AccelCallStep:
-        rows, cols, alpha, a, b = self._args(call, 5)
+        rows, cols, alpha, a, b = self._args(call)
         if float(self._const(alpha)) != 1.0:
             raise self._error("accelerated somatcopy requires "
                                   "alpha == 1")

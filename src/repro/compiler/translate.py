@@ -29,12 +29,13 @@ from repro.compiler.cast import Program
 from repro.compiler.cparser import parse_source
 from repro.compiler.diagnostics import DiagnosticReport
 from repro.compiler.errors import AnalysisRejected
+from repro.compiler.library import LIBRARY
 from repro.compiler.passes import DescriptorStep, optimize
 from repro.compiler.recognizer import (AccelCallStep, HostCallStep,
                                        ParamsProto, RecognizerError,
                                        Schedule, recognize)
 from repro.compiler.semantics import CompileEnv
-from repro.mkl.profiles import OpProfile, cherk_profile, ctrsm_profile
+from repro.mkl.profiles import OpProfile
 
 #: Fixed host cost per library-call invocation (dispatch, OpenMP
 #: scheduling); what makes 16M tiny cdotc calls expensive even on the
@@ -171,20 +172,10 @@ def host_step_profile(step: HostCallStep, env: CompileEnv) -> OpProfile:
     if step.demoted:
         # a demoted accelerated call: same operation, host library
         return accel_step_profile(step, env)
-    if step.func == "cblas_cherk":
-        n = int(env.eval_const(step.args[0]))
-        k = int(env.eval_const(step.args[1]))
-        return cherk_profile(n, k)
-    if step.func in ("cblas_ctrsm_lower", "cblas_ctrsm_upper"):
-        n = int(env.eval_const(step.args[0]))
-        m = int(env.eval_const(step.args[1]))
-        return ctrsm_profile(n, m)
-    if step.func == "cpotrf_lower":
-        n = int(env.eval_const(step.args[0]))
-        return OpProfile("POTRF", flops=4.0 / 3.0 * n ** 3,
-                         bytes_read=n * n * 8, bytes_written=n * n * 8,
-                         pattern="blocked")
-    raise RecognizerError(f"no profile for host call {step.func!r}")
+    entry = LIBRARY.get(step.func)
+    if entry is None or entry.profile is None:
+        raise RecognizerError(f"no profile for host call {step.func!r}")
+    return entry.profile(lambda i: int(env.eval_const(step.args[i])))
 
 
 def step_profile(step, env: CompileEnv) -> Tuple[OpProfile, int]:

@@ -238,7 +238,7 @@ def _chain_configs(side: int):
 
 def fig12(sides=(256, 512, 1024, 2048, 4096, 8192)) -> Report:
     """Figure 12: hardware vs software chaining and looping."""
-    system = MealibSystem(stack_bytes=4 << 30)
+    system = MealibSystem(stack_bytes=4 << 30, schedule_cache=True)
     rt = system.runtime
     chain_rows = []
     for side in sides:

@@ -72,9 +72,13 @@ class AddressMapping:
 
     def __post_init__(self) -> None:
         for name in ("interleave_bytes", "units", "banks", "row_bytes"):
-            if not _is_pow2(getattr(self, name)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, got "
+                                f"{type(value).__name__}")
+            if not _is_pow2(value):
                 raise ValueError(f"{name} must be a power of two, got "
-                                 f"{getattr(self, name)}")
+                                 f"{value}")
 
     @property
     def cols_per_row(self) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from numbers import Real
 from typing import Tuple
 
 
@@ -53,6 +54,9 @@ class DramTiming:
                      "clock_hz", "bytes_per_cycle", "burst_bytes",
                      "row_bytes", "banks"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise TypeError(f"{name} must be a number, got "
+                                f"{type(value).__name__}")
             delay = name.startswith("t_")
             if not (math.isfinite(value) and (value >= 0 if delay
                                               else value > 0)):

@@ -143,3 +143,11 @@ def ctrsm_profile(n: int, m: int) -> OpProfile:
     return OpProfile("CTRSM", flops=4.0 * n * n * m,
                      bytes_read=(n * n // 2 + n * m) * COMPLEX,
                      bytes_written=n * m * COMPLEX, pattern="blocked")
+
+
+def cpotrf_profile(n: int) -> OpProfile:
+    """Cholesky factorisation of an n-by-n complex matrix:
+    compute-bounded."""
+    return OpProfile("POTRF", flops=4.0 / 3.0 * n ** 3,
+                     bytes_read=n * n * COMPLEX,
+                     bytes_written=n * n * COMPLEX, pattern="blocked")

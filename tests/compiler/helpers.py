@@ -71,8 +71,9 @@ from repro.compiler.clexer import parse_number, tokenize
 from repro.compiler.cparser import TYPE_KEYWORDS, _loc, _Parser
 from repro.compiler.inline import inline_body
 from repro.compiler import interp
-from repro.compiler.interp import (_SIGNATURES, ArrayRef, InterpError,
+from repro.compiler.interp import (ArrayRef, InterpError,
                                    OriginalInterpreter)
+from repro.compiler.library import LIBRARY, POINTER_KINDS
 from repro.compiler.diagnostics import (Diagnostic, DiagnosticReport,
                                         Severity)
 from repro.compiler.recognizer import AccelCallStep, Schedule
@@ -619,7 +620,7 @@ def reference_eval_args(env, name, raw_args, bindings, array):
     iteration: a constant or an affine scalar evaluated, a pointer's
     buffer and ``Affine`` address derived again, a plan looked up;
     ``array`` maps a buffer name to its flat array."""
-    sig = _SIGNATURES[name]
+    sig = LIBRARY[name].signature
     if len(sig) != len(raw_args):
         raise InterpError(
             f"{name} expects {len(sig)} arguments, got {len(raw_args)}")
@@ -630,7 +631,7 @@ def reference_eval_args(env, name, raw_args, bindings, array):
                 out.append(env.eval_const(expr))
             except SemanticError:
                 out.append(env.affine_expr(expr).evaluate(bindings))
-        elif kind == "p":
+        elif kind in POINTER_KINDS:
             buf, offset = env.buffer_address(expr)
             byte_off = offset.evaluate(bindings)
             out.append(ArrayRef(array(buf),

@@ -20,6 +20,22 @@ def test_rejects_non_pow2():
                        row_bytes=2048)
 
 
+FIELDS = {"interleave_bytes": 256, "units": 16, "banks": 8,
+          "row_bytes": 2048}
+
+#: Bad values of a mapping field and the error each must raise.
+BAD_FIELD_VALUES = [(True, TypeError), (2.5, TypeError), (8.0, TypeError),
+                    ("4", TypeError), (None, TypeError), (0, ValueError),
+                    (-4, ValueError), (3, ValueError)]
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("value, error", BAD_FIELD_VALUES)
+def test_rejects_bad_field(field, value, error):
+    with pytest.raises(error, match=field):
+        AddressMapping(**{**FIELDS, field: value})
+
+
 def test_rejects_negative_address():
     with pytest.raises(ValueError):
         MAPPING.decompose(-1)

@@ -1,10 +1,13 @@
 """Integration tests for multi-unit memory devices."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.memsys import (HMC_ENERGY, HMC_VAULT, DdrMemory, MemoryDevice,
                           StackedDram, haswell_memory, msas_memory)
 from tests.memsys.helpers import run_trace
+from tests.memsys.test_address import BAD_FIELD_VALUES
 
 
 def seq_trace(n_bytes, burst, base=0, write=False):
@@ -96,6 +99,21 @@ def test_reorder_window_rejected_at_construction(window, error):
     with pytest.raises(error, match="reorder_window"):
         MemoryDevice(HMC_VAULT, HMC_ENERGY, units=4, interleave_bytes=256,
                      reorder_window=window)
+
+
+@pytest.mark.parametrize("field", ["units", "interleave_bytes", "banks",
+                                   "row_bytes"])
+@pytest.mark.parametrize("value, error", BAD_FIELD_VALUES)
+def test_mapping_fields_rejected_at_construction(field, value, error):
+    """A bad address-mapping field raises an error naming it, whether
+    the device takes it directly or through its timing."""
+    kwargs = {"units": 4, "interleave_bytes": 256}
+    with pytest.raises(error, match=field):
+        if field in kwargs:
+            MemoryDevice(HMC_VAULT, HMC_ENERGY, **{**kwargs, field: value})
+        else:
+            MemoryDevice(replace(HMC_VAULT, **{field: value}), HMC_ENERGY,
+                         **kwargs)
 
 
 def test_reorder_window_of_one_is_accepted():
