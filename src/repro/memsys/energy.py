@@ -11,7 +11,9 @@ published CACTI-3DD / DDR3 datasheet ballpark:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from numbers import Real
 
 
 @dataclass(frozen=True)
@@ -30,6 +32,16 @@ class DramEnergy:
     e_rw_per_bit: float
     e_io_per_bit: float
     p_static_per_bank: float
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise TypeError(f"{f.name} must be a number, got "
+                                f"{type(value).__name__}")
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{f.name} must be finite and "
+                                 f"non-negative, got {value!r}")
 
     def burst_energy(self, burst_bytes: int) -> float:
         """Dynamic energy of moving one burst through array + IO."""

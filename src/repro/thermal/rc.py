@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from numbers import Real
 from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
@@ -124,28 +125,33 @@ class ThermalConfig:
     arrhenius_cap: float = 8.0
 
     def __post_init__(self) -> None:
+        # every knob, and every per-vault override, is a finite
+        # non-negative real (bool excluded); the checks below narrow it
         for f in fields(self):
             value = getattr(self, f.name)
-            for v in (value.values() if isinstance(value, Mapping)
-                      else (value,)):
-                if not math.isfinite(v):
-                    raise ValueError(f"{f.name} must be finite, got {v}")
-        if self.ambient <= 0.0:
-            raise ValueError(f"ambient must be > 0 K, got {self.ambient}")
-        for name in ("c_vault", "c_logic", "g_sink", "g_logic_sink",
-                     "leak_doubling", "dt", "arrhenius_doubling"):
+            if f.default_factory is dict:
+                if not isinstance(value, Mapping):
+                    raise TypeError(f"{f.name} must be a mapping, got "
+                                    f"{type(value).__name__}")
+                knobs = [(f"{f.name}[{k!r}]", v) for k, v in value.items()]
+            else:
+                knobs = [(f.name, value)]
+            for name, v in knobs:
+                if isinstance(v, bool) or not isinstance(v, Real):
+                    raise TypeError(f"{name} must be a number, got "
+                                    f"{type(v).__name__}")
+                if not (math.isfinite(v) and v >= 0.0):
+                    raise ValueError(f"{name} must be finite and "
+                                     f"non-negative, got {v!r}")
+        for name in ("ambient", "c_vault", "c_logic", "g_sink",
+                     "g_logic_sink", "leak_doubling", "dt",
+                     "arrhenius_doubling"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0, got "
-                                 f"{getattr(self, name)}")
-        for name in ("g_lat", "g_logic", "p_leak_ref"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got "
                                  f"{getattr(self, name)}")
         if not 0.0 < self.throttle_factor <= 1.0:
             raise ValueError("throttle_factor must be in (0, 1], got "
                              f"{self.throttle_factor}")
-        if self.hysteresis < 0.0:
-            raise ValueError("hysteresis must be >= 0")
         if self.critical < self.envelope:
             raise ValueError("critical threshold must not sit below the "
                              "envelope")

@@ -8,6 +8,9 @@ beyond tolerance (the integrator is converged, not dt-lucky); and the
 Arrhenius factor is clamped to ``[1, cap]``.
 """
 
+import re
+from dataclasses import MISSING, fields
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,43 @@ def make_model(**overrides):
 def test_config_rejects_invalid_knobs(bad):
     with pytest.raises(ValueError):
         ThermalConfig(**bad)
+
+
+#: Non-numbers and the type error each must raise; non-finite and
+#: negative numbers and the value error.
+BAD_KNOB_VALUES = [(True, TypeError), (False, TypeError), ("1", TypeError),
+                   (None, TypeError), (float("nan"), ValueError),
+                   (float("inf"), ValueError), (-1.0, ValueError)]
+
+SCALAR_KNOBS = [f.name for f in fields(ThermalConfig)
+                if f.default_factory is MISSING]
+OVERRIDE_KNOBS = [f.name for f in fields(ThermalConfig)
+                  if f.default_factory is not MISSING]
+
+
+@pytest.mark.parametrize("value, error", BAD_KNOB_VALUES)
+@pytest.mark.parametrize("name", SCALAR_KNOBS)
+def test_config_names_the_bad_knob(name, value, error):
+    with pytest.raises(error, match=name):
+        ThermalConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value, error", BAD_KNOB_VALUES)
+@pytest.mark.parametrize("name", OVERRIDE_KNOBS)
+def test_config_names_the_bad_override(name, value, error):
+    with pytest.raises(error, match=re.escape(f"{name}[3]")):
+        ThermalConfig(**{name: {3: value}})
+
+
+@pytest.mark.parametrize("value", [None, "x", 348.0, [348.0]])
+@pytest.mark.parametrize("name", OVERRIDE_KNOBS)
+def test_config_overrides_must_be_mappings(name, value):
+    with pytest.raises(TypeError, match=name):
+        ThermalConfig(**{name: value})
+
+
+def test_config_accepts_integer_knobs():
+    assert ThermalConfig(envelope=350, critical=370).critical_of(0) == 370
 
 
 def test_per_vault_overrides_win():
