@@ -22,6 +22,10 @@ exactly:
 * :func:`reference_eval_args` and :class:`ReferenceInterpreter`, the
   per-iteration argument resolution both interpreters used before
   :func:`repro.compiler.interp.bind_args` bound each call site once;
+* :func:`field_extents`, :data:`READ_FIELDS`, :data:`WRITE_FIELDS`,
+  :data:`INPLACE_EXACT_OK`, the reduction rule and the builders' buffer
+  lists, the compiler's hand-kept operand tables, for the operands every
+  accelerator core declares once;
 * :func:`reference_check_step_aliasing`,
   :func:`reference_check_step_bounds`, :func:`reference_classify_races`,
   :func:`reference_certify_step` and :func:`reference_split_step`, each
@@ -47,8 +51,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, cast
 
 from repro.compiler.affine import Affine
-from repro.compiler.analysis.alias import (INPLACE_EXACT_OK,
-                                           FieldAccess,
+from repro.compiler.analysis.alias import (FieldAccess,
                                            cross_iteration_verdict,
                                            same_iteration_verdict,
                                            step_accesses, step_ranges)
@@ -59,7 +62,6 @@ from repro.compiler.analysis.dataflow import (EMPTY as NO_FACTS, Facts,
                                               Liveness, Transfer)
 from repro.compiler.analysis.deptest import DepVerdict
 from repro.compiler.analysis.races import (fallback_note,
-                                           is_recognized_reduction,
                                            shared_interval)
 from repro.compiler.analysis.ranges import (_NARROW_ROUNDS, _WIDEN_AFTER,
                                             TOP, Interval, State,
@@ -672,6 +674,160 @@ class ReferenceInterpreter(OriginalInterpreter):
             self.env, call.func, call.args, self.bindings, self._array))
 
 
+# -- reference operand tables -------------------------------------------------
+#
+# The compiler's hand-kept description of which bytes each accelerator
+# reads and writes, as it was before every core declared its operands
+# once (``AcceleratorCore.operands``): the read/write field tables, the
+# in-place rule, the per-accelerator extent chain, the reduction rule
+# and each recognizer builder's buffer lists. The declaration must
+# reproduce all of them on every accelerated step.
+
+#: Address fields each accelerator writes / reads.
+WRITE_FIELDS = {
+    "AXPY": ("y_pa",),
+    "DOT": ("out_pa",),
+    "GEMV": ("y_pa",),
+    "SPMV": ("y_pa",),
+    "RESMP": ("out_pa",),
+    "FFT": ("dst_pa",),
+    "RESHP": ("dst_pa",),
+}
+READ_FIELDS = {
+    "AXPY": ("x_pa", "y_pa"),
+    "DOT": ("x_pa", "y_pa"),
+    "GEMV": ("a_pa", "x_pa", "y_pa"),
+    "SPMV": ("indptr_pa", "indices_pa", "data_pa", "x_pa"),
+    "RESMP": ("knots_pa", "in_pa", "sites_pa"),
+    "FFT": ("src_pa",),
+    "RESHP": ("src_pa",),
+}
+
+#: Accelerators whose semantics permit *exactly* coincident source and
+#: destination (an in-place transform).
+INPLACE_EXACT_OK = {"RESHP", "FFT"}
+
+#: Accelerators whose write field accumulates associatively, and the
+#: DOT family, whose ``*_sub`` idiom deposits every iteration's partial
+#: into one shared scalar.
+REDUCTION_ACCELS = {"AXPY"}
+DOT_SUB_ACCELS = {"DOT"}
+
+#: The fields each recognizer builder listed as the call's input and
+#: output buffers, in the order it listed them.
+BUFFER_FIELDS = {
+    "AXPY": (("x_pa", "y_pa"), ("y_pa",)),
+    "DOT": (("x_pa", "y_pa"), ("out_pa",)),
+    "GEMV": (("a_pa", "x_pa", "y_pa"), ("y_pa",)),
+    "SPMV": (("data_pa", "indptr_pa", "indices_pa", "x_pa"), ("y_pa",)),
+    "RESMP": (("knots_pa", "in_pa", "sites_pa"), ("out_pa",)),
+    "FFT": (("src_pa",), ("dst_pa",)),
+    "RESHP": (("src_pa",), ("dst_pa",)),
+}
+
+
+def _elem(env: CompileEnv, buf: str) -> int:
+    return env.buffers[buf].elem_size
+
+
+def _dot_span(n: int, inc: int, elem: int) -> int:
+    if n <= 0:
+        return 0
+    return ((n - 1) * abs(int(inc)) + 1) * elem
+
+
+def field_extents(accel: str, scalars: Dict[str, object],
+                  buffers: Dict[str, str],
+                  env: CompileEnv) -> Dict[str, int]:
+    """Bytes each address field touches in a single invocation.
+
+    ``buffers`` maps field name to buffer name (element sizes come
+    from the environment).
+    """
+    e = {f: _elem(env, b) for f, b in buffers.items()}
+    if accel == "AXPY":
+        n = int(scalars["n"])
+        return {"x_pa": n * e["x_pa"], "y_pa": n * e["y_pa"]}
+    if accel == "DOT":
+        n = int(scalars["n"])
+        return {"x_pa": _dot_span(n, scalars["incx"], e["x_pa"]),
+                "y_pa": _dot_span(n, scalars["incy"], e["y_pa"]),
+                "out_pa": e["out_pa"]}
+    if accel == "GEMV":
+        m, n = int(scalars["m"]), int(scalars["n"])
+        return {"a_pa": m * n * e["a_pa"], "x_pa": n * e["x_pa"],
+                "y_pa": m * e["y_pa"]}
+    if accel == "SPMV":
+        rows, cols = int(scalars["rows"]), int(scalars["cols"])
+        nnz = int(scalars["nnz"])
+        return {"indptr_pa": (rows + 1) * e["indptr_pa"],
+                "indices_pa": nnz * e["indices_pa"],
+                "data_pa": nnz * e["data_pa"],
+                "x_pa": cols * e["x_pa"], "y_pa": rows * e["y_pa"]}
+    if accel == "RESMP":
+        blocks = int(scalars["blocks"])
+        n_in, n_out = int(scalars["n_in"]), int(scalars["n_out"])
+        return {"knots_pa": n_in * e["knots_pa"],
+                "in_pa": blocks * n_in * e["in_pa"],
+                "sites_pa": blocks * n_out * e["sites_pa"],
+                "out_pa": blocks * n_out * e["out_pa"]}
+    if accel == "FFT":
+        count = int(scalars["n"]) * int(scalars["batch"])
+        return {"src_pa": count * e["src_pa"],
+                "dst_pa": count * e["dst_pa"]}
+    if accel == "RESHP":
+        span = (int(scalars["rows"]) * int(scalars["cols"])
+                * int(scalars["elem_bytes"]))
+        return {"src_pa": span, "dst_pa": span}
+    raise ValueError(f"unknown accelerator {accel!r}")
+
+
+def reference_step_accesses(step, env: CompileEnv) -> List[FieldAccess]:
+    """The address fields of an AccelCallStep as FieldAccess records."""
+    buffers = {f: b for f, (b, _) in step.proto.addrs.items()}
+    extents = field_extents(step.accel, step.proto.scalars, buffers,
+                            env)
+    writes = set(WRITE_FIELDS[step.accel])
+    reads = set(READ_FIELDS[step.accel])
+    out = []
+    for fld, (buf, offset) in step.proto.addrs.items():
+        out.append(FieldAccess(
+            field=fld, buffer=buf, offset=offset,
+            extent=int(extents.get(fld, 0)),
+            writes=fld in writes, reads=fld in reads))
+    return out
+
+
+def reference_inplace_ok(accel: str, verdict: DepVerdict) -> bool:
+    """Does a same-iteration verdict allow the offload: disjoint, or
+    exactly coincident under an in-place transform?"""
+    return verdict.relation == "disjoint" or (
+        verdict.relation == "exact" and accel in INPLACE_EXACT_OK)
+
+
+def reference_is_recognized_reduction(step: AccelCallStep) -> bool:
+    """Is a shared-interval update of this step's write field a
+    reduction the LOOP descriptor can serialise faithfully?"""
+    if step.accel in REDUCTION_ACCELS:
+        return True
+    if step.accel in DOT_SUB_ACCELS:
+        return True
+    if step.accel == "GEMV":
+        # y = alpha*A*x + beta*y accumulates only when beta == 1
+        beta = step.proto.scalars.get("beta")
+        return isinstance(beta, (int, float)) and float(beta) == 1.0
+    return False
+
+
+def reference_buffer_lists(step: AccelCallStep
+                           ) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """``(in_bufs, out_bufs)`` as the step's recognizer builder listed
+    them."""
+    reads, writes = BUFFER_FIELDS[step.accel]
+    return (tuple(step.proto.addrs[f][0] for f in reads),
+            tuple(step.proto.addrs[f][0] for f in writes))
+
+
 # -- reference per-step proofs ------------------------------------------------
 #
 # The rule engine's alias, bounds and race checks, the certifier and
@@ -899,7 +1055,7 @@ def reference_classify_races(step: AccelCallStep, step_index: int,
                 continue
             shared = (w.field == other.field
                       and shared_interval(w, step.loop_vars))
-            if shared and is_recognized_reduction(step):
+            if shared and reference_is_recognized_reduction(step):
                 emit("MEA010", Severity.INFO,
                      f"{step.accel} accumulates into the shared "
                      f"interval of buffer {w.buffer!r}: recognized "
@@ -1001,7 +1157,7 @@ def reference_certify_step(step: AccelCallStep, step_index: int,
                     continue
                 if step.omp and w.field == other.field \
                         and shared_interval(w, step.loop_vars) \
-                        and is_recognized_reduction(step):
+                        and reference_is_recognized_reduction(step):
                     facts.append(CertFact(
                         "recognized-reduction", "loop-serialisation",
                         f"{pair} on {w.buffer!r}"))
