@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
-from repro.accel.base import AcceleratorCore
+from repro.accel.base import AcceleratorCore, Operand
 from repro.accel.synthesis import LogicBlock
 from repro.memmgmt.addrspace import UnifiedAddressSpace
 from repro.memsys.trace import StreamSpec
@@ -58,6 +58,14 @@ class AxpyAccelerator(AcceleratorCore):
         x = space.pa_ndarray(params.x_pa, np.float32, (params.n,))
         y = space.pa_ndarray(params.y_pa, np.float32, (params.n,))
         y += np.float32(params.alpha) * x
+
+    def operands(self, params: AxpyParams) -> Dict[str, Operand]:
+        size = 4 * params.n
+        return {"x_pa": Operand(size, reads=True),
+                "y_pa": Operand(size, reads=True, writes=True)}
+
+    def accumulates(self, params: AxpyParams) -> bool:
+        return True
 
     def profile(self, params: AxpyParams) -> OpProfile:
         return axpy_profile(params.n)

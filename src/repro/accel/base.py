@@ -1,10 +1,14 @@
 """Accelerator base machinery: functional execution + timing model.
 
 Every accelerator in Table 1 derives from :class:`AcceleratorCore` and
-supplies three views of itself:
+supplies four views of itself:
 
 * ``run`` — functional execution against the unified address space
   (physical addressing, numpy views over the very bytes the CPU sees);
+* ``operands`` — the bytes each address field covers in one invocation
+  and whether the core reads or writes them, with ``inplace_exact`` and
+  ``accumulates``: the one declaration the compiler's alias, bounds and
+  race analyses and its recognizer read;
 * ``profile``/``streams`` — the machine-independent op profile and the
   concrete DRAM access streams, which the shared :meth:`model` turns
   into time and energy on whichever memory device the platform has
@@ -23,8 +27,8 @@ from __future__ import annotations
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
-from typing import (Callable, ClassVar, Dict, List, Mapping, Optional,
-                    Sequence, Tuple, Type)
+from typing import (Callable, ClassVar, Dict, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple, Type)
 
 import numpy as np
 
@@ -63,6 +67,16 @@ class AccelExecution:
         return self.mem.time >= self.t_compute
 
 
+class Operand(NamedTuple):
+    """The ``size`` bytes one address field covers in one invocation,
+    from the field's address up, and whether the core reads them,
+    writes them, or both."""
+
+    size: int
+    reads: bool = False
+    writes: bool = False
+
+
 class AcceleratorCore(ABC):
     """One fixed-function accelerator (an entry of Table 1)."""
 
@@ -78,6 +92,9 @@ class AcceleratorCore(ABC):
     #: from larger fused units override it — an FFT butterfly unit
     #: retires 10 flops/cycle, a spline pipeline stage ~5.
     lane_flops: ClassVar[float] = FLOPS_PER_LANE_CYCLE
+    #: Whether a written operand may coincide exactly with a read one (an
+    #: in-place transform); any other overlap of the two is undefined.
+    inplace_exact: ClassVar[bool] = False
 
     def __init__(self, tiles: int = DEFAULT_TILES,
                  freq_hz: float = DEFAULT_FREQ_HZ):
@@ -115,6 +132,20 @@ class AcceleratorCore(ABC):
         once, if that stores the same bytes as :meth:`bind`'s steps run
         in order; return whether it ran. The default declines, and the
         caller then runs the steps."""
+        return False
+
+    # -- operands -------------------------------------------------------------
+
+    @abstractmethod
+    def operands(self, params) -> Dict[str, Operand]:
+        """Every address field's :class:`Operand`, in element sizes of
+        the core's own, as :meth:`run` maps them. The fields it reads
+        come in the order the call's input buffers are listed."""
+
+    def accumulates(self, params) -> bool:
+        """Whether the written operand accumulates (``y += ...``), so
+        iterations depositing into one interval form a reduction that a
+        LOOP serialises to the serial program's value."""
         return False
 
     # -- modelling side --------------------------------------------------------

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from repro.accel.base import AcceleratorCore, StrideTable, loop_lattice
+from repro.accel.base import (AcceleratorCore, Operand, StrideTable,
+                              loop_lattice)
 from repro.accel.synthesis import LogicBlock
 from repro.memmgmt.addrspace import UnifiedAddressSpace
 from repro.memmgmt.physmem import PhysMemError
@@ -160,6 +161,19 @@ class DotAccelerator(AcceleratorCore):
         out[...] = np.matmul(x[..., None, :], y[..., :, None])[..., 0]
         return True
 
+    def operands(self, params: DotParams) -> Dict[str, Operand]:
+        eb = params.elem_bytes
+        return {"x_pa": Operand(_span(params.n, params.incx, eb),
+                                reads=True),
+                "y_pa": Operand(_span(params.n, params.incy, eb),
+                                reads=True),
+                "out_pa": Operand(eb, writes=True)}
+
+    def accumulates(self, params: DotParams) -> bool:
+        # the ``*_sub`` idiom deposits every iteration's partial result
+        # into one shared scalar; the LOOP serialises the deposits
+        return True
+
     def profile(self, params: DotParams) -> OpProfile:
         if params.dtype == DTYPE_C64:
             return cdotc_profile(params.n)
@@ -192,6 +206,11 @@ class DotAccelerator(AcceleratorCore):
             is_write=True)]
 
 
+def _span(n: int, inc: int, elem_bytes: int) -> int:
+    """Bytes ``n`` elements ``inc`` apart cover, first to last."""
+    return (1 + (n - 1) * abs(inc)) * elem_bytes if n > 0 else 0
+
+
 def _window(space: UnifiedAddressSpace, pa: int,
             column: Optional[Sequence[int]], inc: int, n: int,
             elem_bytes: int) -> Callable[[int], np.ndarray]:
@@ -200,7 +219,7 @@ def _window(space: UnifiedAddressSpace, pa: int,
     the operand does not move). Every access is checked against its
     region; the last region found is kept, so a loop that stays inside
     one allocation looks it up once."""
-    nbytes = (1 + (n - 1) * abs(inc)) * elem_bytes if n > 0 else 0
+    nbytes = _span(n, inc, elem_bytes)
     start, end, backing = 0, -1, None
 
     def window(i: int) -> np.ndarray:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
-from repro.accel.base import AcceleratorCore
+from repro.accel.base import AcceleratorCore, Operand
 from repro.accel.synthesis import LogicBlock
 from repro.memmgmt.addrspace import UnifiedAddressSpace
 from repro.memsys.trace import StreamSpec
@@ -70,6 +70,8 @@ class FftAccelerator(AcceleratorCore):
     params_type = FftParams
     #: each "lane" is a radix-2 butterfly unit: 10 flops/cycle
     lane_flops = 10.0
+    #: FFTW runs in-place plans
+    inplace_exact = True
 
     def __init__(self, block_elems: int = FFT_BLOCK_ELEMS, **kwargs):
         super().__init__(**kwargs)
@@ -83,6 +85,11 @@ class FftAccelerator(AcceleratorCore):
         dst = space.pa_ndarray(params.dst_pa, np.complex64,
                                (params.batch, params.n))
         dst[:] = fft_radix2(src, params.sign)
+
+    def operands(self, params: FftParams) -> Dict[str, Operand]:
+        size = params.n * params.batch * COMPLEX
+        return {"src_pa": Operand(size, reads=True),
+                "dst_pa": Operand(size, writes=True)}
 
     def profile(self, params: FftParams) -> OpProfile:
         return fft_profile(params.n, params.batch)

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
-from repro.accel.base import AcceleratorCore
+from repro.accel.base import AcceleratorCore, Operand
 from repro.accel.synthesis import LogicBlock
 from repro.memmgmt.addrspace import UnifiedAddressSpace
 from repro.memsys.trace import StreamSpec
@@ -66,6 +66,15 @@ class GemvAccelerator(AcceleratorCore):
         y = space.pa_ndarray(params.y_pa, np.float32, (params.m,))
         y *= np.float32(params.beta)
         y += np.float32(params.alpha) * (a @ x)
+
+    def operands(self, params: GemvParams) -> Dict[str, Operand]:
+        return {"a_pa": Operand(4 * params.m * params.n, reads=True),
+                "x_pa": Operand(4 * params.n, reads=True),
+                "y_pa": Operand(4 * params.m, reads=True, writes=True)}
+
+    def accumulates(self, params: GemvParams) -> bool:
+        # y = alpha*A*x + beta*y accumulates only when beta == 1
+        return params.beta == 1.0
 
     def profile(self, params: GemvParams) -> OpProfile:
         return gemv_profile(params.m, params.n)

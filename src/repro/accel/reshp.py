@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
-from repro.accel.base import AcceleratorCore
+from repro.accel.base import AcceleratorCore, Operand
 from repro.accel.synthesis import LogicBlock
 from repro.memmgmt.addrspace import UnifiedAddressSpace
 from repro.memsys.reshape import ReshapeUnit
@@ -68,6 +68,8 @@ class ReshpAccelerator(AcceleratorCore):
     opcode = 7
     logic = LogicBlock(fpus=0, sram_kb=64)   # SRAM staging tile, no FPUs
     params_type = ReshpParams
+    #: in-place transposes (mkl_simatcopy) swap tile pairs
+    inplace_exact = True
 
     def __init__(self, reshape_unit: ReshapeUnit = None, **kwargs):
         super().__init__(**kwargs)
@@ -89,6 +91,11 @@ class ReshpAccelerator(AcceleratorCore):
         dst = space.pa_ndarray(params.dst_pa, dtype,
                                (params.cols, params.rows))
         dst[:] = src.T
+
+    def operands(self, params: ReshpParams) -> Dict[str, Operand]:
+        size = params.rows * params.cols * params.elem_bytes
+        return {"src_pa": Operand(size, reads=True),
+                "dst_pa": Operand(size, writes=True)}
 
     def profile(self, params: ReshpParams) -> OpProfile:
         return reshp_profile(params.rows, params.cols, params.elem_bytes)

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
-from repro.accel.base import AcceleratorCore
+from repro.accel.base import AcceleratorCore, Operand
 from repro.accel.synthesis import LogicBlock
 from repro.memmgmt.addrspace import UnifiedAddressSpace
 from repro.memsys.trace import StreamSpec
@@ -88,6 +88,14 @@ class ResmpAccelerator(AcceleratorCore):
         out = space.pa_ndarray(params.out_pa, np.complex64,
                                (params.blocks, params.n_out))
         out[:] = interpolate_rows(knots, series, sites)
+
+    def operands(self, params: ResmpParams) -> Dict[str, Operand]:
+        ins = params.blocks * params.n_in
+        outs = params.blocks * params.n_out
+        return {"knots_pa": Operand(params.n_in * FLOAT, reads=True),
+                "in_pa": Operand(ins * COMPLEX, reads=True),
+                "sites_pa": Operand(outs * FLOAT, reads=True),
+                "out_pa": Operand(outs * COMPLEX, writes=True)}
 
     def profile(self, params: ResmpParams) -> OpProfile:
         return resmp_profile(params.n_in, params.n_out, params.blocks)

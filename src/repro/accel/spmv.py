@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
-from repro.accel.base import AcceleratorCore
+from repro.accel.base import AcceleratorCore, Operand
 from repro.accel.synthesis import LogicBlock
 from repro.memmgmt.addrspace import UnifiedAddressSpace
 from repro.memsys.trace import StreamSpec
@@ -82,6 +82,13 @@ class SpmvAccelerator(AcceleratorCore):
         matrix = CsrMatrix(indptr=indptr, indices=indices, data=data,
                            shape=(params.rows, params.cols))
         scsrgemv(matrix, x, y)
+
+    def operands(self, params: SpmvParams) -> Dict[str, Operand]:
+        return {"data_pa": Operand(params.nnz * FLOAT, reads=True),
+                "indptr_pa": Operand((params.rows + 1) * 8, reads=True),
+                "indices_pa": Operand(params.nnz * 8, reads=True),
+                "x_pa": Operand(params.cols * FLOAT, reads=True),
+                "y_pa": Operand(params.rows * FLOAT, writes=True)}
 
     def profile(self, params: SpmvParams) -> OpProfile:
         read = (params.nnz * (FLOAT + 8)            # data + int64 indices

@@ -31,8 +31,7 @@ interprocedural form MEA012) and provable out-of-bounds footprints
 that demotes.
 """
 
-from repro.compiler.analysis.alias import (FieldAccess, READ_FIELDS,
-                                           WRITE_FIELDS, StepProof,
+from repro.compiler.analysis.alias import (FieldAccess, StepProof,
                                            prove_step, step_accesses,
                                            step_ranges)
 from repro.compiler.analysis.callgraph import (MAIN, CallGraph,
@@ -67,7 +66,7 @@ from repro.compiler.diagnostics import (Diagnostic, DiagnosticReport,
                                         Severity, SourceLoc)
 
 __all__ = [
-    "FieldAccess", "READ_FIELDS", "WRITE_FIELDS", "step_accesses",
+    "FieldAccess", "step_accesses",
     "step_ranges", "StepProof", "prove_step",
     "MAIN", "CallGraph", "build_call_graph",
     "CertFact", "SafetyCertificate", "certify_schedule", "certify_step",

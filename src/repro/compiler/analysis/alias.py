@@ -16,7 +16,10 @@ symbolic tests (constant distance, mixed-radix, value-range bounds,
 GCD lattices, Banerjee direction vectors) run first and bounded
 enumeration is only a flagged fallback. This module supplies the
 footprints (field -> buffer, affine offset, byte extent) and the
-per-step variable ranges the tester consumes.
+per-step variable ranges the tester consumes. Which fields a call
+reads and writes, and how many bytes each covers, come from the
+accelerator core's one operand declaration
+(:meth:`~repro.accel.base.AcceleratorCore.operands`).
 
 :func:`prove_step` asks every such question of one step once, together
 with each field's footprint against its buffer's allocation, and
@@ -27,8 +30,9 @@ findings and the step's safety certificate both read that record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from repro.accel.layer import CORES
 from repro.compiler.affine import Affine
 from repro.compiler.analysis.deptest import (DepVerdict,
                                              cross_iteration_verdict,
@@ -37,32 +41,6 @@ from repro.compiler.analysis.ranges import (TOP, Interval, ValueRanges,
                                             affine_interval)
 from repro.compiler.recognizer import AccelCallStep
 from repro.compiler.semantics import CompileEnv
-
-#: Address fields each accelerator writes / reads.
-WRITE_FIELDS = {
-    "AXPY": ("y_pa",),
-    "DOT": ("out_pa",),
-    "GEMV": ("y_pa",),
-    "SPMV": ("y_pa",),
-    "RESMP": ("out_pa",),
-    "FFT": ("dst_pa",),
-    "RESHP": ("dst_pa",),
-}
-READ_FIELDS = {
-    "AXPY": ("x_pa", "y_pa"),
-    "DOT": ("x_pa", "y_pa"),
-    "GEMV": ("a_pa", "x_pa", "y_pa"),
-    "SPMV": ("indptr_pa", "indices_pa", "data_pa", "x_pa"),
-    "RESMP": ("knots_pa", "in_pa", "sites_pa"),
-    "FFT": ("src_pa",),
-    "RESHP": ("src_pa",),
-}
-
-#: Accelerators whose semantics permit *exactly* coincident source and
-#: destination (an in-place transform): the paper's RESHP handles
-#: in-place transposes (mkl_simatcopy) and FFTW supports in-place
-#: plans. Everything else reading and writing the same bytes is UB.
-INPLACE_EXACT_OK = {"RESHP", "FFT"}
 
 
 @dataclass(frozen=True)
@@ -77,76 +55,16 @@ class FieldAccess:
     reads: bool
 
 
-def _elem(env: CompileEnv, buf: str) -> int:
-    return env.buffers[buf].elem_size
-
-
-def _dot_span(n: int, inc: int, elem: int) -> int:
-    if n <= 0:
-        return 0
-    return ((n - 1) * abs(int(inc)) + 1) * elem
-
-
-def field_extents(accel: str, scalars: Dict[str, Any],
-                  buffers: Dict[str, str],
-                  env: CompileEnv) -> Dict[str, int]:
-    """Bytes each address field touches in a single invocation.
-
-    ``buffers`` maps field name to buffer name (element sizes come
-    from the environment).
-    """
-    e = {f: _elem(env, b) for f, b in buffers.items()}
-    if accel == "AXPY":
-        n = int(scalars["n"])
-        return {"x_pa": n * e["x_pa"], "y_pa": n * e["y_pa"]}
-    if accel == "DOT":
-        n = int(scalars["n"])
-        return {"x_pa": _dot_span(n, scalars["incx"], e["x_pa"]),
-                "y_pa": _dot_span(n, scalars["incy"], e["y_pa"]),
-                "out_pa": e["out_pa"]}
-    if accel == "GEMV":
-        m, n = int(scalars["m"]), int(scalars["n"])
-        return {"a_pa": m * n * e["a_pa"], "x_pa": n * e["x_pa"],
-                "y_pa": m * e["y_pa"]}
-    if accel == "SPMV":
-        rows, cols = int(scalars["rows"]), int(scalars["cols"])
-        nnz = int(scalars["nnz"])
-        return {"indptr_pa": (rows + 1) * e["indptr_pa"],
-                "indices_pa": nnz * e["indices_pa"],
-                "data_pa": nnz * e["data_pa"],
-                "x_pa": cols * e["x_pa"], "y_pa": rows * e["y_pa"]}
-    if accel == "RESMP":
-        blocks = int(scalars["blocks"])
-        n_in, n_out = int(scalars["n_in"]), int(scalars["n_out"])
-        return {"knots_pa": n_in * e["knots_pa"],
-                "in_pa": blocks * n_in * e["in_pa"],
-                "sites_pa": blocks * n_out * e["sites_pa"],
-                "out_pa": blocks * n_out * e["out_pa"]}
-    if accel == "FFT":
-        count = int(scalars["n"]) * int(scalars["batch"])
-        return {"src_pa": count * e["src_pa"],
-                "dst_pa": count * e["dst_pa"]}
-    if accel == "RESHP":
-        span = (int(scalars["rows"]) * int(scalars["cols"])
-                * int(scalars["elem_bytes"]))
-        return {"src_pa": span, "dst_pa": span}
-    raise ValueError(f"unknown accelerator {accel!r}")
-
-
 def step_accesses(step, env: CompileEnv) -> List[FieldAccess]:
-    """The address fields of an AccelCallStep as FieldAccess records."""
-    buffers = {f: b for f, (b, _) in step.proto.addrs.items()}
-    extents = field_extents(step.accel, step.proto.scalars, buffers,
-                            env)
-    writes = set(WRITE_FIELDS[step.accel])
-    reads = set(READ_FIELDS[step.accel])
-    out = []
-    for fld, (buf, offset) in step.proto.addrs.items():
-        out.append(FieldAccess(
-            field=fld, buffer=buf, offset=offset,
-            extent=int(extents.get(fld, 0)),
-            writes=fld in writes, reads=fld in reads))
-    return out
+    """The address fields of an AccelCallStep as FieldAccess records:
+    roles and extents as the step's core declares them, offsets from
+    the step's parameter prototype."""
+    operands = CORES[step.accel].operands(step.proto.zero_params())
+    return [FieldAccess(field=fld, buffer=buf, offset=offset,
+                        extent=operands[fld].size,
+                        writes=operands[fld].writes,
+                        reads=operands[fld].reads)
+            for fld, (buf, offset) in step.proto.addrs.items()]
 
 
 def step_ranges(step, vranges: Optional[ValueRanges] = None
@@ -227,7 +145,7 @@ def inplace_ok(accel: str, verdict: DepVerdict) -> bool:
     """Does a same-iteration verdict allow the offload: disjoint, or
     exactly coincident under an in-place transform?"""
     return verdict.relation == "disjoint" or (
-        verdict.relation == "exact" and accel in INPLACE_EXACT_OK)
+        verdict.relation == "exact" and CORES[accel].inplace_exact)
 
 
 def prove_step(step: AccelCallStep, env: CompileEnv,

@@ -32,34 +32,18 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from repro.accel.layer import CORES
 from repro.compiler.analysis.alias import FieldAccess, StepProof
 from repro.compiler.analysis.deptest import DepVerdict
 from repro.compiler.diagnostics import Diagnostic, Severity
 from repro.compiler.recognizer import AccelCallStep
 
-#: Accelerators whose write field accumulates associatively, making a
-#: shared output a *reduction* rather than a lost-update race.
-_REDUCTION_ACCELS = {"AXPY"}
-
-#: DOT-family accelerators: the ``cblas_sdot_sub`` / ``cblas_cdotc_sub``
-#: idiom deposits each iteration's partial result into one shared
-#: ``*_sub`` scalar. The LOOP descriptor serialises the deposits, so
-#: the offload reproduces the serial program's final value.
-_DOT_SUB_ACCELS = {"DOT"}
-
 
 def is_recognized_reduction(step: AccelCallStep) -> bool:
     """Is a shared-interval update of this step's write field a
-    reduction the LOOP descriptor can serialise faithfully?"""
-    if step.accel in _REDUCTION_ACCELS:
-        return True
-    if step.accel in _DOT_SUB_ACCELS:
-        return True
-    if step.accel == "GEMV":
-        # y = alpha*A*x + beta*y accumulates only when beta == 1
-        beta = step.proto.scalars.get("beta")
-        return isinstance(beta, (int, float)) and float(beta) == 1.0
-    return False
+    reduction the LOOP descriptor can serialise faithfully? Its core
+    declares whether the write accumulates."""
+    return CORES[step.accel].accumulates(step.proto.zero_params())
 
 
 def shared_interval(access: FieldAccess,

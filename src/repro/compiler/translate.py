@@ -20,7 +20,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import List, Tuple, Union, cast
 
-from repro.accel.layer import ACCELERATOR_TYPES
+from repro.accel.layer import CORES
 from repro.compiler.analysis.facts import ProgramFacts
 from repro.compiler.analysis.rules import (AnalysisResult,
                                            apply_demotions,
@@ -151,20 +151,13 @@ def translate(source: Union[str, Program],
 
 # -- profiles -----------------------------------------------------------------
 
-#: one core of each accelerator, for the operation profiles
-_CORES = {cls.name: cls() for cls in ACCELERATOR_TYPES}
-
-
 def accel_step_profile(step: Union[AccelCallStep, HostCallStep],
                        env: CompileEnv) -> OpProfile:
     """Profile of ONE invocation of an accelerated call site, or of a
     demoted one, from the accelerator core itself (no profile reads an
     address, so every one is zero)."""
     proto = cast(ParamsProto, step.proto)
-    params = proto.instantiate(
-        {buf: 0 for buf, _ in proto.addrs.values()},
-        {var: 0 for _, off in proto.addrs.values() for var in off.coefs})
-    return _CORES[step.accel].profile(params)
+    return CORES[step.accel].profile(proto.zero_params())
 
 
 def host_step_profile(step: HostCallStep, env: CompileEnv) -> OpProfile:
