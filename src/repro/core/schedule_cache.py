@@ -49,6 +49,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+from repro.checks import check_int
 from repro.core.config_unit import DescriptorExecution, ModelInput, PassPlan
 
 
@@ -91,8 +92,7 @@ class ScheduleCache:
     """LRU map from model inputs to pure-step records."""
 
     def __init__(self, capacity: int = 256):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        check_int("capacity", capacity, 1)
         self.capacity = capacity
         self.stats = ScheduleCacheStats()
         self._entries: "OrderedDict[ModelInput, Record]" = OrderedDict()

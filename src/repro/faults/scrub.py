@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro.checks import check_int, check_real
 from repro.faults.ecc import (OUTCOME_CORRECTED, OUTCOME_DETECTED,
                               SecdedModel, popcount)
 from repro.faults.injector import FaultInjector
@@ -51,10 +52,9 @@ class ScrubConfig:
     e_patrol_per_byte: float = 6e-12
 
     def __post_init__(self) -> None:
-        if self.interval < 0:
-            raise ValueError(f"interval must be >= 0, got {self.interval}")
-        if self.bandwidth <= 0.0:
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
+        check_int("interval", self.interval, 0)
+        check_real("bandwidth", self.bandwidth, positive=True)
+        check_real("e_patrol_per_byte", self.e_patrol_per_byte, least=0.0)
 
 
 @dataclass

@@ -11,9 +11,9 @@ published CACTI-3DD / DDR3 datasheet ballpark:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
-from numbers import Real
+
+from repro.checks import check_real
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,7 @@ class DramEnergy:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise TypeError(f"{f.name} must be a number, got "
-                                f"{type(value).__name__}")
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{f.name} must be finite and "
-                                 f"non-negative, got {value!r}")
+            check_real(f.name, getattr(self, f.name), least=0.0)
 
     def burst_energy(self, burst_bytes: int) -> float:
         """Dynamic energy of moving one burst through array + IO."""

@@ -27,6 +27,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.checks import check_int
 from repro.memsys.device import MemoryDevice
 from repro.memsys.result import MemResult
 
@@ -42,19 +43,6 @@ def _lcg(state: int) -> int:
     """Deterministic 63-bit linear congruential step (for gathers)."""
     return (state * 6364136223846793005 + 1442695040888963407) & (
         (1 << 63) - 1)
-
-
-def _check_int(name: str, value: object,
-               least: Optional[int] = None) -> None:
-    """Reject a value that is not a Python or numpy integer (``bool``
-    included) with a :class:`TypeError`, and one below ``least`` (when
-    given) with a :class:`ValueError`; both name the field."""
-    if type(value) is not int and (isinstance(value, bool) or
-                                   not isinstance(value, np.integer)):
-        raise TypeError(f"{name} must be an int, got "
-                        f"{type(value).__name__}")
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -87,8 +75,8 @@ class StreamSpec:
     kind: str = "seq"
 
     def __post_init__(self) -> None:
-        _check_int("n_elems", self.n_elems, 0)
-        _check_int("elem_bytes", self.elem_bytes, 1)
+        check_int("n_elems", self.n_elems, 0)
+        check_int("elem_bytes", self.elem_bytes, 1)
         # streams are built on every execute: fields that are all
         # Python ints (the cores' case) cost one identity test each
         if not (type(self.base) is type(self.stride) is int
@@ -96,7 +84,7 @@ class StreamSpec:
                 is type(self.block_stride) is int):
             for name in ("base", "stride", "region_bytes", "block_elems",
                          "block_stride"):
-                _check_int(name, getattr(self, name))
+                check_int(name, getattr(self, name))
         if type(self.is_write) is not bool and not isinstance(
                 self.is_write, np.bool_):
             raise TypeError("is_write must be a bool, got "
@@ -301,7 +289,7 @@ def simulate_streams(device: MemoryDevice, streams: Sequence[StreamSpec],
     (and therefore bank-conflict behaviour) is preserved, then the result
     is scaled back up linearly.
     """
-    _check_int("window_elems", window_elems, 1)
+    check_int("window_elems", window_elems, 1)
     streams = [s for s in streams if s.n_elems > 0]
     if not streams:
         return MemResult(time=0.0, energy=0.0, bytes_moved=0)

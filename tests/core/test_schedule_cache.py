@@ -428,6 +428,9 @@ def test_scrubbed_campaign_identical_with_cache():
 def test_cache_rejects_bad_capacity():
     with pytest.raises(ValueError):
         ScheduleCache(capacity=0)
+    for value in (2.5, True, None):
+        with pytest.raises(TypeError, match="capacity"):
+            ScheduleCache(capacity=value)
 
 
 @pytest.mark.parametrize("value", [None, 1, ScheduleCache()])

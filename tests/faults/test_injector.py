@@ -39,6 +39,20 @@ class TestFaultConfig:
         with pytest.raises(ValueError):
             FaultConfig(hang_rate=-0.1)
 
+    @pytest.mark.parametrize("field,value,error", [
+        ("seed", "a", TypeError),
+        ("seed", 2.5, TypeError),
+        ("seed", None, TypeError),
+        ("seed", -1, ValueError),
+        ("hang_rate", True, TypeError),
+        ("hang_rate", "x", TypeError),
+        ("latent_flip_rate", None, TypeError),
+        ("dram_bit_error_rate", float("nan"), ValueError),
+    ])
+    def test_typed_errors_name_the_field(self, field, value, error):
+        with pytest.raises(error, match=field):
+            FaultConfig(**{field: value})
+
     def test_kw_construction(self):
         inj = FaultInjector(seed=7, hang_rate=0.5)
         assert inj.config.seed == 7

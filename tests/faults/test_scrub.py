@@ -41,6 +41,20 @@ def test_config_rejects_nonpositive_bandwidth():
         ScrubConfig(interval=1, bandwidth=0.0)
 
 
+@pytest.mark.parametrize("field,value,error", [
+    ("interval", 2.5, TypeError),
+    ("interval", True, TypeError),
+    ("interval", None, TypeError),
+    ("bandwidth", float("nan"), ValueError),
+    ("bandwidth", float("inf"), ValueError),
+    ("e_patrol_per_byte", -1, ValueError),
+    ("e_patrol_per_byte", "1e-12", TypeError),
+])
+def test_config_typed_errors_name_the_field(field, value, error):
+    with pytest.raises(error, match=field):
+        ScrubConfig(**{field: value})
+
+
 # -- idempotence: the second immediate patrol finds nothing -------------------
 
 
