@@ -12,13 +12,11 @@ from typing import Optional
 
 from repro.accel.layer import AcceleratorLayer
 from repro.core.config_unit import ConfigurationUnit
-from repro.core.invocation import InvocationModel
 from repro.core.runtime import MealibRuntime, ResiliencePolicy
 from repro.core.schedule_cache import ScheduleCache
 from repro.faults.datapath import DatapathEcc
 from repro.faults.injector import FaultInjector
 from repro.faults.scrub import PatrolScrubber, ScrubConfig
-from repro.host.cpu import CpuModel
 from repro.host.platforms import haswell
 from repro.memmgmt.addrspace import UnifiedAddressSpace
 from repro.memmgmt.driver import MealibDriver
@@ -71,11 +69,7 @@ class MealibSystem:
     pays any of it.
     """
 
-    def __init__(self, host: Optional[CpuModel] = None,
-                 stack_bytes: int = 1 << 30,
-                 device: Optional[StackedDram] = None,
-                 layer: Optional[AcceleratorLayer] = None,
-                 invocation: Optional[InvocationModel] = None,
+    def __init__(self, stack_bytes: int = 1 << 30,
                  faults: Optional[FaultInjector] = None,
                  policy: Optional[ResiliencePolicy] = None,
                  scrub: Optional[ScrubConfig] = None,
@@ -90,11 +84,11 @@ class MealibSystem:
                 "scrub= without faults= would arm a patrol scrubber "
                 "over no injector; pass a FaultInjector (rates may all "
                 "be zero) or drop the scrub config")
-        self.host = host if host is not None else haswell()
+        self.host = haswell()
         self.space = UnifiedAddressSpace(
             MealibDriver(stack_bytes=stack_bytes))
-        self.device = device if device is not None else StackedDram()
-        self.layer = layer if layer is not None else AcceleratorLayer()
+        self.device = StackedDram()
+        self.layer = AcceleratorLayer()
         self.faults = faults
         self.datapath = None
         self.scrubber = None
@@ -126,7 +120,7 @@ class MealibSystem:
             datapath=self.datapath, governor=self.governor,
             schedule_cache=self.schedule_cache)
         self.runtime = MealibRuntime(
-            self.space, self.config_unit, invocation, host=self.host,
+            self.space, self.config_unit, host=self.host,
             faults=faults, policy=policy, datapath=self.datapath,
             scrubber=self.scrubber, thermal=self.thermal,
             governor=self.governor,

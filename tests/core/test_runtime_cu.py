@@ -265,3 +265,11 @@ class TestConfigUnit:
         assert accel.time > 0
         assert invocation.time > 0
         assert host.time == 0
+
+
+@pytest.mark.parametrize("knob", ["host", "device", "layer", "invocation"])
+def test_system_builds_its_own_parts(knob):
+    """The host model, stack, accelerator layer and invocation model are
+    always the defaults; the system takes none of them."""
+    with pytest.raises(TypeError, match=knob):
+        MealibSystem(**{knob: None})
