@@ -229,7 +229,6 @@ class MealibRuntime:
 
     def __init__(self, space: UnifiedAddressSpace,
                  config_unit: ConfigurationUnit,
-                 invocation: Optional[InvocationModel] = None,
                  host=None,
                  faults: Optional[FaultInjector] = None,
                  policy: Optional[ResiliencePolicy] = None,
@@ -241,8 +240,7 @@ class MealibRuntime:
                      Callable[[np.ndarray], np.ndarray]] = None):
         self.space = space
         self.cu = config_unit
-        self.invocation = (invocation if invocation is not None
-                           else InvocationModel())
+        self.invocation = InvocationModel()
         self.host = host                  # CpuModel for degraded execution
         self.faults = faults
         self.datapath = datapath
