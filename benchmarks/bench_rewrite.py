@@ -20,7 +20,6 @@ Emits schema-stable JSON (``BENCH_rewrite.json``) for dashboards:
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -29,7 +28,7 @@ import numpy as np
 from repro.compiler import FusedStep, run_translated, translate
 from repro.compiler.interp import _DTYPES
 from repro.compiler.passes import DescriptorStep
-from repro.core import MealibSystem
+from repro.core import MealibSystem, verify_ledger
 
 SCHEMA = "rewrite/v1"
 
@@ -71,17 +70,21 @@ def make_inputs(tp, seed=11):
     return inputs
 
 
-def assert_ledger_decomposes(system, label):
-    total = system.total()
-    cats = {e.category for e in system.ledger.entries}
-    time = sum(system.ledger.total(c).time for c in cats)
-    energy = sum(system.ledger.total(c).energy for c in cats)
-    assert math.isclose(time, total.time, rel_tol=1e-9,
-                        abs_tol=1e-18), (
-        f"{label}: ledger time does not decompose")
-    assert math.isclose(energy, total.energy, rel_tol=1e-9,
-                        abs_tol=1e-18), (
-        f"{label}: ledger energy does not decompose")
+def record_executes(system):
+    """Record ``(first ledger entry, descriptor bytes, returned cost)``
+    of every execute on ``system``: the executes
+    :func:`verify_ledger` checks the fold of."""
+    seen = []
+    execute = system.runtime.acc_execute
+
+    def recording(plan, *args, **kwargs):
+        first = len(system.ledger)
+        result = execute(plan, *args, **kwargs)
+        seen.append((first, plan.descriptor.size, result))
+        return result
+
+    system.runtime.acc_execute = recording
+    return seen
 
 
 def fused_steps(tp):
@@ -97,6 +100,8 @@ def run_workload(name):
 
     sys_off = MealibSystem()
     sys_on = MealibSystem()
+    executes_off = record_executes(sys_off)
+    executes_on = record_executes(sys_on)
     off = run_translated(tp_off, system=sys_off, inputs=dict(inputs))
     on = run_translated(tp_on, system=sys_on, inputs=dict(inputs))
 
@@ -105,8 +110,8 @@ def run_workload(name):
     for buf in sorted(off.buffers):
         assert np.array_equal(off.buffers[buf], on.buffers[buf]), (
             f"{name}: buffer {buf!r} diverged under rewrites")
-    assert_ledger_decomposes(sys_off, f"{name} (rewrites off)")
-    assert_ledger_decomposes(sys_on, f"{name} (rewrites on)")
+    verify_ledger(sys_off.ledger, executes_off)
+    verify_ledger(sys_on.ledger, executes_on)
 
     skipped = sum(f.dram_bytes_skipped(tp_on.env)
                   for f in fused_steps(tp_on))

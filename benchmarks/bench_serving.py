@@ -7,7 +7,7 @@ per model second). The sweep brackets saturation — below it goodput
 tracks the offered load; above it goodput plateaus at stack capacity
 and the latency tail explodes (queueing) or admission sheds.
 
-Two invariants are *asserted before any number is reported* — a fast
+Three invariants are *asserted before any number is reported* — a fast
 or pretty curve from a broken model is worthless:
 
 * **single-tenant bit-identity** — one tenant served at concurrency 1
@@ -16,9 +16,13 @@ or pretty curve from a broken model is worthless:
   call sequence (the serving layer adds exactly nothing to a solo
   stream);
 * **tenant decomposition** — at every load point the per-tenant ledger
-  slices partition the system ledger exactly and their per-category
-  sums match it joule for joule
-  (:meth:`ServingRuntime.verify_tenant_decomposition`).
+  slices partition the system ledger exactly
+  (:meth:`ServingRuntime.verify_tenant_decomposition`);
+* **ledger invariants** — every ledger the bench fills, direct and
+  served, passes :func:`~repro.core.ledger.verify_ledger` with every
+  execute named: known category and label codes, finite non-negative
+  values, and each execute's ledgered costs (plus the descriptor fetch
+  charge) folding to the cost it returned.
 
 Emits schema-stable JSON (``BENCH_serving.json``) for dashboards:
 
@@ -29,7 +33,7 @@ import argparse
 import json
 import sys
 
-from repro.core import CATEGORIES, MealibSystem
+from repro.core import CATEGORIES, MealibSystem, verify_ledger
 from repro.eval.workloads import TABLE2
 from repro.metrics import ZERO
 from repro.serving import (BatchPolicy, QosClass, ServingRuntime,
@@ -69,13 +73,17 @@ def assert_single_tenant_identity(seed, requests, scale):
 
     direct = _system()
     direct_results = []
+    executes = []
     for a in trace:
         params = TABLE2[a.op].params(a.scale)
         plan = coalesce(direct, [(a.op, params,
                                   *call_sizes(direct.layer, a.op, params))])
+        first = len(direct.ledger)
         direct_results.append(
             direct.runtime.acc_execute(plan, functional=False))
+        executes.append((first, plan.descriptor.size, direct_results[-1]))
         direct.runtime.acc_destroy(plan)
+    verify_ledger(direct.ledger, executes)
 
     served = _system()
     serving = ServingRuntime(served, [TenantConfig("solo")],
@@ -183,6 +191,7 @@ def main(argv=None):
         "capacity_rps": capacity,
         "single_tenant_identical": True,
         "decomposition_verified": True,
+        "ledger_verified": True,
         "points": points,
     }
     payload = json.dumps(record, indent=1, sort_keys=True)

@@ -13,8 +13,9 @@ from repro.core.descriptor import (CMD_IDLE, CMD_START, DescriptorError,
                                    encoded_size, set_command,
                                    verify_integrity)
 from repro.core.invocation import InvocationModel
-from repro.core.runtime import (CATEGORIES, AccPlan, Ledger, LedgerEntry,
-                                MealibRuntime, MealibRuntimeError,
+from repro.core.ledger import (CATEGORIES, REGISTRY, Ledger, LedgerCategory,
+                               LedgerEntry, LedgerView, verify_ledger)
+from repro.core.runtime import (AccPlan, MealibRuntime, MealibRuntimeError,
                                 ResilienceCounters, ResiliencePolicy)
 from repro.core.schedule_cache import ScheduleCache, ScheduleCacheStats
 from repro.core.system import MealibSystem
@@ -29,8 +30,9 @@ __all__ = [
     "KIND_ENDPASS", "KIND_LOOP", "OPCODES", "decode_control",
     "decode_instructions", "descriptor_checksum", "encode", "encoded_size",
     "set_command",
-    "verify_integrity", "InvocationModel", "CATEGORIES", "AccPlan",
-    "Ledger", "LedgerEntry", "MealibRuntime", "MealibRuntimeError",
+    "verify_integrity", "InvocationModel", "CATEGORIES", "REGISTRY",
+    "Ledger", "LedgerCategory", "LedgerEntry", "LedgerView",
+    "verify_ledger", "AccPlan", "MealibRuntime", "MealibRuntimeError",
     "ResilienceCounters", "ResiliencePolicy",
     "ScheduleCache", "ScheduleCacheStats",
     "MealibSystem", "Comp", "Loop", "ParamStore", "Pass", "TdlError",

@@ -38,9 +38,8 @@ bit-for-bit and joule-for-joule identical to the unhardened runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
-                    Union)
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.accel.tile import TileFailedError
 from repro.core.config_unit import ConfigurationUnit
@@ -50,6 +49,7 @@ from repro.core.descriptor import (CMD_IDLE, CMD_START, COMMAND_OFFSET,
                                    EncodedDescriptor, command_word, encode,
                                    encoded_size, set_command)
 from repro.core.invocation import InvocationModel
+from repro.core.ledger import REGISTRY, Ledger
 from repro.core.tdl import ParamStore, TdlProgram, parse_tdl
 from repro.faults.datapath import DatapathEcc
 from repro.faults.ecc import UncorrectableEccError
@@ -140,75 +140,6 @@ class AccPlan:
     working_set_bytes: int
     destroyed: bool = False
     executions: int = 0
-
-
-@dataclass
-class LedgerEntry:
-    category: str
-    label: str
-    result: ExecResult
-
-
-#: The ledger categories, in breakdown order. Every entry's category is
-#: one of these; ``scrub`` and ``contention`` are ledgered but never
-#: folded into an execute's returned cost.
-CATEGORIES = (
-    "host",         # compute-bounded library calls on the host CPU
-    "invocation",   # per-execute host overhead (flush, descriptor, doorbell)
-    "accelerator",  # descriptor execution, per accelerator
-    "fault",        # detection/correction, incl. the datapath re-decode drain
-    "retry",        # descriptor re-delivery and backoff
-    "reroute",      # excess of running degraded: detours, rerouted stripes
-    "fallback",     # host execution when no tile can serve the work
-    "scrub",        # patrol passes draining latent flips (not folded)
-    "throttle",     # DVFS stretch of hot vaults, priced at static power
-    "contention",   # vault-bus time-share with co-runners (not folded)
-)
-
-#: The per-execution overhead categories a :class:`DescriptorExecution`
-#: may carry, in ledger order: category -> (ledger label, the
-#: :class:`ResilienceCounters` field counting executes that carried it).
-_OVERHEAD_LEDGER = {
-    "reroute": ("vault-stripe", "degraded_executes"),
-    "throttle": ("dvfs-stretch", "throttled_executes"),
-    "contention": ("vault-share", "contended_executes"),
-}
-
-
-@dataclass
-class Ledger:
-    """Accumulates time/energy by category (:data:`CATEGORIES`) for the
-    breakdown figures. ``host``, ``accelerator`` and ``invocation`` are
-    the Fig 14 split; the rest price resilience, thermal throttling and
-    serving contention, and none of them appear on a fault-free solo
-    run, so the ledger there is identical to the unhardened runtime's.
-    """
-
-    entries: List[LedgerEntry] = field(default_factory=list)
-
-    def log(self, category: str, label: str, result: ExecResult) -> None:
-        if category not in CATEGORIES:
-            raise ValueError(f"unknown ledger category {category!r}; "
-                             f"expected one of {CATEGORIES}")
-        self.entries.append(LedgerEntry(category, label, result))
-
-    def total(self, category: Optional[str] = None) -> ExecResult:
-        out = ExecResult(0.0, 0.0)
-        for e in self.entries:
-            if category is None or e.category == category:
-                out = out.plus(e.result)
-        return out
-
-    def by_label(self, category: str) -> Dict[str, ExecResult]:
-        out: Dict[str, ExecResult] = {}
-        for e in self.entries:
-            if e.category == category:
-                out[e.label] = out.get(e.label,
-                                       ExecResult(0.0, 0.0)).plus(e.result)
-        return out
-
-    def clear(self) -> None:
-        self.entries.clear()
 
 
 def _fault_label(exc: Exception) -> str:
@@ -377,10 +308,10 @@ class MealibRuntime:
                 counters = self.counters
                 counters.rerouted_stripes += execution.rerouted_vaults
                 for category, cost in execution.overheads.items():
-                    label, counter = _OVERHEAD_LEDGER[category]
-                    setattr(counters, counter,
-                            getattr(counters, counter) + 1)
-                    self.ledger.log(category, label, cost)
+                    spec = REGISTRY[category]
+                    setattr(counters, spec.counter,
+                            getattr(counters, spec.counter) + 1)
+                    self.ledger.log(category, spec.overhead_label, cost)
                 self._thermal_step(execution)
                 plan.executions += 1
                 return total.plus(execution.result)

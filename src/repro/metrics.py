@@ -10,6 +10,7 @@ efficiency, and energy-delay product for the STAP comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 
 @dataclass(frozen=True)
@@ -25,8 +26,12 @@ class ExecResult:
     energy: float
 
     def __post_init__(self) -> None:
-        if self.time < 0 or self.energy < 0:
-            raise ValueError("time and energy must be non-negative")
+        if not 0.0 <= self.time < inf:
+            raise ValueError(f"time must be finite and non-negative, "
+                             f"got {self.time!r}")
+        if not 0.0 <= self.energy < inf:
+            raise ValueError(f"energy must be finite and non-negative, "
+                             f"got {self.energy!r}")
 
     @property
     def power(self) -> float:

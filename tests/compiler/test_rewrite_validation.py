@@ -3,12 +3,12 @@
 The rewrite engine's contract is checked the strong way: for every
 corpus program and for a randomized battery of generated chains, the
 original and rewritten programs are *executed* and must agree
-bit-for-bit, the system ledger must decompose exactly into its
-categories, every applied rewrite must carry prover-named certificate
+bit-for-bit, both system ledgers must pass the ledger checker (each
+execute's ledgered costs fold to the cost it returned), every applied
+rewrite must carry prover-named certificate
 facts, and rewrites-off must be the identity translation.
 """
 
-import math
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +17,10 @@ import pytest
 from repro.compiler import FusedStep, run_translated, translate
 from repro.compiler.interp import _DTYPES
 from repro.compiler.passes import DescriptorStep
+from repro.core.ledger import verify_ledger
 from repro.core.system import MealibSystem
 from tests.compiler.helpers import chain_source
+from tests.core.helpers import record_executes
 
 CORPUS_DIR = Path(__file__).resolve().parents[2] / "examples" / "legacy"
 
@@ -59,17 +61,6 @@ def make_inputs(tp, seed=11):
     return inputs
 
 
-def assert_ledger_decomposes(system):
-    """The ledger total is exactly the sum of its category totals."""
-    total = system.total()
-    cats = {e.category for e in system.ledger.entries}
-    time = sum(system.ledger.total(c).time for c in cats)
-    energy = sum(system.ledger.total(c).energy for c in cats)
-    assert math.isclose(time, total.time, rel_tol=1e-9, abs_tol=1e-18)
-    assert math.isclose(energy, total.energy, rel_tol=1e-9,
-                        abs_tol=1e-18)
-
-
 def assert_certificates_complete(tp):
     """Every fused step carries a certificate; every applied decision
     and every rewrite fact names its prover."""
@@ -86,7 +77,7 @@ def assert_certificates_complete(tp):
 
 
 @pytest.mark.parametrize("name", CORPUS)
-def test_corpus_rewrite_is_translation_validated(name):
+def test_corpus_rewrite_is_translation_validated(name, monkeypatch):
     source = (CORPUS_DIR / name).read_text()
     off_tp = translate(source, rewrite=False)
     on_tp = translate(source, rewrite=True)
@@ -96,14 +87,16 @@ def test_corpus_rewrite_is_translation_validated(name):
     inputs = make_inputs(off_tp)
     sys_off = MealibSystem()
     sys_on = MealibSystem()
+    executes_off = record_executes(monkeypatch, sys_off)
+    executes_on = record_executes(monkeypatch, sys_on)
     off = run_translated(off_tp, system=sys_off, inputs=dict(inputs))
     on = run_translated(on_tp, system=sys_on, inputs=dict(inputs))
     assert set(off.buffers) == set(on.buffers)
     for buf in sorted(off.buffers):
         np.testing.assert_array_equal(off.buffers[buf],
                                       on.buffers[buf], err_msg=buf)
-    assert_ledger_decomposes(sys_off)
-    assert_ledger_decomposes(sys_on)
+    verify_ledger(sys_off.ledger, executes_off)
+    verify_ledger(sys_on.ledger, executes_on)
 
 
 @pytest.mark.parametrize("name", CORPUS)

@@ -1,7 +1,9 @@
-"""Shared test helpers: the configuration unit's execution records and
-the reference descriptor encoder."""
+"""Shared test helpers: the configuration unit's execution records,
+the reference ledger and the reference descriptor encoder."""
 
 import struct
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 from repro.core.descriptor import (_CR, _INSTR, CHECKSUM_OFFSET, CMD_IDLE,
                                    CR_BYTES, INSTR_BYTES, KIND_ACCEL,
@@ -9,7 +11,9 @@ from repro.core.descriptor import (_CR, _INSTR, CHECKSUM_OFFSET, CMD_IDLE,
                                    MAGIC, OPCODES, DescriptorError,
                                    EncodedDescriptor, Instruction,
                                    descriptor_checksum)
+from repro.core.ledger import CATEGORIES, LedgerEntry
 from repro.core.tdl import Loop
+from repro.metrics import ExecResult
 
 
 def record_executions(monkeypatch, system):
@@ -27,10 +31,61 @@ def record_executions(monkeypatch, system):
     return seen
 
 
+def record_executes(monkeypatch, system):
+    """Record ``(first ledger entry, descriptor bytes, returned cost)``
+    for every ``acc_execute`` on ``system``, the execute tuples
+    :func:`repro.core.ledger.verify_ledger` checks the fold of."""
+    seen = []
+    execute = system.runtime.acc_execute
+
+    def recording(plan, *args, **kwargs):
+        first = len(system.ledger)
+        result = execute(plan, *args, **kwargs)
+        seen.append((first, plan.descriptor.size, result))
+        return result
+
+    monkeypatch.setattr(system.runtime, "acc_execute", recording)
+    return seen
+
+
 def ledger_entries(system, category):
     """The results of ``system``'s ledger entries in ``category``."""
     return [e.result for e in system.ledger.entries
             if e.category == category]
+
+
+# -- reference ledger ---------------------------------------------------------
+#
+# :class:`repro.core.ledger.Ledger` stores its entries as columns. This is
+# the ledger it replaced, a list of :class:`LedgerEntry` records summed
+# through ``ExecResult.plus``; the ledger tests hold their totals equal
+# in float hex.
+
+
+@dataclass
+class ReferenceLedger:
+    entries: List[LedgerEntry] = field(default_factory=list)
+
+    def log(self, category: str, label: str, result: ExecResult) -> None:
+        if category not in CATEGORIES:
+            raise ValueError(f"unknown ledger category {category!r}; "
+                             f"expected one of {CATEGORIES}")
+        self.entries.append(LedgerEntry(category, label, result))
+
+    def total(self, category: Optional[str] = None) -> ExecResult:
+        out = ExecResult(0.0, 0.0)
+        for e in self.entries:
+            if category is None or e.category == category:
+                out = out.plus(e.result)
+        return out
+
+    def by_label(self, category: str) -> Dict[str, ExecResult]:
+        out: Dict[str, ExecResult] = {}
+        for e in self.entries:
+            if e.category == category:
+                out[e.label] = out.get(e.label,
+                                       ExecResult(0.0, 0.0)).plus(e.result)
+        return out
 
 
 # -- reference descriptor encoder ----------------------------------------------

@@ -7,7 +7,8 @@ from repro.accel import (AxpyParams, DotParams, FftParams, ResmpParams,
                          DTYPE_C64)
 from repro.accel.base import StrideTable, pack_strides
 from repro.core import (MealibSystem, MealibRuntimeError, ParamStore,
-                        DescriptorError, encode, encoded_size, parse_tdl)
+                        DescriptorError, encode, encoded_size, parse_tdl,
+                        verify_ledger)
 from repro.memmgmt.allocator import ContiguousAllocator
 from repro.metrics import ZERO
 
@@ -64,15 +65,13 @@ class TestRuntime:
 
     def test_ledger_accumulates(self, system):
         plan, _, _ = make_axpy_plan(system)
-        system.runtime.acc_execute(plan)
+        result = system.runtime.acc_execute(plan)
         ledger = system.runtime.ledger
         assert ledger.total("invocation").time > 0
         assert ledger.total("accelerator").time > 0
         assert "AXPY" in ledger.by_label("accelerator")
-        total = ledger.total()
-        assert total.time == pytest.approx(
-            ledger.total("invocation").time
-            + ledger.total("accelerator").time)
+        assert len(ledger) == 2
+        verify_ledger(ledger, [(0, plan.descriptor.size, result)])
 
     def test_descriptor_resides_in_command_space(self, system):
         plan, _, _ = make_axpy_plan(system)

@@ -32,12 +32,13 @@ import pytest
 
 from repro.accel import AxpyParams
 from repro.accel.base import pack_strides
-from repro.core import CATEGORIES, MealibSystem, ParamStore, ScheduleCache
+from repro.core import (CATEGORIES, MealibSystem, ParamStore, ScheduleCache,
+                        verify_ledger)
 from repro.eval.workloads import TABLE2
 from repro.faults import FaultInjector, ScrubConfig
 from repro.metrics import ExecResult
 from repro.thermal import AMBIENT_K, ThermalConfig
-from tests.core.helpers import record_executions
+from tests.core.helpers import record_executes, record_executions
 
 OPS = ("DOT", "AXPY", "GEMV", "SPMV", "FFT", "RESMP", "RESHP")
 
@@ -109,14 +110,17 @@ def assert_ledgers_identical(a, b):
 # -- property battery: cached replay == fresh simulation ----------------------
 
 
-def test_property_battery_replay_bit_identical_over_300_trials():
+def test_property_battery_replay_bit_identical_over_300_trials(
+        monkeypatch):
     """300 randomized descriptors, each executed twice on a cache-on
     and a cache-off system in lockstep: every per-call ExecResult and
-    every ledger category must match exactly, and every second call on
-    the cached system must be a hit."""
+    every ledger category must match exactly, both ledgers must pass
+    the ledger checker, and every second call on the cached system must
+    be a hit."""
     rng = np.random.default_rng(20260808)
     on = make_system(schedule_cache=True)
     off = make_system()
+    executes = {id(s): record_executes(monkeypatch, s) for s in (on, off)}
     for trial in range(TRIALS):
         spec = random_descriptor(rng)
         hits_before = on.schedule_cache.stats.hits
@@ -128,6 +132,8 @@ def test_property_battery_replay_bit_identical_over_300_trials():
         assert on.schedule_cache.stats.hits == hits_before + 1, (
             f"trial {trial}: the repeated call did not hit the cache")
     assert_ledgers_identical(on, off)
+    for system in (on, off):
+        verify_ledger(system.ledger, executes[id(system)])
     stats = on.schedule_cache.stats
     assert stats.hits == TRIALS
     # 300 distinct descriptors through a 256-entry LRU really overflow
@@ -595,13 +601,14 @@ def assert_systems_identical(on, off):
                 == off.thermal.temps.tolist())
 
 
-def test_hazard_lockstep_battery():
+def test_hazard_lockstep_battery(monkeypatch):
     """Seeded random hazard sequences — link fail/restore and in-execute
     flaps, tile failures down to one serving tile and repairs, planted
     single and double flips, latent deposits, patrol scrubs, DVFS
     throttling, concurrency 1–2 — run on a cache-on and a cache-off
     system in lockstep. Every call, ledger entry, counter and fault,
-    datapath, scrub and governor statistic must match, and the cache
+    datapath, scrub and governor statistic must match, every execute's
+    ledgered costs must fold to the cost it returned, and the cache
     must really replay, in deep degradation too."""
     rng = np.random.default_rng(20261017)
     hits = deep_hits = 0
@@ -612,6 +619,8 @@ def test_hazard_lockstep_battery():
         specs = [random_descriptor(rng) for _ in range(2)]
         plans = {id(s): [make_plan(s, spec) for spec in specs]
                  for s in (on, off)}
+        executes = {id(s): record_executes(monkeypatch, s)
+                    for s in (on, off)}
         for step in range(HAZARD_STEPS):
             hazard = draw_hazard(rng, specs)
             which = int(rng.integers(len(specs)))
@@ -629,5 +638,7 @@ def test_hazard_lockstep_battery():
                 hits += 1
                 deep_hits += len(on.layer.serving_tiles()) <= 4
         assert_systems_identical(on, off)
+        verify_ledger(on.ledger, executes[id(on)])
+        verify_ledger(off.ledger, executes[id(off)])
     assert hits > HAZARD_SEQUENCES
     assert deep_hits > 0

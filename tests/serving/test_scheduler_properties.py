@@ -76,8 +76,8 @@ def test_tenant_decomposition_is_exact(trial):
             serving.submit(f"t{i}", op, TABLE2[op].params(SCALE),
                            arrival=t)
     serving.run()
-    # the machine-checked invariant: exact entry partition + fsum
-    # equality per category, time and energy both
+    # the machine-checked invariant: exact entry partition, and each
+    # tenant slice folds to the cost its requests were charged
     serving.verify_tenant_decomposition()
     # every admitted request completed with a sane latency
     for r in serving.requests:

@@ -15,12 +15,13 @@ scrub, and the thermal RC network with a tight throttling envelope.
 
 import pytest
 
-from repro.core import MealibSystem
+from repro.core import MealibSystem, verify_ledger
 from repro.eval.workloads import TABLE2
 from repro.faults import FaultInjector, ScrubConfig
 from repro.metrics import ZERO
 from repro.serving import ServingRuntime, TenantConfig, coalesce
 from repro.thermal import AMBIENT_K, ThermalConfig
+from tests.core.helpers import record_executes
 from tests.serving.helpers import member
 
 SCALE = 0.016
@@ -88,15 +89,18 @@ def _assert_systems_identical(direct, served):
 
 
 @pytest.mark.parametrize("config", CONFIGS)
-def test_served_solo_stream_is_byte_identical(config):
+def test_served_solo_stream_is_byte_identical(config, monkeypatch):
     direct = _build(config)
     served = _build(config)
+    executes = record_executes(monkeypatch, direct)
     direct_results = _run_direct(direct)
     served_results = _run_served(served)
     for i, (a, b) in enumerate(zip(direct_results, served_results)):
         assert a.time == b.time and a.energy == b.energy, (
             f"{config}: call {i} ({CALLS[i]}) diverged")
     _assert_systems_identical(direct, served)
+    # the served side passed the same checker through its tenant slices
+    verify_ledger(direct.ledger, executes)
 
 
 @pytest.mark.parametrize("config", ("cache", "faults-scrub-cache",

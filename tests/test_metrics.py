@@ -1,5 +1,7 @@
 """Shared metric helpers."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,6 +27,19 @@ def test_negative_rejected():
         ExecResult(time=-1.0, energy=0.0)
     with pytest.raises(ValueError):
         ExecResult(time=1.0, energy=-1.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), math.inf, -math.inf])
+def test_non_finite_rejected_naming_the_field(bad):
+    with pytest.raises(ValueError, match="^time "):
+        ExecResult(time=bad, energy=1.0)
+    with pytest.raises(ValueError, match="^energy "):
+        ExecResult(time=1.0, energy=bad)
+
+
+def test_ints_and_zero_accepted():
+    assert ExecResult(2, 3) == ExecResult(2.0, 3.0)
+    assert ExecResult(0, 0.0) == ZERO
 
 
 def test_plus_and_repeated():

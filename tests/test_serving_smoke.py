@@ -46,7 +46,7 @@ def test_schema_is_stable(payload):
     assert set(payload) == {
         "schema", "seed", "scale", "requests_per_tenant", "tenants",
         "max_concurrency", "capacity_rps", "single_tenant_identical",
-        "decomposition_verified", "points"}
+        "decomposition_verified", "ledger_verified", "points"}
     assert len(payload["points"]) == len(LOADS)
     for point in payload["points"]:
         assert set(point) == POINT_KEYS
@@ -58,6 +58,7 @@ def test_exactness_gates_passed(payload):
     # record that the gates ran
     assert payload["single_tenant_identical"] is True
     assert payload["decomposition_verified"] is True
+    assert payload["ledger_verified"] is True
 
 
 def test_goodput_is_monotone_below_saturation(payload):
