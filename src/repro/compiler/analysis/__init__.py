@@ -4,8 +4,8 @@ Proves offload *safety* before any call is redirected to the in-DRAM
 accelerators. The pipeline is::
 
     C AST ──► call graph (recursion detection, bottom-up order)
-          ──► per-function effect summaries (intervals, lifecycle,
-              escapes) consumed at call sites — never re-analysed
+          ──► per-function effect summaries (lifecycle, access and
+              escape events) replayed at call sites — never re-analysed
           ──► CFG (basic blocks, loop nests)
           ──► dataflow (reaching lifecycle events, buffer liveness)
           ──► value-range analysis (interval lattice with widening at
@@ -34,7 +34,7 @@ that demotes.
 from repro.compiler.analysis.alias import (FieldAccess, StepProof,
                                            prove_step, step_accesses,
                                            step_ranges)
-from repro.compiler.analysis.callgraph import (MAIN, CallGraph,
+from repro.compiler.analysis.callgraph import (CallGraph,
                                                build_call_graph)
 from repro.compiler.analysis.certificates import (CertFact,
                                                   SafetyCertificate,
@@ -59,7 +59,6 @@ from repro.compiler.analysis.rules import (AnalysisResult, DEMOTE_CODES,
                                            apply_demotions,
                                            check_program)
 from repro.compiler.analysis.summaries import (FunctionSummary,
-                                               IntervalEffect,
                                                SummaryEvent,
                                                compute_summaries)
 from repro.compiler.diagnostics import (Diagnostic, DiagnosticReport,
@@ -68,7 +67,7 @@ from repro.compiler.diagnostics import (Diagnostic, DiagnosticReport,
 __all__ = [
     "FieldAccess", "step_accesses",
     "step_ranges", "StepProof", "prove_step",
-    "MAIN", "CallGraph", "build_call_graph",
+    "CallGraph", "build_call_graph",
     "CertFact", "SafetyCertificate", "certify_schedule", "certify_step",
     "BasicBlock", "Cfg", "build_cfg", "LifecycleFacts", "Liveness",
     "solve_backward", "solve_forward",
@@ -78,7 +77,7 @@ __all__ = [
     "AnalysisResult", "DEMOTE_CODES", "REJECT_CODES",
     "WARN_DEMOTE_CODES",
     "analyze_source", "apply_demotions", "check_program",
-    "FunctionSummary", "IntervalEffect", "SummaryEvent",
+    "FunctionSummary", "SummaryEvent",
     "compute_summaries", "Diagnostic", "DiagnosticReport", "Severity",
     "SourceLoc",
 ]

@@ -4,8 +4,8 @@ The interprocedural analysis is summary-based: effect summaries are
 computed per function, callees before callers, so a summary can fold
 in the (already computed) summaries of the functions it calls.
 ``CallGraph`` provides that bottom-up order plus the set of functions
-on (or reaching) a recursive cycle — their summaries are unavailable
-and every dependent analysis must be conservative (``MEA011``).
+on (or reaching) a recursive cycle, which get no summary (the
+recognizer rejects a program that calls one, code ``MEA011``).
 """
 
 from __future__ import annotations
@@ -14,9 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 from repro.compiler.cast import FuncDef, Program, walk_calls
-
-#: Synthetic node for the implicit main body.
-MAIN = "<main>"
 
 
 @dataclass
@@ -90,42 +87,15 @@ class CallGraph:
             visit(name)
         return order
 
-    def chain_to(self, name: str) -> Tuple[str, ...]:
-        """One call chain from main to ``name`` (for diagnostics)."""
-        parents: Dict[str, str] = {}
-        frontier = [MAIN]
-        seen = {MAIN}
-        while frontier:
-            cur = frontier.pop(0)
-            for callee in self.callees(cur):
-                if callee in seen or callee not in self.functions:
-                    continue
-                parents[callee] = cur
-                if callee == name:
-                    chain = [callee]
-                    while parents.get(chain[0], MAIN) != MAIN:
-                        chain.insert(0, parents[chain[0]])
-                    return tuple(chain)
-                seen.add(callee)
-                frontier.append(callee)
-        return (name,)
-
 
 def build_call_graph(program: Program) -> CallGraph:
-    """Call edges of every function body plus the implicit main."""
+    """Call edges of every function body."""
     functions = program.function_map()
     graph = CallGraph(functions=functions)
-
-    def callees_of(body) -> Tuple[str, ...]:
-        if not functions:
-            return ()           # nothing to call: skip the walk
-        names = []
-        for call in walk_calls(body):
+    for func in program.functions:
+        names: List[str] = []
+        for call in walk_calls(func.body):
             if call.func in functions and call.func not in names:
                 names.append(call.func)
-        return tuple(names)
-
-    for func in program.functions:
-        graph.edges[func.name] = callees_of(func.body)
-    graph.edges[MAIN] = callees_of(program.stmts)
+        graph.edges[func.name] = tuple(names)
     return graph

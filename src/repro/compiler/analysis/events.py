@@ -89,7 +89,7 @@ def _call_events(env: CompileEnv, call: Call,
         return _buffer_target(env, expr)
 
     return [BufferEvent(kind, target[1], loc)
-            for kind, target, _ in call_effects(call, env, resolve)]
+            for kind, target in call_effects(call, env, resolve)]
 
 
 def stmt_events(stmt: Stmt, env: CompileEnv,

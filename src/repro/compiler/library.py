@@ -3,8 +3,8 @@
 One :class:`LibraryCall` per MKL/FFTW call the compiler understands.
 The recognizer reads ``accel`` and the arity, both interpreters bind by
 ``signature`` and run ``kernel``, the effect analysis and the function
-summaries share :func:`call_effects` (the summaries bound each access
-by ``extent``), and the host timing model reads ``profile``.
+summaries share :func:`call_effects`, and the host timing model reads
+``profile``.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ from repro.mkl.transpose import simatcopy, somatcopy
 #: Signature letters of a pointer the call reads, writes, or both.
 POINTER_KINDS = "rwm"
 
-#: ``const(i)``: argument ``i``'s constant value, or None if unknown.
-Const = Callable[[int], Optional[int]]
-
 
 @dataclass(frozen=True)
 class LibraryCall:
@@ -44,9 +41,6 @@ class LibraryCall:
     #: the host library kernel over the evaluated arguments (scalars,
     #: ``ArrayRef``s, and a plan as its ``PlanSpec`` and two of those)
     kernel: Callable[..., None]
-    #: ``extent(index, const, elem)``: the bytes the pointer argument at
-    #: ``index`` touches, for ``elem``-byte elements (None: unbounded)
-    extent: Optional[Callable[[int, Const, int], Optional[int]]] = None
     #: a host call's per-invocation profile from its constants
     profile: Optional[Callable[[Callable[[int], int]], OpProfile]] = None
 
@@ -94,69 +88,34 @@ def _execute_plan(spec, src, dst) -> None:
                                     spec.sign))
 
 
-# -- summary extents ----------------------------------------------------------
-
-def _product(*factors: Optional[int]) -> Optional[int]:
-    """The product, or None if any factor is unknown."""
-    out = 1
-    for f in factors:
-        if f is None:
-            return None
-        out *= f
-    return out
-
-
-def _dot_extent(idx: int, c: Const, elem: int) -> Optional[int]:
-    if idx == 5:
-        return elem
-    n, inc = c(0), c(2 if idx == 1 else 4)
-    if n is None or inc is None:
-        return None
-    return ((n - 1) * abs(inc) + 1) * elem
-
-
-def _gemv_extent(idx: int, c: Const, elem: int) -> Optional[int]:
-    # a, x and y are all unbounded unless both m and n are known
-    m, n = c(2), c(3)
-    if m is None or n is None:
-        return None
-    return {5: m * n, 7: n, 10: m}[idx] * elem
-
-
 # -- the table ----------------------------------------------------------------
 
 #: Every supported call by C name.
 LIBRARY: Dict[str, LibraryCall] = {
     "cblas_saxpy": LibraryCall(
         "ssrsms", True, lambda n, alpha, x, incx, y, incy: blas.saxpy(
-            n, alpha, x.tail(), incx, y.tail(), incy),
-        extent=lambda idx, c, elem: _product(c(0), elem)),
+            n, alpha, x.tail(), incx, y.tail(), incy)),
     "cblas_sdot_sub": LibraryCall(
         "srsrsw", True, lambda n, x, incx, y, incy, out: _store(
-            out, blas.sdot(n, x.tail(), incx, y.tail(), incy)),
-        extent=_dot_extent),
+            out, blas.sdot(n, x.tail(), incx, y.tail(), incy))),
     "cblas_cdotc_sub": LibraryCall(
         "srsrsw", True, lambda n, x, incx, y, incy, out: _store(
-            out, blas.cdotc(n, x.tail(), incx, y.tail(), incy)),
-        extent=_dot_extent),
+            out, blas.cdotc(n, x.tail(), incx, y.tail(), incy))),
     # order trans m n alpha a lda x incx beta y incy
     "cblas_sgemv": LibraryCall(
         "sssssrsrssms", True,
         lambda order, trans, m, n, alpha, a, lda, x, incx, beta, y, incy:
         blas.sgemv(False, m, n, alpha, a.tail(), lda, x.tail(), incx,
-                   beta, y.tail(), incy),
-        extent=_gemv_extent),
+                   beta, y.tail(), incy)),
     "mkl_scsrgemv": LibraryCall("srrrrw", True, _csrgemv),
     # blocks n_in knots series n_out sites out
     "dfsInterpolate1D": LibraryCall("ssrrsrw", True, _interpolate),
     "mkl_simatcopy": LibraryCall(
         "sssm", True, lambda rows, cols, alpha, ab: simatcopy(
-            rows, cols, alpha, ab.tail()),
-        extent=lambda idx, c, elem: _product(c(0), c(1), elem)),
+            rows, cols, alpha, ab.tail())),
     "mkl_somatcopy": LibraryCall(
         "sssrw", True, lambda rows, cols, alpha, a, b: somatcopy(
-            rows, cols, alpha, a.tail(), b.tail()),
-        extent=lambda idx, c, elem: _product(c(0), c(1), elem)),
+            rows, cols, alpha, a.tail(), b.tail())),
     "fftwf_execute": LibraryCall("l", True, _execute_plan),
     "cblas_cherk": LibraryCall(
         "sssrsm", False, lambda n, k, alpha, a, beta, c: blas.cherk(
@@ -181,9 +140,8 @@ LIBRARY: Dict[str, LibraryCall] = {
 #: An effect target: ``("buffer", name)``, ``("plan", name)`` or, in a
 #: function summary, ``("param", name)`` for a pointer parameter.
 Target = Tuple[str, str]
-#: ``(kind, target, index)``: an effect, its target, and the argument
-#: index of a pointer access (None for the rest).
-Effect = Tuple[str, Target, Optional[int]]
+#: ``(kind, target)``: an effect and its target.
+Effect = Tuple[str, Target]
 
 
 def call_effects(call: Call, env: CompileEnv,
@@ -199,30 +157,30 @@ def call_effects(call: Call, env: CompileEnv,
     args = call.args
     if call.func == "free":
         target = resolve("free", args[0]) if args else None
-        return [] if target is None else [("free", target, None)]
+        return [] if target is None else [("free", target)]
     if call.func == "fftwf_destroy_plan":
         if args and isinstance(args[0], Ident):
-            return [("plan_kill", ("plan", args[0].name), None)]
+            return [("plan_kill", ("plan", args[0].name))]
         return []
     entry = LIBRARY.get(call.func)
     if entry is None:
         return []
     effects: List[Effect] = []
-    for idx, (kind, expr) in enumerate(zip(entry.signature, args)):
+    for kind, expr in zip(entry.signature, args):
         if kind == "l":
             if isinstance(expr, Ident) and expr.name in env.plans:
                 spec = env.plans[expr.name]
-                effects += [("plan_use", ("plan", expr.name), None),
-                            ("read", ("buffer", spec.src), None),
-                            ("write", ("buffer", spec.dst), None)]
+                effects += [("plan_use", ("plan", expr.name)),
+                            ("read", ("buffer", spec.src)),
+                            ("write", ("buffer", spec.dst))]
             continue
         target = resolve(kind, expr) if kind in POINTER_KINDS else None
         if target is None:
             continue
         if kind in "rm":
-            effects.append(("read", target, idx))
+            effects.append(("read", target))
         if kind in "wm":
-            effects.append(("write", target, idx))
+            effects.append(("write", target))
     return effects
 
 

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.accel.tile import TileFailedError
+from repro.checks import check_int, check_real
 from repro.core.config_unit import ConfigurationUnit
 from repro.core.descriptor import (CMD_IDLE, CMD_START, COMMAND_OFFSET,
                                    DescriptorError,
@@ -93,6 +94,14 @@ class ResiliencePolicy:
     backoff_base: float = 5e-6
     backoff_factor: float = 2.0
     host_fallback: bool = True
+
+    def __post_init__(self) -> None:
+        check_int("max_retries", self.max_retries, 0)
+        for name in ("watchdog_timeout", "backoff_base", "backoff_factor"):
+            check_real(name, getattr(self, name), least=0.0)
+        if not isinstance(self.host_fallback, bool):
+            raise TypeError("host_fallback must be a bool, got "
+                            f"{type(self.host_fallback).__name__}")
 
     def backoff(self, attempt: int) -> float:
         """Backoff delay before retry ``attempt`` (1-based)."""
@@ -211,8 +220,11 @@ class MealibRuntime:
         ``in_size``/``out_size`` describe the I/O buffers (the Listing 2
         signature) and size the coherence flush at execute time.
         """
-        if in_size < 0 or out_size < 0:
-            raise MealibRuntimeError("buffer sizes must be non-negative")
+        for name, size in (("in_size", in_size), ("out_size", out_size)):
+            check_int(name, size)
+            if size < 0:
+                raise MealibRuntimeError(
+                    f"{name} must be non-negative, got {size}")
         program = parse_tdl(tdl) if isinstance(tdl, str) else tdl
         slot = self._command_alloc.alloc(encoded_size(program, params),
                                          align=64)
@@ -245,6 +257,7 @@ class MealibRuntime:
         category. The default (1, a solo stream) is bit-identical to a
         runtime without the knob.
         """
+        check_int("concurrency", concurrency, 1)
         if plan.destroyed:
             raise MealibRuntimeError("acc_execute on a destroyed plan")
         overhead = self.invocation.total(plan.descriptor.size,

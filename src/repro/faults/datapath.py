@@ -38,7 +38,7 @@ bit-identical to the unguarded runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,10 +63,6 @@ class DatapathStats:
     words_repaired: int = 0         # detected doubles demand-repaired
     words_silent: int = 0
     words_rewritten: int = 0        # flips dropped by write re-encode
-
-    def clear(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)
 
 
 def merge_ranges(ranges: Sequence[Tuple[int, int]]

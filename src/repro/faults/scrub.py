@@ -25,7 +25,7 @@ one without a scrubber — the golden-baseline guarantee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.checks import check_int, check_real
@@ -66,10 +66,6 @@ class ScrubStats:
     words_corrected: int = 0        # latent singles drained
     words_repaired: int = 0         # at-rest doubles, host-repaired
     words_silent: int = 0           # triple-plus, aliased into cells
-
-    def clear(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)
 
 
 class PatrolScrubber:

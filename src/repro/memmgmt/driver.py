@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum, auto
 from typing import Dict
 
+from repro.checks import check_int
 from repro.memmgmt.allocator import ContiguousAllocator
 from repro.memmgmt.pagetable import PAGE_SIZE, PageTable, TranslationError
 from repro.memmgmt.physmem import PhysicalMemory
@@ -59,6 +60,8 @@ class MealibDriver:
 
     def __init__(self, stack_bytes: int = DEFAULT_STACK_BYTES,
                  command_bytes: int = DEFAULT_COMMAND_BYTES):
+        check_int("stack_bytes", stack_bytes, 1)
+        check_int("command_bytes", command_bytes, 1)
         if command_bytes >= stack_bytes:
             raise ValueError("command space must be smaller than the stack")
         self.phys = PhysicalMemory(stack_bytes)

@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import (Deque, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
+from repro.checks import check_int, check_real
 from repro.core.ledger import Ledger, verify_ledger
 from repro.core.runtime import AccPlan
 from repro.core.system import MealibSystem
@@ -115,12 +116,8 @@ class ServingRuntime:
                  batching: Optional[BatchPolicy] = None,
                  aging_quantum: float = 5e-3,
                  functional: bool = True):
-        if max_concurrency < 1:
-            raise ValueError(
-                f"max_concurrency must be >= 1, got {max_concurrency}")
-        if aging_quantum <= 0.0:
-            raise ValueError(
-                f"aging_quantum must be positive, got {aging_quantum}")
+        check_int("max_concurrency", max_concurrency, 1)
+        check_real("aging_quantum", aging_quantum, positive=True)
         if not tenants:
             raise ValueError("at least one tenant is required")
         self.system = system

@@ -2,8 +2,8 @@
 
 Every compiler layer reads :data:`repro.compiler.library.LIBRARY`, so a
 call declared there (and nowhere else) is recognised, bound and run by
-both interpreters, evented by the effect analysis, summarised with an
-extent and timed with its profile.
+both interpreters, evented by the effect analysis, summarised and timed
+with its profile.
 """
 
 import numpy as np
@@ -29,7 +29,6 @@ def _sscal(n, alpha, x):
 #: x[0:n] *= alpha, on the host
 SSCAL = LibraryCall(
     "ssm", False, _sscal,
-    extent=lambda idx, c, elem: None if c(0) is None else c(0) * elem,
     profile=lambda c: OpProfile("SCAL", flops=float(c(0)),
                                 bytes_read=4 * c(0),
                                 bytes_written=4 * c(0)))
@@ -89,13 +88,11 @@ def test_evented(sscal):
                                                   ("write", "x")]
 
 
-def test_summarized_with_an_extent(sscal):
+def test_summarized(sscal):
     program = parse_source(SOURCE)
     summary = compute_summaries(program, recognize(program).env)["scale"]
     assert [(e.kind, e.target) for e in summary.events] == [
         ("read", ("param", "v")), ("write", ("param", "v"))]
-    assert [(iv.mode, iv.extent) for iv in summary.intervals] == [
-        ("r", 16), ("w", 16)]
 
 
 def test_profiled(sscal):

@@ -9,6 +9,7 @@ from repro.accel.base import StrideTable, pack_strides
 from repro.core import (MealibSystem, MealibRuntimeError, ParamStore,
                         DescriptorError, encode, encoded_size, parse_tdl,
                         verify_ledger)
+from repro.faults import FaultInjector
 from repro.memmgmt.allocator import ContiguousAllocator
 from repro.metrics import ZERO
 
@@ -272,3 +273,55 @@ def test_system_builds_its_own_parts(knob):
     always the defaults; the system takes none of them."""
     with pytest.raises(TypeError, match=knob):
         MealibSystem(**{knob: None})
+
+
+# -- argument checks come before any side effect ------------------------------
+
+def _flipping_system():
+    """A system whose every execute deposits latent flips first."""
+    return MealibSystem(stack_bytes=64 << 20,
+                        faults=FaultInjector(seed=5, latent_flip_rate=1e-4))
+
+
+def _side_effects(system):
+    runtime = system.runtime
+    return (len(runtime.ledger), runtime.counters.executes,
+            system.faults.stats.latent_flips_deposited,
+            runtime._command_alloc.free_bytes)
+
+
+@pytest.mark.parametrize("value,error", [
+    (0, ValueError), (-1, ValueError), ("2", TypeError),
+    (1.5, TypeError), (True, TypeError), (None, TypeError),
+])
+def test_bad_concurrency_rejected_before_any_side_effect(value, error):
+    system = _flipping_system()
+    plan, _, _ = make_axpy_plan(system)
+    before = _side_effects(system)
+    with pytest.raises(error, match="concurrency"):
+        system.runtime.acc_execute(plan, concurrency=value)
+    assert _side_effects(system) == before
+    assert plan.executions == 0
+    # the same plan then runs, and the snapshot does see an execute
+    system.runtime.acc_execute(plan, concurrency=2)
+    ledger_len, executes, deposited, _ = _side_effects(system)
+    assert ledger_len > before[0] and executes == before[1] + 1
+    assert deposited > before[2]
+
+
+@pytest.mark.parametrize("field,value,error", [
+    ("in_size", 1.5, TypeError), ("in_size", float("nan"), TypeError),
+    ("out_size", float("inf"), TypeError), ("out_size", True, TypeError),
+    ("in_size", "8", TypeError), ("out_size", -1, MealibRuntimeError),
+])
+def test_bad_plan_sizes_rejected_before_any_side_effect(field, value,
+                                                        error):
+    system = _flipping_system()
+    store = ParamStore()
+    store.add("a.para", b"\x00" * AxpyParams.SIZE)
+    before = _side_effects(system)
+    sizes = {"in_size": 64, "out_size": 64, field: value}
+    with pytest.raises(error, match=field):
+        system.runtime.acc_plan("PASS { COMP AXPY a.para }", store,
+                                **sizes)
+    assert _side_effects(system) == before

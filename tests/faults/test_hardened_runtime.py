@@ -218,3 +218,27 @@ class TestDeterminism:
 
         assert campaign(123) == campaign(123)
         assert campaign(123) != campaign(124)
+
+
+@pytest.mark.parametrize("field,value,error", [
+    ("max_retries", -1, ValueError), ("max_retries", 2.5, TypeError),
+    ("max_retries", True, TypeError),
+    ("watchdog_timeout", float("nan"), ValueError),
+    ("watchdog_timeout", -1e-6, ValueError),
+    ("backoff_base", float("inf"), ValueError),
+    ("backoff_base", -5e-6, ValueError),
+    ("backoff_factor", float("nan"), ValueError),
+    ("backoff_factor", -2.0, ValueError),
+    ("backoff_factor", "2", TypeError),
+    ("host_fallback", "no", TypeError), ("host_fallback", 0, TypeError),
+])
+def test_policy_typed_errors_name_the_field(field, value, error):
+    with pytest.raises(error, match=field):
+        ResiliencePolicy(**{field: value})
+
+
+def test_policy_accepts_zero_delays_and_retries():
+    policy = ResiliencePolicy(max_retries=0, watchdog_timeout=0.0,
+                              backoff_base=0, backoff_factor=0.0,
+                              host_fallback=False)
+    assert policy.backoff(1) == 0.0

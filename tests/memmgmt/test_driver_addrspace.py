@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import MealibSystem
 from repro.memmgmt import (DriverError, IoctlRequest, MappedBuffer,
                            MealibDriver, UnifiedAddressSpace)
 
@@ -96,3 +97,23 @@ def test_many_alloc_free_cycles(space):
         for b in bufs:
             space.free(b)
     assert space.driver.live_mappings == 1   # only the command space
+
+
+@pytest.mark.parametrize("field,value,error", [
+    ("stack_bytes", float("nan"), TypeError),
+    ("stack_bytes", float(64 << 20), TypeError),
+    ("stack_bytes", 0, ValueError),
+    ("command_bytes", 4096.0, TypeError),
+    ("command_bytes", True, TypeError),
+    ("command_bytes", 0, ValueError),
+])
+def test_driver_typed_errors_name_the_field(field, value, error):
+    sizes = {"stack_bytes": 64 << 20, "command_bytes": 1 << 16,
+             field: value}
+    with pytest.raises(error, match=field):
+        MealibDriver(**sizes)
+
+
+def test_system_stack_size_is_checked_by_the_driver():
+    with pytest.raises(TypeError, match="stack_bytes"):
+        MealibSystem(stack_bytes=float("nan"))

@@ -261,3 +261,16 @@ def test_traffic_config_typed_errors_name_the_field(field, value, error):
     kwargs = {"rate": 1e6, "n_requests": 8, field: value}
     with pytest.raises(error, match=field):
         TrafficConfig(**kwargs)
+
+
+@pytest.mark.parametrize("field,value,error", [
+    ("max_concurrency", 0, ValueError), ("max_concurrency", 2.5, TypeError),
+    ("max_concurrency", True, TypeError),
+    ("aging_quantum", 0.0, ValueError),
+    ("aging_quantum", float("nan"), ValueError),
+    ("aging_quantum", float("inf"), ValueError),
+    ("aging_quantum", "5e-3", TypeError),
+])
+def test_serving_runtime_typed_errors_name_the_field(field, value, error):
+    with pytest.raises(error, match=field):
+        ServingRuntime(_system(), [TenantConfig("t")], **{field: value})
