@@ -21,7 +21,7 @@ from repro.memsys.address import AddressMapping
 from repro.memsys.device import MemoryDevice
 from repro.memsys.energy import HMC_ENERGY
 from repro.memsys.result import BankStats
-from repro.memsys.timing import DDR3_1600_CHANNEL, HMC_VAULT
+from repro.memsys.timing import DDR3_1600_CHANNEL, HMC_VAULT, DramTiming
 from repro.memsys.trace import (DEFAULT_WINDOW_ELEMS, GANG_ELEMS,
                                 StreamSpec, _element_addrs,
                                 _emit_window_array, _merge_window_arrays)
@@ -354,6 +354,44 @@ def test_lean_drain_windows_and_column_forms(timing, window, form):
             *drain_columns(reqs, form))
         finish, stats = reference_service(timing, window, reqs)
         assert got.finish_time == finish
+        assert got.stats == stats
+
+
+#: Delays the random-timing battery draws from, in ns: zeros and repeats
+#: make ties between the bank's ready times and the bus common.
+RANDOM_DELAYS_NS = (0.0, 0.5, 1.0, 2.0, 5.0, 13.75, 27.5)
+
+
+def random_timing(rng) -> DramTiming:
+    """A :class:`DramTiming` with every delay drawn independently from
+    :data:`RANDOM_DELAYS_NS`, 1-8 banks and a 0.2-5 ns burst."""
+    delays = {name: float(rng.choice(RANDOM_DELAYS_NS)) * 1e-9
+              for name in ("t_rcd", "t_cas", "t_rp", "t_ras", "t_wr",
+                           "t_ccd")}
+    return DramTiming(clock_hz=float(rng.choice([0.2e9, 1e9, 1.25e9])),
+                      bytes_per_cycle=int(rng.choice([16, 26, 32])),
+                      burst_bytes=int(rng.choice([32, 64])),
+                      row_bytes=2048, banks=int(rng.integers(1, 9)),
+                      **delays)
+
+
+def test_drain_matches_bank_fsm_under_random_timings():
+    # every delay may be 0 or equal to another, so each term of the
+    # precharge bound (t_ras after the activate, a read's column time, a
+    # write's recovery after its burst) gets to be the one that binds
+    rng = np.random.default_rng(RNG_SEED + 9)
+    for _ in range(600):
+        timing = random_timing(rng)
+        window = int(rng.integers(1, 17))
+        rows = int(rng.integers(1, 5))
+        reqs = [(int(rng.integers(timing.banks)), int(rng.integers(rows)),
+                 bool(rng.random() < 0.3))
+                for _ in range(int(rng.integers(1, 60)))]
+        got = VaultController(timing, window=window).service_arrays(
+            *drain_columns(reqs, "int64"))
+        finish, stats = reference_service(timing, window, reqs)
+        assert got.finish_time.hex() == finish.hex(), (timing, window,
+                                                       reqs)
         assert got.stats == stats
 
 
