@@ -30,6 +30,7 @@ from repro.accel.base import (AcceleratorCore, StrideTable, offset_columns,
 from repro.accel.layer import AcceleratorLayer
 from repro.accel.synthesis import noc_power
 from repro.accel.tile import TileFailedError
+from repro.checks import check_int
 from repro.core.descriptor import (CMD_START, DescriptorError, Instruction,
                                    KIND_ACCEL, KIND_ENDLOOP, KIND_ENDPASS,
                                    KIND_LOOP, decode_control,
@@ -768,11 +769,11 @@ class ConfigurationUnit:
         in :attr:`DescriptorExecution.overheads` — the nominal
         decomposition (accelerator shares, reroute, throttle) is never
         repriced, so ``concurrency=1`` is bit-identical to a build
-        that predates the knob.
+        that predates the knob. It must be an int of at least 1: a
+        float or ``bool`` raises :class:`TypeError` and a smaller int
+        :class:`ValueError`, both naming the field, before any effect.
         """
-        if concurrency < 1:
-            raise ValueError(
-                f"concurrency must be >= 1, got {concurrency}")
+        check_int("concurrency", concurrency, 1)
         flapped: Optional[Tuple[int, int]] = None
         if self.faults is not None:
             flapped = self._inject_structural_faults()

@@ -14,6 +14,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.checks import check_int
 from repro.memsys.address import AddressMapping
 from repro.memsys.energy import DramEnergy
 from repro.memsys.result import BankStats, MemResult
@@ -27,13 +28,7 @@ class MemoryDevice:
     def __init__(self, timing: DramTiming, energy: DramEnergy, units: int,
                  interleave_bytes: int, reorder_window: int = 8,
                  name: str = "dram", ecc=None):
-        if (isinstance(reorder_window, bool)
-                or not isinstance(reorder_window, int)):
-            raise TypeError("reorder_window must be an int, got "
-                            f"{type(reorder_window).__name__}")
-        if reorder_window < 1:
-            raise ValueError(
-                f"reorder_window must be >= 1, got {reorder_window}")
+        check_int("reorder_window", reorder_window, 1)
         self.timing = timing
         self.energy = energy
         self.units = units

@@ -309,6 +309,27 @@ def test_bad_concurrency_rejected_before_any_side_effect(value, error):
     assert deposited > before[2]
 
 
+@pytest.mark.parametrize("value,error", [
+    (0, ValueError), (-2, ValueError), (1.5, TypeError), (2.0, TypeError),
+    (True, TypeError), (np.float64(2), TypeError), ("2", TypeError),
+])
+def test_bad_concurrency_rejected_by_config_unit(system, value, error):
+    """A direct caller of the configuration unit gets the runtime's typed
+    check: a fractional width would price a fraction of the contention,
+    so it raises before the descriptor runs."""
+    plan, x, y = make_axpy_plan(system)
+    system.runtime._write_descriptor(plan)     # image + START, no execute
+    before = y.copy()
+    cu = system.config_unit
+    with pytest.raises(error, match="concurrency"):
+        cu.run_descriptor(plan.descriptor.base_pa, plan.descriptor.size,
+                          concurrency=value)
+    np.testing.assert_array_equal(y, before)
+    cu.run_descriptor(plan.descriptor.base_pa, plan.descriptor.size,
+                      concurrency=np.int64(2))
+    np.testing.assert_array_equal(y, before + 2.0 * x)
+
+
 @pytest.mark.parametrize("field,value,error", [
     ("in_size", 1.5, TypeError), ("in_size", float("nan"), TypeError),
     ("out_size", float("inf"), TypeError), ("out_size", True, TypeError),
